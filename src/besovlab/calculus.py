@@ -53,6 +53,8 @@ DEFAULT_CHEB_TOL = 1e-9
 DEFAULT_CHEB_MAX_DEGREE = 16384
 _CHEB_ERROR_GRID = 10_000
 _CHEB_START_DEGREE = 32
+# relative cut below which an eigencolumn's symbol value is left out of a kernel
+_KERNEL_DROP = np.finfo(float).eps ** 2
 
 
 def _as_array(op: SpectralOperator, f) -> tuple[np.ndarray, bool]:
@@ -79,9 +81,13 @@ def _wrap(op: SpectralOperator, values: np.ndarray, was_gridfunction: bool):
 # ---------------------------------------------------------------------------
 
 
-def _dense_apply(op: SpectralOperator, symbol: Callable, vals: np.ndarray) -> np.ndarray:
+def _on_spectrum(op: SpectralOperator, symbol: Callable) -> np.ndarray:
     op.require_eigendata()
-    g = np.asarray(symbol(op.eigvals), float)
+    return np.asarray(symbol(op.eigvals), float)
+
+
+def _dense_apply(op: SpectralOperator, g: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """U g(L) U^T vals for the symbol values g on the eigenvalues."""
     coeff = op.eigvecs.T @ vals
     if coeff.ndim == 1:
         return op.eigvecs @ (g * coeff)
@@ -171,14 +177,18 @@ def apply_symbol(
     path: str = "dense",
     cheb_tol: float = DEFAULT_CHEB_TOL,
     max_degree: int = DEFAULT_CHEB_MAX_DEGREE,
+    weights: np.ndarray | None = None,
 ):
     """Apply g(A) to f (GridFunction or (N,) / (N, m) array).
 
     path='dense' uses cached eigendata; path='cheb' is matrix-free.
+    ``weights``, when given, are the symbol's values on op.eigvals, which
+    the dense path then does not evaluate again.
     """
     vals, wrap = _as_array(op, f)
     if path == "dense":
-        out = _dense_apply(op, symbol, vals)
+        g = _on_spectrum(op, symbol) if weights is None else weights
+        out = _dense_apply(op, g, vals)
     elif path == "cheb":
         out = _cheb_apply(op, symbol, vals, cheb_tol, max_degree)
     else:
@@ -188,7 +198,12 @@ def apply_symbol(
 
 @dataclass
 class OperatorFunction:
-    """A named symbol bound to an operator; callable on grid functions."""
+    """A named symbol bound to an operator; callable on grid functions.
+
+    ``weights`` optionally holds the symbol's values on op.eigvals (the
+    dyadic blocks take them from the operator's memo); every dense route
+    then uses them instead of evaluating the symbol again.
+    """
 
     op: SpectralOperator
     symbol: Callable
@@ -196,11 +211,16 @@ class OperatorFunction:
     path: str = "dense"
     cheb_tol: float = DEFAULT_CHEB_TOL
     max_degree: int = DEFAULT_CHEB_MAX_DEGREE
+    weights: np.ndarray | None = field(default=None, repr=False)
+
+    def on_spectrum(self) -> np.ndarray:
+        """The symbol on the eigenvalues of the operator."""
+        return _on_spectrum(self.op, self.symbol) if self.weights is None else self.weights
 
     def apply(self, f):
         return apply_symbol(
             self.op, self.symbol, f, path=self.path,
-            cheb_tol=self.cheb_tol, max_degree=self.max_degree,
+            cheb_tol=self.cheb_tol, max_degree=self.max_degree, weights=self.weights,
         )
 
     def kernel(self) -> "KernelMatrix":
@@ -210,19 +230,31 @@ class OperatorFunction:
         return opnorm(self, p, seed=seed)
 
 
+def _dyadic_weights(op: SpectralOperator, sys: DyadicSystem, kind: str, j: int | None = None):
+    return op.dyadic_weights(sys, kind, j) if op.has_eigendata else None
+
+
 def dyadic_block(op: SpectralOperator, sys: DyadicSystem, j: int, path: str = "dense") -> OperatorFunction:
     """Spectral shell selector phi_j(sqrt(A)); vanishes on the nonpositive spectrum."""
-    return OperatorFunction(op, lambda lam: sys.phi_sqrt(j, lam), f"phi[{j}]", path=path)
+    return OperatorFunction(
+        op, lambda lam: sys.phi_sqrt(j, lam), f"phi[{j}]", path=path,
+        weights=_dyadic_weights(op, sys, "phi", j),
+    )
 
 
 def fat_block(op: SpectralOperator, sys: DyadicSystem, j: int, path: str = "dense") -> OperatorFunction:
     """Fattened shell Phi_j(sqrt(A)) = (phi_(j-1)+phi_j+phi_(j+1))(sqrt(A))."""
-    return OperatorFunction(op, lambda lam: sys.fat_phi_sqrt(j, lam), f"Phi[{j}]", path=path)
+    return OperatorFunction(
+        op, lambda lam: sys.fat_phi_sqrt(j, lam), f"Phi[{j}]", path=path,
+        weights=_dyadic_weights(op, sys, "fat", j),
+    )
 
 
 def psi_block(op: SpectralOperator, sys: DyadicSystem, path: str = "dense") -> OperatorFunction:
     """Low-spectrum cap psi(A); equals the identity on the spectrum below 1."""
-    return OperatorFunction(op, sys.psi, "psi", path=path)
+    return OperatorFunction(
+        op, sys.psi, "psi", path=path, weights=_dyadic_weights(op, sys, "psi")
+    )
 
 
 def suite_symbols(
@@ -274,7 +306,7 @@ def power(
     """
     vals, wrap = _as_array(op, f)
     if float(alpha).is_integer() and alpha >= 0:
-        out = _dense_apply(op, lambda lam: lam ** float(alpha), vals)
+        out = _dense_apply(op, _on_spectrum(op, lambda lam: lam ** float(alpha)), vals)
         return _wrap(op, out, wrap)
     op.require_eigendata()
     lam = op.eigvals
@@ -317,11 +349,31 @@ class KernelMatrix:
 
 
 def kernel(opfun: OperatorFunction) -> KernelMatrix:
+    """Kernel of g(A) on the spectral support of g, as a symmetric product.
+
+    Only the eigencolumns with |g| > eps^2 max|g| enter.  The rows of U are
+    orthonormal, so the dropped part changes no entry by more than
+    eps^2 max|g|, far below the round-off of the product itself.  With
+    B = U_S sqrt(g_S) over the positive part (and likewise over the
+    negative part, subtracted), K = B B^T goes to a symmetric rank-k
+    update, which also makes the result exactly symmetric.
+    """
     op = opfun.op
-    op.require_eigendata()
-    g = np.asarray(opfun.symbol(op.eigvals), float)
-    mat = (op.eigvecs * g) @ op.eigvecs.T
-    return KernelMatrix(op=op, name=opfun.name, values=mat / op.grid.cell_measure)
+    g = opfun.on_spectrum()
+    mag = np.abs(g)
+    # negated comparisons keep NaN symbol values, so they reach the kernel
+    keep = ~(mag <= _KERNEL_DROP * mag.max(initial=0.0))
+    neg = keep & (g < 0.0)
+    pos = keep & ~neg
+    half = op.eigvecs[:, pos]
+    half *= np.sqrt(g[pos])
+    mat = half @ half.T
+    if neg.any():
+        half = op.eigvecs[:, neg]
+        half *= np.sqrt(-g[neg])
+        mat -= half @ half.T
+    mat /= op.grid.cell_measure
+    return KernelMatrix(op=op, name=opfun.name, values=mat)
 
 
 def heat_kernel(op: SpectralOperator, t: float) -> KernelMatrix:
@@ -351,8 +403,7 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
     op = opfun.op
     meas = op.grid.cell_measure
     if r == 2.0 and p == 2.0:
-        op.require_eigendata()
-        return OpNorm(float(np.max(np.abs(opfun.symbol(op.eigvals)))), True, r, p)
+        return OpNorm(float(np.max(np.abs(opfun.on_spectrum()))), True, r, p)
     if r == 1.0:
         K = kernel(opfun).values
         if math.isinf(p):

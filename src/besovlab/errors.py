@@ -74,6 +74,10 @@ class IndexConstraintViolated(BesovLabError):
     """Exponent tuple violates the admissibility constraints of the statement being checked."""
 
 
+class InvalidCheckParameter(BesovLabError, ValueError):
+    """A check keyword argument is outside its domain (e.g. an empty time grid)."""
+
+
 class AssumptionViolated(BesovLabError):
     """A check's standing assumption (smallness flag, positivity, ...) does not hold."""
 

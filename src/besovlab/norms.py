@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1
 
-from .calculus import apply_symbol
+from .calculus import apply_symbol, psi_block
 from .dyadic import DyadicSystem
 from .errors import (
     InvalidExponent,
@@ -87,7 +87,7 @@ def block_lp_norms(
     meas = op.grid.cell_measure
     out = np.empty((len(js), cols.shape[1]))
     for i, j in enumerate(js):
-        g = sys.phi_sqrt(j, op.eigvals)
+        g = op.dyadic_weights(sys, "phi", j)
         out[i] = _lp_cols(op.eigvecs @ (g[:, None] * coeff), meas, p)
     return out
 
@@ -95,8 +95,7 @@ def block_lp_norms(
 def psi_lp_norms(op: SpectralOperator, sys: DyadicSystem, f, p: float) -> np.ndarray:
     """||psi(A) f||_p per input column."""
     op.require_eigendata()
-    cols = _columns(f, op)
-    out = apply_symbol(op, sys.psi, cols)
+    out = psi_block(op, sys).apply(_columns(f, op))
     return _lp_cols(out, op.grid.cell_measure, p)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +28,9 @@ from .errors import (
     SolverFailure,
 )
 from .geometry import Grid, GridFunction
+
+if TYPE_CHECKING:
+    from .dyadic import DyadicSystem
 
 __all__ = [
     "SpectralOperator",
@@ -55,6 +59,9 @@ class SpectralOperator:
     Eigenvectors are orthonormal in the plain dot product; the L2-normalized
     eigenfunction is column k divided by h^(n/2).  Functional calculus only
     uses the projector form U g(L) U^T, which is normalization free.
+
+    Eigenvalues are fixed once set (read-only after eigendecompose and
+    load_operator), so dyadic weights on them are memoized per system.
     """
 
     grid: Grid
@@ -62,6 +69,7 @@ class SpectralOperator:
     potential: np.ndarray | None = None
     eigvals: np.ndarray | None = field(default=None, repr=False)
     eigvecs: np.ndarray | None = field(default=None, repr=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -109,6 +117,35 @@ class SpectralOperator:
     def lam0(self) -> float:
         """Semi-boundedness shift sqrt(max(0, -lam_min)); 0 for V >= 0."""
         return float(np.sqrt(max(0.0, -self.lam_min)))
+
+    def dyadic_weights(self, sys: DyadicSystem, kind: str, j: int | None = None) -> np.ndarray:
+        """A dyadic symbol of ``sys`` on the eigenvalues, evaluated once.
+
+        kind 'psi' is psi(lam) (no j), 'phi' is phi_j(sqrt(lam)) and 'fat' is
+        Phi_j(sqrt(lam)), summed from the memoized phi_(j-1), phi_j, phi_(j+1)
+        in the order sys.fat_phi_sqrt uses, so every value equals the direct
+        evaluation bit for bit.  Memoized per (sys, kind, j); read-only.
+        """
+        self.require_eigendata()
+        key = (sys, kind, j)
+        out = self._weights.get(key)
+        if out is None:
+            if kind == "psi":
+                out = sys.psi(self.eigvals)
+            elif kind == "phi":
+                out = sys.phi_sqrt(j, self.eigvals)
+            elif kind == "fat":
+                out = (
+                    self.dyadic_weights(sys, "phi", j - 1)
+                    + self.dyadic_weights(sys, "phi", j)
+                    + self.dyadic_weights(sys, "phi", j + 1)
+                )
+            else:
+                raise ValueError(f"unknown dyadic weight kind {kind!r}")
+            out = np.asarray(out, float)
+            out.flags.writeable = False
+            self._weights[key] = out
+        return out
 
 
 def _neighbor_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +240,7 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     anchor = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[anchor, np.arange(N)])
     signs[signs == 0.0] = 1.0
+    vals.flags.writeable = False
     op.eigvals = vals
     op.eigvecs = vecs * signs
     return op
@@ -314,6 +352,7 @@ def load_operator(path) -> SpectralOperator:
         eigvals = eigvecs = None
         if flags & _FLAG_EIGEN:
             eigvals = _read(fh, "<f8", N)
+            eigvals.flags.writeable = False
             eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
 
     flat_of_cell = np.full(shape, -1, dtype=np.int64)

@@ -34,6 +34,7 @@ from .dyadic import DyadicSystem, build_system, second_system
 from .errors import (
     AssumptionViolated,
     IndexConstraintViolated,
+    InvalidCheckParameter,
     InvalidExponent,
     ZeroEigenvaluePresent,
 )
@@ -437,11 +438,11 @@ def check_resolution_identity(
                 )
             total = np.zeros_like(lam)
             for j in dsys.window:
-                total = total + dsys.phi_sqrt(j, lam)
+                total = total + op.dyadic_weights(dsys, "phi", j)
         else:
-            total = np.asarray(dsys.psi(lam), float)
+            total = op.dyadic_weights(dsys, "psi")
             for j in dsys.inhom_window:
-                total = total + dsys.phi_sqrt(j, lam)
+                total = total + op.dyadic_weights(dsys, "phi", j)
         cols = _stack(family.sample(stage))
         coeff = op.eigvecs.T @ cols
         defect = op.eigvecs @ ((1.0 - total)[:, None] * coeff)
@@ -474,6 +475,16 @@ def _fmt_exp(x: float) -> str:
     if math.isinf(x):
         return "inf"
     return f"{x:g}"
+
+
+def _lifted(g: np.ndarray, lam: np.ndarray, a: float) -> np.ndarray:
+    """lam^a g, exactly zero off the support of g."""
+    if a == 0:
+        return g
+    out = np.zeros_like(g)
+    pos = g != 0.0
+    out[pos] = (lam[pos] ** float(a)) * g[pos]
+    return out
 
 
 def check_bernstein(
@@ -511,15 +522,12 @@ def check_bernstein(
                 prof: dict[int, float] = {}
                 for j in dsys.window:
                     def sym(lam, j=j, a=a, dsys=dsys):
-                        g = dsys.phi_sqrt(j, lam)
-                        if a == 0:
-                            return g
-                        out = np.zeros_like(g)
-                        pos = g != 0.0
-                        out[pos] = (lam[pos] ** float(a)) * g[pos]
-                        return out
+                        return _lifted(dsys.phi_sqrt(j, lam), lam, a)
 
-                    opfun = OperatorFunction(op, sym, f"bern[j={j},a={a:g}]")
+                    opfun = OperatorFunction(
+                        op, sym, f"bern[j={j},a={a:g}]",
+                        weights=_lifted(op.dyadic_weights(dsys, "phi", j), op.eigvals, a),
+                    )
                     if cols is None:
                         raw = mixed_opnorm(opfun, r, p).value
                     else:
@@ -857,7 +865,7 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
     W = opv.eigvecs.T @ op0.eigvecs
     out: dict[int, list[tuple[int, float, float]]] = {}
     for j in dsys.window:
-        gv = dsys.phi_sqrt(j, opv.eigvals)
+        gv = opv.dyadic_weights(dsys, "phi", j)
         rows = np.flatnonzero(gv)
         if rows.size == 0:
             continue
@@ -866,7 +874,7 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
         for k in dsys.window:
             if k > j - 3:
                 continue
-            g0 = dsys.fat_phi_sqrt(k, op0.eigvals)
+            g0 = op0.dyadic_weights(dsys, "fat", k)
             cols = np.flatnonzero(g0)
             if cols.size == 0:
                 continue
@@ -1043,26 +1051,31 @@ def check_heat_gaussian(
         2.0 ** np.arange(-10, 1) if t_grid is None else sorted(t_grid), float
     )
     if ts.size == 0 or np.any(ts <= 0.0):
-        raise ValueError("heat check needs a nonempty positive t grid")
+        raise InvalidCheckParameter("heat check needs a nonempty positive t grid")
     sups, defects, omegas = [], [], []
     for stage in stages:
         op, grid = stage.op, stage.grid
         n = grid.n
         kato_ok = True
         if stage.has_potential:
-            _, vminus = decompose(grid, op.potential)
+            vplus, vminus = decompose(grid, op.potential)
             if vminus.max() > 0.0:
                 kato_ok = check_smallness(grid, op.potential).satisfies_weak
         t_used = ts if kato_ok else ts[ts <= 1.0]
         if t_used.size == 0:
-            raise ValueError("flagged potential restricts the sweep to t <= 1; none given")
+            raise InvalidCheckParameter(
+                "flagged potential restricts the sweep to t <= 1; none given"
+            )
         d2 = cdist(grid.coordinates, grid.coordinates, "sqeuclidean")
 
+        # the dominating operator A_{-V_-}: A_V itself when V = -V_-, the
+        # stage's free operator when V_- = 0
         op_star = None
         if stage.has_potential:
-            vplus, vminus = decompose(grid, op.potential)
             if vplus.max() == 0.0:
                 op_star = op
+            elif vminus.max() == 0.0:
+                op_star = stage.op0
             else:
                 op_star = eigendecompose(
                     assemble_schrodinger(grid, GridFunction(grid, -vminus)),

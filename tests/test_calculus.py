@@ -103,6 +103,46 @@ class TestHeat:
         assert K.symmetry_defect <= 1e-12 * np.abs(K.values).max()
 
 
+class TestKernel:
+    @pytest.mark.parametrize("shift", [None, 3000.0])
+    def test_matches_full_basis_and_is_symmetric(self, shift):
+        # a positive symbol (heat) and a signed one (lam - shift)
+        st = interval_stage(32)
+        op = st.op
+        if shift is None:
+            def symbol(lam):
+                return np.exp(-0.01 * lam)
+        else:
+            def symbol(lam):
+                return lam - shift
+        g = symbol(op.eigvals)
+        if shift is not None:
+            assert g.min() < 0.0 < g.max()
+        K = bl.kernel(bl.OperatorFunction(op, symbol, "g"))
+        full = (op.eigvecs * g) @ op.eigvecs.T
+        bound = op.num_nodes * np.finfo(float).eps * np.abs(g).max()
+        assert np.abs(K.values * op.grid.cell_measure - full).max() <= bound
+        assert K.symmetry_defect == 0.0
+
+    def test_drops_only_negligible_columns(self):
+        # at large t most heat weights fall below eps^2 max|g|; the kernel
+        # still equals the full-basis product
+        st = interval_stage(32)
+        op = st.op
+        g = np.exp(-0.5 * (op.eigvals - op.eigvals[0]))
+        assert np.count_nonzero(g > np.finfo(float).eps ** 2) < op.num_nodes // 2
+        K = bl.heat_kernel(op, 0.5)
+        full = (op.eigvecs * np.exp(-0.5 * op.eigvals)) @ op.eigvecs.T
+        scale = np.exp(-0.5 * op.eigvals[0])
+        bound = op.num_nodes * np.finfo(float).eps * scale
+        assert np.abs(K.values * op.grid.cell_measure - full).max() <= bound
+
+    def test_zero_symbol_gives_zero_kernel(self):
+        st = interval_stage(16)
+        K = bl.kernel(bl.OperatorFunction(st.op, np.zeros_like, "zero"))
+        assert not K.values.any()
+
+
 class TestChebyshevRoute:
     def test_heat_matches_dense(self):
         st = interval_stage(32)

@@ -146,6 +146,20 @@ def test_failing_check_exit_one_and_report_only_zero(tmp_path):
     assert manifest["checks"] == {"bernstein": False}
 
 
+@pytest.mark.parametrize("t_grid", [[], [-0.5, 1.0]])
+def test_bad_heat_t_grid_exits_two_with_failure(tmp_path, t_grid):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        checks=[{"name": "heat_gaussian", "t_grid": t_grid}],
+        out=str(out),
+    )
+    assert main(["verify", "--config", str(cfg)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["failure"].startswith("InvalidCheckParameter")
+
+
 def test_dense_cap_exits_three(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out=str(out))

@@ -139,6 +139,81 @@ class TestEigendata:
         np.testing.assert_allclose(op.lam0, np.sqrt(-op.lam_min), rtol=1e-14)
 
 
+class TestDyadicWeights:
+    @staticmethod
+    def _fresh(potential=-200.0):
+        # a potential pushes part of the spectrum below zero, where phi_j
+        # vanishes and psi equals one
+        g = bl.build_grid(bl.interval(0.0, 1.0), 1.0 / 32)
+        op = bl.eigendecompose(bl.assemble_schrodinger(g, np.full(g.num_nodes, potential)))
+        return op, bl.build_system(op.lam_pos_min, op.lam_max, op.lam0)
+
+    def test_each_weight_evaluated_once(self, monkeypatch):
+        op, sys = self._fresh()
+        assert op.eigvals[0] < 0.0
+        calls = []
+        phi_sqrt, psi = bl.DyadicSystem.phi_sqrt, bl.DyadicSystem.psi
+
+        def count_phi(self, j, mu):
+            calls.append(("phi", j))
+            return phi_sqrt(self, j, mu)
+
+        def count_psi(self, mu):
+            calls.append(("psi", None))
+            return psi(self, mu)
+
+        monkeypatch.setattr(bl.DyadicSystem, "phi_sqrt", count_phi)
+        monkeypatch.setattr(bl.DyadicSystem, "psi", count_psi)
+        f = np.random.default_rng(3).standard_normal((op.num_nodes, 2))
+        for _ in range(2):
+            for j in sys.window:
+                op.dyadic_weights(sys, "phi", j)
+                op.dyadic_weights(sys, "fat", j)
+                bl.dyadic_block(op, sys, j).apply(f)
+                bl.fat_block(op, sys, j).apply(f)
+            bl.psi_block(op, sys).apply(f)
+            bl.besov_norm(op, sys, f, 0.5, 2.0, 2.0)
+            bl.block_lp_norms(op, sys, f, 1.0)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {("psi", None)} | {
+            ("phi", j) for j in range(sys.j_min - 1, sys.j_max + 2)
+        }
+
+    def test_weights_equal_direct_evaluation(self):
+        op, sys = self._fresh()
+        lam = op.eigvals
+        assert np.array_equal(op.dyadic_weights(sys, "psi"), sys.psi(lam))
+        for j in sys.window:
+            assert np.array_equal(op.dyadic_weights(sys, "phi", j), sys.phi_sqrt(j, lam))
+            assert np.array_equal(op.dyadic_weights(sys, "fat", j), sys.fat_phi_sqrt(j, lam))
+
+    def test_keyed_by_system(self):
+        op, sys = self._fresh()
+        other = bl.build_system(op.lam_pos_min, op.lam_max, op.lam0, profile="squared")
+        j = sys.j_max - 1
+        assert not np.array_equal(
+            op.dyadic_weights(sys, "phi", j), op.dyadic_weights(other, "phi", j)
+        )
+        assert np.array_equal(op.dyadic_weights(other, "phi", j), other.phi_sqrt(j, op.eigvals))
+
+    def test_eigvals_and_weights_read_only(self, tmp_path):
+        op, sys = self._fresh()
+        with pytest.raises(ValueError):
+            op.eigvals[0] = 0.0
+        with pytest.raises(ValueError):
+            op.dyadic_weights(sys, "psi")[0] = 0.0
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        assert not bl.load_operator(path).eigvals.flags.writeable
+
+    def test_rejects_unknown_kind_and_missing_eigendata(self):
+        op, sys = self._fresh()
+        with pytest.raises(ValueError):
+            op.dyadic_weights(sys, "chi", 0)
+        with pytest.raises(bl.MissingEigendata):
+            bl.assemble_laplacian(op.grid).dyadic_weights(sys, "psi")
+
+
 class TestForms:
     def test_quadratic_form_equals_dirichlet_energy(self):
         for denom in (8, 16):

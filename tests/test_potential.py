@@ -320,6 +320,16 @@ class TestExpressionPotentials:
         r = np.maximum(np.hypot(c[:, 0], c[:, 1]), 0.25)
         np.testing.assert_allclose(f.values, -(c[:, 0] + c[:, 1]) / 2 + r, rtol=1e-14)
 
+    def test_r_is_distance_to_origin_off_center(self):
+        # on (2, 3)^2 the origin lies outside the domain: r ranges over
+        # about [3.0, 4.07], not over distances to the box center
+        g = bl.build_grid(bl.box([2.0, 2.0], [3.0, 3.0]), 0.125)
+        f, n_trunc = bl.potential_from_expression(g, "r")
+        assert n_trunc == 0
+        norm = np.linalg.norm(g.coordinates, axis=1)
+        np.testing.assert_allclose(f.values, norm, rtol=1e-15)
+        assert f.values.min() > 2.0 * math.sqrt(2.0)
+
     def test_unknown_name(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
         with pytest.raises(bl.ConfigInvalid):

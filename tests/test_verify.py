@@ -14,6 +14,7 @@ from besovlab import verify as V
 from besovlab.errors import (
     AssumptionViolated,
     IndexConstraintViolated,
+    InvalidCheckParameter,
     InvalidExponent,
     ZeroEigenvaluePresent,
 )
@@ -336,6 +337,39 @@ def test_heat_gaussian_validates_t_grid():
         V.check_heat_gaussian(stages, t_grid=[])
     with pytest.raises(ValueError):
         V.check_heat_gaussian(stages, t_grid=[-0.5, 1.0])
+    with pytest.raises(InvalidCheckParameter):
+        V.check_heat_gaussian(stages, t_grid=[])
+
+
+def test_heat_gaussian_reuses_free_operator_for_nonnegative_potential(monkeypatch):
+    # V >= 0 makes -V_- = 0, whose operator is the stage's op0: the check
+    # must not eigendecompose it again, and must dominate exactly as the
+    # explicitly rebuilt operator does
+    stages = line_stages((32, 64), potential="40*x")
+    calls = []
+
+    def counting(op, *args, **kwargs):
+        calls.append(op)
+        return bl.eigendecompose(op, *args, **kwargs)
+
+    monkeypatch.setattr(V, "eigendecompose", counting)
+    rep = V.check_heat_gaussian(stages, t_grid=T_GRID)
+    assert calls == []
+    expected = []
+    for st in stages:
+        _, vminus = bl.decompose(st.grid, st.op.potential)
+        assert vminus.max() == 0.0
+        op_star = bl.eigendecompose(
+            bl.assemble_schrodinger(st.grid, bl.GridFunction(st.grid, -vminus))
+        )
+        defect = 0.0
+        for t in T_GRID:
+            absK = np.abs(bl.heat_kernel(st.op, t).values)
+            K_star = bl.heat_kernel(op_star, t).values
+            scale = max(1.0, float(K_star.max()))
+            defect = min(defect, float((K_star - absK).min()) / scale)
+        expected.append(defect)
+    np.testing.assert_allclose(rep.constants["domination_defect"], expected, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
