@@ -85,6 +85,8 @@ from .calculus import (
     opnorm,
     power,
     psi_block,
+    spectral_coefficients,
+    spectral_synthesis,
     suite_symbols,
 )
 from .norms import (

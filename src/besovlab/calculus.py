@@ -1,10 +1,11 @@
 """Functional calculus for spectral operators: g(A) along two routes.
 
 Dense route: with cached eigendata, g(A) f = U g(L) U^T f, exact up to
-rounding.  Matrix-free route: adaptive Chebyshev approximation of the
-symbol on an interval enclosing the spectrum, evaluated by the three-term
-recurrence with sparse matvecs only.  The Chebyshev degree doubles until
-the sampled sup error of the symbol meets the tolerance, so the operator
+rounding, formed here only, on the spectral support of g.  Matrix-free
+route: Chebyshev approximation of the symbol on an interval enclosing the
+spectrum, evaluated by the three-term recurrence with sparse matvecs
+only, at a fixed degree or adaptively: the degree doubles until the
+sampled sup error of the symbol meets the tolerance, so the operator
 error in L2 is bounded by the same number.
 
 Heat semigroups are computed spectrally (no time stepping); kernels are
@@ -29,7 +30,7 @@ from .errors import (
     InvalidSpectrumBounds,
     NegativeSpectrumComponent,
 )
-from .geometry import GridFunction
+from .geometry import GridFunction, lp_columns, lp_norm
 from .operators import SpectralOperator
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
     "KernelMatrix",
     "apply_symbol",
     "chebyshev_coefficients",
+    "spectral_coefficients",
+    "spectral_synthesis",
     "dyadic_block",
     "fat_block",
     "psi_block",
@@ -53,8 +56,9 @@ DEFAULT_CHEB_TOL = 1e-9
 DEFAULT_CHEB_MAX_DEGREE = 16384
 _CHEB_ERROR_GRID = 10_000
 _CHEB_START_DEGREE = 32
-# relative cut below which an eigencolumn's symbol value is left out of a kernel
-_KERNEL_DROP = np.finfo(float).eps ** 2
+# relative cut below which an eigencolumn's symbol value is left out of a
+# spectral product (kernel or synthesis)
+_SUPPORT_DROP = np.finfo(float).eps ** 2
 
 
 def _as_array(op: SpectralOperator, f) -> tuple[np.ndarray, bool]:
@@ -86,17 +90,50 @@ def _on_spectrum(op: SpectralOperator, symbol: Callable) -> np.ndarray:
     return np.asarray(symbol(op.eigvals), float)
 
 
-def _dense_apply(op: SpectralOperator, g: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """U g(L) U^T vals for the symbol values g on the eigenvalues."""
-    coeff = op.eigvecs.T @ vals
-    if coeff.ndim == 1:
-        return op.eigvecs @ (g * coeff)
-    return op.eigvecs @ (g[:, None] * coeff)
+def _support(g: np.ndarray) -> np.ndarray:
+    """Mask of the eigencolumns a spectral product keeps: |g| > eps^2 max|g|.
+
+    The rows of U are orthonormal, so the dropped part changes no entry by
+    more than eps^2 max|g| per unit of input, far below the round-off of
+    the product itself.  Negated comparisons keep NaN symbol values, so
+    they reach the result.
+    """
+    mag = np.abs(g)
+    return ~(mag <= _SUPPORT_DROP * mag.max(initial=0.0))
+
+
+def spectral_coefficients(op: SpectralOperator, vals: np.ndarray) -> np.ndarray:
+    """U^T f: the eigenbasis coefficients of f ((N,) or (N, m) columns)."""
+    op.require_eigendata()
+    return op.eigvecs.T @ vals
+
+
+def spectral_synthesis(op: SpectralOperator, g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """U_S (g_S c_S): the function with eigenbasis coefficients g * coeff,
+    summed over the support S of g only.
+
+    S is the index range spanning the kept eigencolumns (a view of U);
+    dropped entries inside it get weight 0.  The eigenvalues are sorted, so
+    a symbol supported on an interval has exactly such a range.
+    """
+    keep = _support(g)
+    idx = np.flatnonzero(keep)
+    span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    w = np.where(keep[span], g[span], 0.0)
+    c = coeff[span]
+    return op.eigvecs[:, span] @ (w[:, None] * c if c.ndim > 1 else w * c)
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev route
 # ---------------------------------------------------------------------------
+
+
+def _on_interval(symbol: Callable, lo: float, hi: float) -> Callable:
+    """The symbol on [lo, hi] pulled back to the Chebyshev interval [-1, 1]."""
+    center = 0.5 * (hi + lo)
+    halfwidth = 0.5 * (hi - lo)
+    return lambda x: np.asarray(symbol(center + halfwidth * x), float)
 
 
 def chebyshev_coefficients(
@@ -114,12 +151,7 @@ def chebyshev_coefficients(
     """
     if not (hi > lo):
         raise InvalidSpectrumBounds(f"empty spectral interval [{lo}, {hi}]")
-    center = 0.5 * (hi + lo)
-    halfwidth = 0.5 * (hi - lo)
-
-    def mapped(x):
-        return np.asarray(symbol(center + halfwidth * x), float)
-
+    mapped = _on_interval(symbol, lo, hi)
     grid = np.linspace(-1.0, 1.0, _CHEB_ERROR_GRID)
     target = mapped(grid)
     degree = _CHEB_START_DEGREE
@@ -139,29 +171,36 @@ def _cheb_apply(
     op: SpectralOperator,
     symbol: Callable,
     vals: np.ndarray,
-    tol: float,
-    max_degree: int,
+    tol: float = DEFAULT_CHEB_TOL,
+    max_degree: int = DEFAULT_CHEB_MAX_DEGREE,
+    degree: int | None = None,
 ) -> np.ndarray:
+    """sum_k c_k T_k(B) vals with B = A mapped onto [-1, 1], by the
+    three-term recurrence.  With ``degree`` the symbol is interpolated at
+    that fixed degree (no error scan); otherwise it is fitted adaptively to
+    ``tol``, up to ``max_degree``."""
     lo, hi = (op.eigvals[0], op.eigvals[-1]) if op.has_eigendata else op.gershgorin_bounds()
     pad = 1e-12 * max(abs(lo), abs(hi), 1.0)
-    coeffs, _ = chebyshev_coefficients(symbol, lo - pad, hi + pad, tol, max_degree)
+    lo, hi = lo - pad, hi + pad
+    if degree is None:
+        coeffs, _ = chebyshev_coefficients(symbol, lo, hi, tol, max_degree)
+    else:
+        coeffs = npcheb.chebinterpolate(_on_interval(symbol, lo, hi), degree)
     center = 0.5 * (hi + lo)
-    halfwidth = 0.5 * (hi - lo) + pad
-
+    halfwidth = 0.5 * (hi - lo)
     mat = op.matrix
 
     def shifted(x):
         return (mat @ x - center * x) / halfwidth
 
     t_prev = vals
-    t_cur = shifted(vals)
     acc = coeffs[0] * t_prev
     if len(coeffs) > 1:
+        t_cur = shifted(vals)
         acc = acc + coeffs[1] * t_cur
-    for ck in coeffs[2:]:
-        t_next = 2.0 * shifted(t_cur) - t_prev
-        t_prev, t_cur = t_cur, t_next
-        acc = acc + ck * t_cur
+        for ck in coeffs[2:]:
+            t_prev, t_cur = t_cur, 2.0 * shifted(t_cur) - t_prev
+            acc = acc + ck * t_cur
     return acc
 
 
@@ -188,7 +227,7 @@ def apply_symbol(
     vals, wrap = _as_array(op, f)
     if path == "dense":
         g = _on_spectrum(op, symbol) if weights is None else weights
-        out = _dense_apply(op, g, vals)
+        out = spectral_synthesis(op, g, spectral_coefficients(op, vals))
     elif path == "cheb":
         out = _cheb_apply(op, symbol, vals, cheb_tol, max_degree)
     else:
@@ -304,14 +343,12 @@ def power(
     projected away silently; otherwise any such component above a relative
     tolerance raises NegativeSpectrumComponent.
     """
-    vals, wrap = _as_array(op, f)
     if float(alpha).is_integer() and alpha >= 0:
-        out = _dense_apply(op, _on_spectrum(op, lambda lam: lam ** float(alpha)), vals)
-        return _wrap(op, out, wrap)
-    op.require_eigendata()
+        return apply_symbol(op, lambda lam: lam ** float(alpha), f)
+    vals, wrap = _as_array(op, f)
+    coeff = spectral_coefficients(op, vals)
     lam = op.eigvals
     pos = lam > 0.0
-    coeff = op.eigvecs.T @ vals
     if not positive_part_only:
         bad = np.linalg.norm(coeff[~pos], axis=0) if coeff.ndim > 1 else np.linalg.norm(coeff[~pos])
         scale = np.linalg.norm(coeff, axis=0) if coeff.ndim > 1 else np.linalg.norm(coeff)
@@ -320,10 +357,9 @@ def power(
                 f"input has relative mass {float(np.max(bad / np.maximum(scale, 1e-300))):.2e} "
                 "on the nonpositive spectrum; pass positive_part_only=True to project it away"
             )
-    g = lam[pos] ** float(alpha)
-    sub = coeff[pos]
-    out = op.eigvecs[:, pos] @ (g[:, None] * sub if sub.ndim > 1 else g * sub)
-    return _wrap(op, out, wrap)
+    g = np.zeros(lam.shape)
+    g[pos] = lam[pos] ** float(alpha)
+    return _wrap(op, spectral_synthesis(op, g, coeff), wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +387,15 @@ class KernelMatrix:
 def kernel(opfun: OperatorFunction) -> KernelMatrix:
     """Kernel of g(A) on the spectral support of g, as a symmetric product.
 
-    Only the eigencolumns with |g| > eps^2 max|g| enter.  The rows of U are
-    orthonormal, so the dropped part changes no entry by more than
-    eps^2 max|g|, far below the round-off of the product itself.  With
-    B = U_S sqrt(g_S) over the positive part (and likewise over the
-    negative part, subtracted), K = B B^T goes to a symmetric rank-k
-    update, which also makes the result exactly symmetric.
+    Only the eigencolumns in the support of g enter (|g| > eps^2 max|g|,
+    the rule of spectral_synthesis).  With B = U_S sqrt(g_S) over the
+    positive part (and likewise over the negative part, subtracted),
+    K = B B^T goes to a symmetric rank-k update, which also makes the
+    result exactly symmetric.
     """
     op = opfun.op
     g = opfun.on_spectrum()
-    mag = np.abs(g)
-    # negated comparisons keep NaN symbol values, so they reach the kernel
-    keep = ~(mag <= _KERNEL_DROP * mag.max(initial=0.0))
+    keep = _support(g)
     neg = keep & (g < 0.0)
     pos = keep & ~neg
     half = op.eigvecs[:, pos]
@@ -405,26 +438,15 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
     if r == 2.0 and p == 2.0:
         return OpNorm(float(np.max(np.abs(opfun.on_spectrum()))), True, r, p)
     if r == 1.0:
-        K = kernel(opfun).values
-        if math.isinf(p):
-            return OpNorm(float(np.max(np.abs(K))), True, r, p)
-        col = (meas * np.sum(np.abs(K) ** p, axis=0)) ** (1.0 / p)
-        return OpNorm(float(col.max()), True, r, p)
+        return OpNorm(float(lp_columns(kernel(opfun).values, meas, p).max()), True, r, p)
     if math.isinf(p):
         # dual of the r=1 case: rows in L^r'
-        K = kernel(opfun).values
-        if r == math.inf:
-            row = meas * np.sum(np.abs(K), axis=1)
-        else:
-            rr = r / (r - 1.0)
-            row = (meas * np.sum(np.abs(K) ** rr, axis=1)) ** (1.0 / rr)
-        return OpNorm(float(row.max()), True, r, p)
+        rr = 1.0 if math.isinf(r) else r / (r - 1.0)
+        return OpNorm(float(lp_columns(kernel(opfun).values.T, meas, rr).max()), True, r, p)
 
     rng = np.random.default_rng(seed)
     N = op.num_nodes
     best = 0.0
-    from .geometry import lp_norm  # local import to avoid cycle at module load
-
     for _ in range(probes):
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         fv = GridFunction(op.grid, v)
@@ -439,14 +461,4 @@ def opnorm(opfun: OperatorFunction, p: float, probes: int = 16, seed: int = 0) -
     (column, spectral radius, row), a randomized lower bound otherwise."""
     if not (p >= 1.0):
         raise InvalidExponent(f"operator norm needs p >= 1, got {p}")
-    if p == 1.0:
-        K = kernel(opfun).values
-        meas = opfun.op.grid.cell_measure
-        return OpNorm(float(np.max(meas * np.sum(np.abs(K), axis=0))), True, p, p)
-    if math.isinf(p):
-        K = kernel(opfun).values
-        meas = opfun.op.grid.cell_measure
-        return OpNorm(float(np.max(meas * np.sum(np.abs(K), axis=1))), True, p, p)
-    if p == 2.0:
-        return mixed_opnorm(opfun, 2.0, 2.0)
     return mixed_opnorm(opfun, p, p, probes=probes, seed=seed)

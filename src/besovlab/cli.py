@@ -17,8 +17,8 @@ constraints, or violated assumptions); 3 a compute budget was exceeded.
 
 The manifest is written even when the run fails, with the failure recorded;
 numbers in CSV cells are full-precision reprs, so reruns with the same
-config and seed produce byte-identical CSVs apart from the wall_ms column
-of verify.csv.
+config and seed produce byte-identical CSVs apart from the timing columns
+(wall_ms in verify.csv, dense_ms and cheb_ms in bench.csv).
 """
 
 from __future__ import annotations
@@ -35,22 +35,21 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import numpy.polynomial.chebyshev as npcheb
 import scipy
 
 from . import __version__
-from .calculus import apply_symbol, dyadic_block, heat_kernel, kernel, psi_block, suite_symbols
+from .calculus import OperatorFunction, _cheb_apply, apply_symbol, kernel, suite_symbols
 from .config import RunConfig, as_exponent, load_config, prevalidate_windows
-from .dyadic import build_system
 from .errors import (
     BesovLabError,
     BudgetExceeded,
     CheckFailed,
     ConfigInvalid,
     DenseCapExceeded,
+    SolverFailure,
 )
 from .norms import besov_norm, lorentz_norm, sobolev_norm
-from .operators import load_operator, save_operator
+from .operators import _FORMAT_VERSION, load_operator, save_operator
 from .verify import CHECKS, Stage, build_stage
 
 __all__ = ["main"]
@@ -86,6 +85,7 @@ def _stage_key(cfg: RunConfig, h: float) -> str:
             "potential": cfg.potential,
             "trunc_radius": cfg.trunc_radius,
             "dense_cap": cfg.dense_cap,
+            "format": _FORMAT_VERSION,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -93,27 +93,25 @@ def _stage_key(cfg: RunConfig, h: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _build_stage_cached(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
+def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
     """Build one resolution stage, reusing the binary operator cache.
 
     Cache entries are keyed by the operator-determining part of the config
-    (domain, spacing, potential, truncation, dense cap), so verify/norms/
-    spectrum runs over the same setup share the eigendecompositions.
+    (domain, spacing, potential, truncation, dense cap) and the cache
+    format version, so verify/norms/spectrum runs over the same setup share
+    the eigendecompositions.  An entry that cannot be read is rebuilt.
     """
     key = _stage_key(cfg, h)
     op_path = cache_dir / f"op-{key}.bin"
     op0_path = cache_dir / f"op0-{key}.bin"
     has_v = cfg.potential is not None
     if op_path.exists() and (not has_v or op0_path.exists()):
-        op = load_operator(op_path)
-        op0 = load_operator(op0_path) if has_v else op
-        sys_ = build_system(
-            min(op.lam_pos_min, op0.lam_pos_min),
-            max(op.lam_max, op0.lam_max),
-            lam0=op.lam0,
-            profile=cfg.profile,
-        )
-        return Stage(grid=op.grid, op=op, op0=op0, sys=sys_)
+        try:
+            op = load_operator(op_path)
+            op0 = load_operator(op0_path) if has_v else op
+            return Stage.from_operators(op, op0, cfg.profile)
+        except (OSError, SolverFailure) as exc:
+            print(f"warning: rebuilding unreadable operator cache {key}: {exc}", file=sys.stderr)
     stage = build_stage(
         cfg.domain_spec(),
         h,
@@ -127,11 +125,6 @@ def _build_stage_cached(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
     if stage.op0 is not stage.op:
         save_operator(stage.op0, op0_path)
     return stage
-
-
-def _build_stages(cfg: RunConfig, out_dir: Path) -> list[Stage]:
-    cache_dir = out_dir / "cache"
-    return [_build_stage_cached(cfg, h, cache_dir) for h in sorted(cfg.h, reverse=True)]
 
 
 def _write_spectrum(stages: Sequence[Stage], out_dir: Path) -> None:
@@ -232,34 +225,6 @@ def _write_profiles(stages: Sequence[Stage], out_dir: Path) -> None:
     _write_csv(out_dir / "profiles.csv", header, _profile_rows(stages))
 
 
-def _cheb_apply_fixed(op, symbol, vec: np.ndarray, degree: int) -> np.ndarray:
-    """Chebyshev apply at a fixed degree (bench ladder, not adaptive)."""
-    lo = float(op.eigvals[0])
-    hi = float(op.eigvals[-1])
-    pad = 1e-12 * max(abs(lo), abs(hi), 1.0)
-    a, b = lo - pad, hi + pad
-    coeffs = npcheb.chebinterpolate(
-        lambda u: np.asarray(symbol((np.asarray(u) + 1.0) * 0.5 * (b - a) + a), float),
-        degree,
-    )
-    alpha = 2.0 / (b - a)
-    beta = (a + b) / (b - a)
-    mat = op.matrix
-
-    def amap(x: np.ndarray) -> np.ndarray:
-        return alpha * (mat @ x) - beta * x
-
-    t_prev = vec
-    acc = coeffs[0] * t_prev
-    if len(coeffs) > 1:
-        t_cur = amap(vec)
-        acc = acc + coeffs[1] * t_cur
-        for c in coeffs[2:]:
-            t_prev, t_cur = t_cur, 2.0 * amap(t_cur) - t_prev
-            acc = acc + c * t_cur
-    return acc
-
-
 def _bench_rows(cfg: RunConfig, stages: Sequence[Stage]):
     for st in stages:
         n = st.grid.num_nodes
@@ -274,7 +239,7 @@ def _bench_rows(cfg: RunConfig, stages: Sequence[Stage]):
             ref = max(float(np.linalg.norm(dense)), float(np.finfo(float).eps))
             for degree in _BENCH_DEGREES:
                 t0 = time.perf_counter()
-                approx = _cheb_apply_fixed(st.op, symbol, vec, degree)
+                approx = _cheb_apply(st.op, symbol, vec, degree=degree)
                 cheb_ms = (time.perf_counter() - t0) * 1e3
                 rel = float(np.linalg.norm(approx - dense)) / ref
                 yield (name, st.h, n, degree, dense_ms, cheb_ms, rel)
@@ -287,16 +252,15 @@ def _write_bench(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> None
 
 def _write_kernels(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> None:
     """Dump the finest-stage kernels that downstream plots typically want:
-    the low cap, one mid shell, and a spectrum-scaled heat kernel."""
+    the low cap, the mid shell and the spectrum-scaled heat kernel of the
+    standard symbol suite."""
     kdir = out_dir / "kernels"
     kdir.mkdir(parents=True, exist_ok=True)
     st = stages[-1]
-    sys_ = st.sys
-    np.save(kdir / "psi.npy", kernel(psi_block(st.op, sys_)).values)
-    t_heat = 4.0 / max(float(st.op.lam_max), 1.0)
-    np.save(kdir / "heat.npy", heat_kernel(st.op, t_heat).values)
-    mid = max((sys_.j_min + sys_.j_max) // 2, sys_.inhom_window.start)
-    np.save(kdir / f"phi_{mid}.npy", kernel(dyadic_block(st.op, sys_, mid)).values)
+    for name, symbol in suite_symbols(st.op, st.sys):
+        stem = name.replace("[", "_").rstrip("]")
+        if stem.startswith(("psi", "phi_", "heat")):
+            np.save(kdir / f"{stem}.npy", kernel(OperatorFunction(st.op, symbol, name)).values)
 
 
 def _dispatch(
@@ -307,18 +271,18 @@ def _dispatch(
     report_only: bool,
 ) -> list[str]:
     timings = manifest["timings_ms"]
-    t0 = time.perf_counter()
-    stages = _build_stages(cfg, out_dir)
-    timings["stages"] = round((time.perf_counter() - t0) * 1e3, 3)
+
+    def _timed(label: str, fn, *args):
+        t = time.perf_counter()
+        out = fn(*args)
+        timings[label] = round((time.perf_counter() - t) * 1e3, 3)
+        return out
+
+    # cfg.h is ordered coarse to fine
+    stages = _timed("stages", lambda: [_cached_stage(cfg, h, out_dir / "cache") for h in cfg.h])
     manifest["num_nodes"] = {repr(st.h): st.grid.num_nodes for st in stages}
 
     failed: list[str] = []
-
-    def _timed(label: str, fn, *args) -> None:
-        t = time.perf_counter()
-        fn(*args)
-        timings[label] = round((time.perf_counter() - t) * 1e3, 3)
-
     if command == "spectrum":
         _timed("spectrum", _write_spectrum, stages, out_dir)
     elif command == "norms":
@@ -328,14 +292,10 @@ def _dispatch(
     elif command == "bench":
         _timed("bench", _write_bench, cfg, stages, out_dir)
     elif command == "verify":
-        t = time.perf_counter()
-        failed = _write_verify(cfg, stages, out_dir, manifest, report_only)
-        timings["verify"] = round((time.perf_counter() - t) * 1e3, 3)
+        failed = _timed("verify", _write_verify, cfg, stages, out_dir, manifest, report_only)
     else:  # run
         _timed("norms", _write_norms, cfg, stages, out_dir)
-        t = time.perf_counter()
-        failed = _write_verify(cfg, stages, out_dir, manifest, report_only)
-        timings["verify"] = round((time.perf_counter() - t) * 1e3, 3)
+        failed = _timed("verify", _write_verify, cfg, stages, out_dir, manifest, report_only)
         _timed("profiles", _write_profiles, stages, out_dir)
         if cfg.kernels:
             _timed("kernels", _write_kernels, cfg, stages, out_dir)
@@ -385,7 +345,8 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
             "--jobs",
             type=_positive_int,
             default=1,
-            help="BLAS thread cap (recorded in the manifest)",
+            help="BLAS thread cap, applied when threadpoolctl is installed "
+            "(the manifest records whether it was)",
         )
         mode = sp.add_mutually_exclusive_group()
         mode.add_argument(
@@ -404,12 +365,14 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _apply_jobs(jobs: int) -> None:
+def _apply_jobs(jobs: int) -> bool:
+    """Cap the BLAS threads at ``jobs``; False when threadpoolctl is missing."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return
+        return False
     threadpool_limits(limits=jobs)
+    return True
 
 
 def _fallback_out(config_path: str, out_flag: str | None) -> Path:
@@ -438,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "failure": None,
         "config_hash": None,
         "seed": None,
-        "jobs": args.jobs,
+        "jobs": {"requested": args.jobs, "applied": False},
         "assert_mode": not args.report_only,
         "versions": {
             "python": platform.python_version(),
@@ -450,7 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = _fallback_out(args.config, args.out)
     code = 0
     try:
-        _apply_jobs(args.jobs)
+        manifest["jobs"]["applied"] = _apply_jobs(args.jobs)
         cfg = load_config(
             args.config,
             overrides={"out": args.out, "seed": args.seed, "dense_cap": args.dense_cap},

@@ -23,7 +23,7 @@ import jsonschema
 
 from .errors import ConfigInvalid
 from .geometry import DomainSpec, ball, box, interval
-from .verify import CHECKS, FAMILY_TAGS, FunctionFamily
+from .verify import CHECKS, FAMILY_TAGS, FunctionFamily, equivalence_window
 
 __all__ = [
     "SCHEMA",
@@ -143,7 +143,6 @@ SCHEMA = {
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "out": {"type": "string", "minLength": 1},
         "dense_cap": {"type": "integer", "minimum": 1},
-        "cheb_tol": _POSITIVE,
         "kernels": {"type": "boolean"},
     },
     "required": ["domain", "h"],
@@ -160,7 +159,6 @@ _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "out": "results",
     "dense_cap": 4096,
-    "cheb_tol": 1e-9,
     "kernels": False,
 }
 
@@ -223,7 +221,6 @@ class RunConfig:
     seed: int
     out: str
     dense_cap: int
-    cheb_tol: float
     kernels: bool
 
     def domain_spec(self) -> DomainSpec:
@@ -255,7 +252,6 @@ class RunConfig:
             "seed": self.seed,
             "out": self.out,
             "dense_cap": self.dense_cap,
-            "cheb_tol": self.cheb_tol,
             "kernels": self.kernels,
         }
 
@@ -307,7 +303,6 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
         seed=int(data.get("seed", _DEFAULTS["seed"])),
         out=data.get("out", _DEFAULTS["out"]),
         dense_cap=int(data.get("dense_cap", _DEFAULTS["dense_cap"])),
-        cheb_tol=float(data.get("cheb_tol", _DEFAULTS["cheb_tol"])),
         kernels=bool(data.get("kernels", _DEFAULTS["kernels"])),
     )
 
@@ -358,8 +353,7 @@ def prevalidate_windows(cfg: RunConfig, assert_mode: bool = True) -> None:
             continue
         s = float(entry.get("s", 0.5))
         p = float(entry.get("p", 2.0))
-        lo = -min(2.0, n * (1.0 - 1.0 / p))
-        hi = min(n / p, 2.0)
+        lo, hi = equivalence_window(n, p)
         if not (lo < s < hi):
             raise ConfigInvalid(
                 f"checks/{i} (equivalence_AV_A0): smoothness s={s} outside "

@@ -38,6 +38,7 @@ __all__ = [
     "GridFunction",
     "build_grid",
     "lp_norm",
+    "lp_columns",
     "pairing",
     "zero_extend",
     "interval",
@@ -374,6 +375,19 @@ class GridFunction:
         return cls(grid, np.asarray(func(grid.coordinates)))
 
 
+def lp_columns(values: np.ndarray, cell_measure: float, p: float) -> np.ndarray:
+    """Discrete L^p norms (h^n sum |f_i|^p)^(1/p) of the columns of ``values``
+    (a single norm for a 1-d array); p = inf gives max |f_i|.  The exponent
+    is not validated here."""
+    a = np.abs(values)
+    if math.isinf(p):
+        return a.max(axis=0, initial=0.0)
+    if p == 2:
+        # sqrt, not ** 0.5: numpy scalar powers are not correctly rounded
+        return np.sqrt(cell_measure * np.sum(a * a, axis=0))
+    return (cell_measure * np.sum(a**p, axis=0)) ** (1.0 / p)
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete L^p norm, (h^n sum |f_i|^p)^(1/p); p = inf gives max |f_i|.
 
@@ -381,14 +395,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """
     if not (p >= 1):  # also rejects NaN
         raise InvalidExponent(f"L^p norm needs p >= 1, got {p}")
-    a = np.abs(f.values)
-    if math.isinf(p):
-        return float(a.max(initial=0.0))
-    if p == 1:
-        return float(f.grid.cell_measure * a.sum())
-    if p == 2:
-        return float(math.sqrt(f.grid.cell_measure * float((a * a).sum())))
-    return float((f.grid.cell_measure * (a**p).sum()) ** (1.0 / p))
+    return float(lp_columns(f.values, f.grid.cell_measure, p))
 
 
 def pairing(f: GridFunction, g: GridFunction) -> complex:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1
 
-from .calculus import apply_symbol, psi_block
+from .calculus import apply_symbol, psi_block, spectral_coefficients, spectral_synthesis
 from .dyadic import DyadicSystem
 from .errors import (
     InvalidExponent,
@@ -35,7 +35,7 @@ from .errors import (
     NegativeShiftedEigenvalue,
     ZeroEigenvaluePresent,
 )
-from .geometry import GridFunction, lp_norm
+from .geometry import GridFunction, lp_columns, lp_norm
 from .operators import SpectralOperator
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "besov_norm",
     "block_lp_norms",
     "psi_lp_norms",
+    "check_homogeneous_spectrum",
     "sobolev_norm",
     "test_seminorms",
 ]
@@ -64,13 +65,6 @@ def _columns(f, op: SpectralOperator) -> np.ndarray:
     return vals
 
 
-def _lp_cols(arr: np.ndarray, meas: float, p: float) -> np.ndarray:
-    a = np.abs(arr)
-    if math.isinf(p):
-        return a.max(axis=0, initial=0.0)
-    return (meas * np.sum(a**p, axis=0)) ** (1.0 / p)
-
-
 def block_lp_norms(
     op: SpectralOperator, sys: DyadicSystem, f, p: float, js=None
 ) -> np.ndarray:
@@ -80,26 +74,26 @@ def block_lp_norms(
     """
     if not (p >= 1.0):
         raise InvalidExponent(f"block norms need p >= 1, got {p}")
-    op.require_eigendata()
     js = list(sys.window if js is None else js)
     cols = _columns(f, op)
-    coeff = op.eigvecs.T @ cols
+    coeff = spectral_coefficients(op, cols)
     meas = op.grid.cell_measure
     out = np.empty((len(js), cols.shape[1]))
     for i, j in enumerate(js):
-        g = op.dyadic_weights(sys, "phi", j)
-        out[i] = _lp_cols(op.eigvecs @ (g[:, None] * coeff), meas, p)
+        block = spectral_synthesis(op, op.dyadic_weights(sys, "phi", j), coeff)
+        out[i] = lp_columns(block, meas, p)
     return out
 
 
 def psi_lp_norms(op: SpectralOperator, sys: DyadicSystem, f, p: float) -> np.ndarray:
     """||psi(A) f||_p per input column."""
-    op.require_eigendata()
     out = psi_block(op, sys).apply(_columns(f, op))
-    return _lp_cols(out, op.grid.cell_measure, p)
+    return lp_columns(out, op.grid.cell_measure, p)
 
 
-def _check_homogeneous_spectrum(op: SpectralOperator) -> None:
+def check_homogeneous_spectrum(op: SpectralOperator) -> None:
+    """Raise ZeroEigenvaluePresent unless the spectrum is strictly positive:
+    the whole-line dyadic decomposition does not see spectrum at or below 0."""
     scale = max(abs(op.lam_max), 1.0)
     if op.lam_min <= _ZERO_EIG_RTOL * scale:
         raise ZeroEigenvaluePresent(
@@ -139,7 +133,7 @@ def besov_norm(
         )
     single = not (isinstance(f, np.ndarray) and f.ndim == 2)
     if homogeneous:
-        _check_homogeneous_spectrum(op)
+        check_homogeneous_spectrum(op)
         js = list(sys.window)
         norms = block_lp_norms(op, sys, f, p, js)
         weights = 2.0 ** (s * np.asarray(js, float))
@@ -172,7 +166,7 @@ def sobolev_norm(op: SpectralOperator, f, s: float, variant: str = "plain"):
         )
     cols = _columns(f, op)
     out = apply_symbol(op, lambda lam: (shift + lam) ** (s / 2.0), cols)
-    res = _lp_cols(out, op.grid.cell_measure, 2.0)
+    res = lp_columns(out, op.grid.cell_measure, 2.0)
     single = not (isinstance(f, np.ndarray) and f.ndim == 2)
     return float(res[0]) if single else res
 

@@ -13,6 +13,7 @@ and loaded from a little-endian binary cache file.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -21,13 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    ComplexPotential,
     DenseCapExceeded,
     GridMismatch,
     MissingEigendata,
     SolverFailure,
 )
 from .geometry import Grid, GridFunction
+from .potential import potential_samples
 
 if TYPE_CHECKING:
     from .dyadic import DyadicSystem
@@ -48,6 +49,8 @@ DEFAULT_DENSE_CAP = 4096
 
 _MAGIC = b"BESOVOP1"
 _FORMAT_VERSION = 1
+_HEADER = "<IIQd"  # version, dimension, node count, spacing
+_COUNTS = "<IQ"  # flags, matrix nonzeros
 _FLAG_POTENTIAL = 1
 _FLAG_EIGEN = 2
 
@@ -195,27 +198,9 @@ def assemble_laplacian(grid: Grid) -> SpectralOperator:
     return SpectralOperator(grid=grid, matrix=mat, potential=None)
 
 
-def _potential_samples(grid: Grid, V) -> np.ndarray:
-    if isinstance(V, GridFunction):
-        if not V.grid.same_geometry(grid):
-            raise GridMismatch("potential lives on a different grid")
-        vals = V.values
-    else:
-        vals = np.asarray(V)
-        if vals.shape != (grid.num_nodes,):
-            raise GridMismatch(
-                f"potential sample count {vals.shape} does not match grid size {grid.num_nodes}"
-            )
-    if np.iscomplexobj(vals):
-        if np.abs(vals.imag).max(initial=0.0) != 0.0:
-            raise ComplexPotential("potential samples must be real")
-        vals = vals.real
-    return np.asarray(vals, float)
-
-
 def assemble_schrodinger(grid: Grid, V) -> SpectralOperator:
     """-Delta + V with V given as node samples (GridFunction or array)."""
-    vals = _potential_samples(grid, V)
+    vals = potential_samples(grid, V)
     base = assemble_laplacian(grid)
     mat = (base.matrix + sp.diags(vals)).tocsr()
     return SpectralOperator(grid=grid, matrix=mat, potential=vals)
@@ -299,7 +284,11 @@ def single_eigenvector(op: SpectralOperator, k: int) -> GridFunction:
 
 
 def save_operator(op: SpectralOperator, path) -> None:
-    """Write grid, CSR matrix, potential and eigendata as little-endian binary."""
+    """Write grid, CSR matrix, potential and eigendata as little-endian binary.
+
+    The file is written under a temporary name and renamed into place, so
+    an interrupted write never leaves a partial file at ``path``.
+    """
     grid = op.grid
     mat = op.matrix.tocsr()
     mat.sort_indices()
@@ -308,42 +297,60 @@ def save_operator(op: SpectralOperator, path) -> None:
         flags |= _FLAG_POTENTIAL
     if op.has_eigendata:
         flags |= _FLAG_EIGEN
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQd", _FORMAT_VERSION, grid.n, grid.num_nodes, grid.h))
-        fh.write(np.asarray(grid.k_lo, "<i8").tobytes())
-        fh.write(np.asarray(grid.shape, "<u8").tobytes())
-        fh.write(struct.pack("<IQ", flags, mat.nnz))
-        fh.write(np.ascontiguousarray(grid.multi_indices, "<i8").tobytes())
-        fh.write(np.asarray(mat.indptr, "<i8").tobytes())
-        fh.write(np.asarray(mat.indices, "<i8").tobytes())
-        fh.write(np.asarray(mat.data, "<f8").tobytes())
-        if flags & _FLAG_POTENTIAL:
-            fh.write(np.asarray(op.potential, "<f8").tobytes())
-        if flags & _FLAG_EIGEN:
-            fh.write(np.asarray(op.eigvals, "<f8").tobytes())
-            fh.write(np.ascontiguousarray(op.eigvecs, "<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack(_HEADER, _FORMAT_VERSION, grid.n, grid.num_nodes, grid.h))
+            fh.write(np.asarray(grid.k_lo, "<i8").tobytes())
+            fh.write(np.asarray(grid.shape, "<u8").tobytes())
+            fh.write(struct.pack(_COUNTS, flags, mat.nnz))
+            fh.write(np.ascontiguousarray(grid.multi_indices, "<i8").tobytes())
+            fh.write(np.asarray(mat.indptr, "<i8").tobytes())
+            fh.write(np.asarray(mat.indices, "<i8").tobytes())
+            fh.write(np.asarray(mat.data, "<f8").tobytes())
+            if flags & _FLAG_POTENTIAL:
+                fh.write(np.asarray(op.potential, "<f8").tobytes())
+            if flags & _FLAG_EIGEN:
+                fh.write(np.asarray(op.eigvals, "<f8").tobytes())
+                fh.write(np.ascontiguousarray(op.eigvecs, "<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_exact(fh, size: int) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise SolverFailure("operator cache file is truncated")
+    return buf
 
 
 def _read(fh, dtype, count) -> np.ndarray:
     dtype = np.dtype(dtype)
-    buf = fh.read(dtype.itemsize * count)
-    if len(buf) != dtype.itemsize * count:
-        raise SolverFailure("operator cache file is truncated")
-    return np.frombuffer(buf, dtype=dtype).copy()
+    return np.frombuffer(_read_exact(fh, dtype.itemsize * count), dtype=dtype).copy()
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
 def load_operator(path) -> SpectralOperator:
-    """Read an operator cache written by save_operator."""
+    """Read an operator cache written by save_operator.
+
+    A file that is not such a cache, has another format version or is cut
+    short raises SolverFailure.
+    """
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise SolverFailure("not an operator cache file (bad magic)")
-        version, n, N, h = struct.unpack("<IIQd", fh.read(struct.calcsize("<IIQd")))
+        version, n, N, h = _unpack(fh, _HEADER)
         if version != _FORMAT_VERSION:
             raise SolverFailure(f"unsupported operator cache version {version}")
         k_lo = _read(fh, "<i8", n)
         shape = tuple(int(s) for s in _read(fh, "<u8", n))
-        flags, nnz = struct.unpack("<IQ", fh.read(struct.calcsize("<IQ")))
+        flags, nnz = _unpack(fh, _COUNTS)
         multi = _read(fh, "<i8", N * n).reshape(int(N), n)
         indptr = _read(fh, "<i8", N + 1)
         indices = _read(fh, "<i8", nnz)

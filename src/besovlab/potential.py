@@ -48,12 +48,18 @@ __all__ = [
     "hardy_certificate",
     "form_bound",
     "potential_from_expression",
+    "potential_samples",
 ]
 
 _PROBE_CHUNK = 512
 
 
-def _samples(grid: Grid, V) -> np.ndarray:
+def potential_samples(grid: Grid, V) -> np.ndarray:
+    """Real node samples of a potential given as a GridFunction or an array.
+
+    Raises GridMismatch for another grid or sample count and
+    ComplexPotential for a nonzero imaginary part.
+    """
     if isinstance(V, GridFunction):
         if not V.grid.same_geometry(grid):
             raise GridMismatch("potential lives on a different grid")
@@ -61,7 +67,9 @@ def _samples(grid: Grid, V) -> np.ndarray:
     else:
         vals = np.asarray(V)
         if vals.shape != (grid.num_nodes,):
-            raise GridMismatch("potential sample count does not match the grid")
+            raise GridMismatch(
+                f"potential sample count {vals.shape} does not match grid size {grid.num_nodes}"
+            )
     if np.iscomplexobj(vals):
         if np.abs(vals.imag).max(initial=0.0) != 0.0:
             raise ComplexPotential("potential samples must be real")
@@ -71,7 +79,7 @@ def _samples(grid: Grid, V) -> np.ndarray:
 
 def decompose(grid: Grid, V) -> tuple[np.ndarray, np.ndarray]:
     """Split V = V_+ - V_- into nonnegative parts (node samples)."""
-    vals = _samples(grid, V)
+    vals = potential_samples(grid, V)
     return np.maximum(vals, 0.0), np.maximum(-vals, 0.0)
 
 
@@ -114,7 +122,7 @@ def kato_norm(grid: Grid, vminus, radius: float = math.inf) -> float:
     the analytic equal-measure-ball weight, so refining h keeps the norm
     finite for integrable singularities.
     """
-    vals = _samples(grid, vminus)
+    vals = potential_samples(grid, vminus)
     if (vals < 0.0).any():
         raise ValueError("kato_norm expects the nonnegative part V_-")
     if not (radius > 0.0):
@@ -212,7 +220,7 @@ def form_bound(op0, vminus, eps: float) -> float:
     """
     if not (eps > 0.0):
         raise ValueError(f"form bound needs eps > 0, got {eps}")
-    vals = _samples(op0.grid, vminus)
+    vals = potential_samples(op0.grid, vminus)
     if (vals < 0.0).any():
         raise ValueError("form_bound expects the nonnegative part V_-")
     mat = (sp.diags(vals) - eps * op0.matrix).toarray()

@@ -29,6 +29,8 @@ from .calculus import (
     heat_kernel,
     mixed_opnorm,
     power,
+    spectral_coefficients,
+    spectral_synthesis,
 )
 from .dyadic import DyadicSystem, build_system, second_system
 from .errors import (
@@ -36,10 +38,15 @@ from .errors import (
     IndexConstraintViolated,
     InvalidCheckParameter,
     InvalidExponent,
-    ZeroEigenvaluePresent,
 )
-from .geometry import DomainSpec, Grid, GridFunction, build_grid
-from .norms import besov_norm, block_lp_norms, lorentz_norm, test_seminorms
+from .geometry import DomainSpec, Grid, GridFunction, build_grid, lp_columns
+from .norms import (
+    besov_norm,
+    block_lp_norms,
+    check_homogeneous_spectrum,
+    lorentz_norm,
+    test_seminorms,
+)
 from .operators import (
     SpectralOperator,
     assemble_laplacian,
@@ -60,6 +67,7 @@ __all__ = [
     "check_embeddings",
     "check_lifting",
     "check_equivalence_AV_A0",
+    "equivalence_window",
     "check_heat_gaussian",
     "check_partition_independence",
     "check_subspace_characterization",
@@ -106,6 +114,18 @@ class Stage:
     def has_potential(self) -> bool:
         return self.op.potential is not None and bool(np.any(self.op.potential != 0.0))
 
+    @classmethod
+    def from_operators(cls, op: SpectralOperator, op0: SpectralOperator, profile: str) -> "Stage":
+        """Bundle eigendecomposed operators with the dyadic system whose
+        window covers both spectra."""
+        sys = build_system(
+            min(op.lam_pos_min, op0.lam_pos_min),
+            max(op.lam_max, op0.lam_max),
+            lam0=op.lam0,
+            profile=profile,
+        )
+        return cls(grid=op.grid, op=op, op0=op0, sys=sys)
+
 
 def build_stage(
     spec: DomainSpec,
@@ -138,13 +158,7 @@ def build_stage(
             vfield = potential
         op = eigendecompose(assemble_schrodinger(grid, vfield), dense_cap)
         op0 = eigendecompose(assemble_laplacian(grid), dense_cap)
-    sys = build_system(
-        min(op.lam_pos_min, op0.lam_pos_min),
-        max(op.lam_max, op0.lam_max),
-        lam0=op.lam0,
-        profile=profile,
-    )
-    return Stage(grid=grid, op=op, op0=op0, sys=sys)
+    return Stage.from_operators(op, op0, profile)
 
 
 def build_stages(spec: DomainSpec, hs: Sequence[float], **kwargs) -> list[Stage]:
@@ -384,13 +398,6 @@ def _report(
     )
 
 
-def _lp_columns(arr: np.ndarray, meas: float, p: float) -> np.ndarray:
-    a = np.abs(arr)
-    if math.isinf(p):
-        return a.max(axis=0, initial=0.0)
-    return (meas * np.sum(a**p, axis=0)) ** (1.0 / p)
-
-
 def _conjugate(p: float) -> float:
     if p == 1.0:
         return math.inf
@@ -427,16 +434,9 @@ def check_resolution_identity(
     residuals = []
     for stage in stages:
         op, dsys = stage.op, stage.sys
-        op.require_eigendata()
-        lam = op.eigvals
         if homogeneous:
-            scale = max(abs(op.lam_max), 1.0)
-            if op.lam_min <= 1e-12 * scale:
-                raise ZeroEigenvaluePresent(
-                    f"spectrum touches zero (lam_min = {op.lam_min:.3e}); "
-                    "the homogeneous resolution is undefined here"
-                )
-            total = np.zeros_like(lam)
+            check_homogeneous_spectrum(op)
+            total = np.zeros_like(op.eigvals)
             for j in dsys.window:
                 total = total + op.dyadic_weights(dsys, "phi", j)
         else:
@@ -444,8 +444,7 @@ def check_resolution_identity(
             for j in dsys.inhom_window:
                 total = total + op.dyadic_weights(dsys, "phi", j)
         cols = _stack(family.sample(stage))
-        coeff = op.eigvecs.T @ cols
-        defect = op.eigvecs @ ((1.0 - total)[:, None] * coeff)
+        defect = spectral_synthesis(op, 1.0 - total, spectral_coefficients(op, cols))
         num = np.linalg.norm(defect, axis=0)
         den = np.linalg.norm(cols, axis=0)
         good = den > 0.0
@@ -531,8 +530,8 @@ def check_bernstein(
                     if cols is None:
                         raw = mixed_opnorm(opfun, r, p).value
                     else:
-                        num = _lp_columns(opfun.apply(cols), stage.grid.cell_measure, p)
-                        den = _lp_columns(cols, stage.grid.cell_measure, r)
+                        num = lp_columns(opfun.apply(cols), stage.grid.cell_measure, p)
+                        den = lp_columns(cols, stage.grid.cell_measure, r)
                         good = den > 0.0
                         raw = float((num[good] / den[good]).max(initial=0.0))
                     c = raw / 2.0 ** ((gain + 2.0 * a) * j)
@@ -568,7 +567,7 @@ def _adversarial_pair(
     meas = op.grid.cell_measure
     js = list(dsys.inhom_window)
     blocks = [dyadic_block(op, dsys, j).apply(fvals) for j in js]
-    bnorms = np.array([_lp_columns(b[:, None], meas, p)[0] for b in blocks])
+    bnorms = np.array([lp_columns(b[:, None], meas, p)[0] for b in blocks])
     top = bnorms.max(initial=0.0)
     if top == 0.0:
         return None
@@ -724,10 +723,10 @@ def check_embeddings(
         constants[keys[1]].append(ratio_max(tgt, src))
 
         constants[keys[2]].append(
-            ratio_max(besov_norm(op, dsys, cols, 0.0, p_i, 2.0), _lp_columns(cols, meas, p_i))
+            ratio_max(besov_norm(op, dsys, cols, 0.0, p_i, 2.0), lp_columns(cols, meas, p_i))
         )
         constants[keys[3]].append(
-            ratio_max(_lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0))
+            ratio_max(lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0))
         )
 
         scols = _mollifier_stack(grid, family.count)
@@ -909,6 +908,12 @@ def _tail_slope(
     return float(np.median(slopes))
 
 
+def equivalence_window(n: int, p: float) -> tuple[float, float]:
+    """Open window of smoothness indices s, (-min(2, n(1-1/p)), min(n/p, 2)),
+    in which check_equivalence_AV_A0 asserts the norm equivalence."""
+    return -min(2.0, n * (1.0 - 1.0 / p)), min(n / p, 2.0)
+
+
 def check_equivalence_AV_A0(
     stages,
     family: FunctionFamily | None = None,
@@ -943,8 +948,7 @@ def check_equivalence_AV_A0(
     n = stages[0].grid.n
     if n < 2:
         raise AssumptionViolated(f"operator-norm equivalence needs n >= 2, got n = {n}")
-    lo = -min(2.0, n * (1.0 - 1.0 / p))
-    hi = min(n / p, 2.0)
+    lo, hi = equivalence_window(n, p)
     in_window = lo < s < hi
     if not in_window and assert_window:
         raise AssumptionViolated(
@@ -1254,7 +1258,7 @@ def check_lorentz_bernstein(
         opv, op0, dsys, grid = stage.op, stage.op0, stage.sys, stage.grid
         n = grid.n
         cols = _stack(family.sample(stage))
-        den = _lp_columns(cols, grid.cell_measure, p0)
+        den = lp_columns(cols, grid.cell_measure, p0)
         best = 0.0
         for j in dsys.window:
             bv = dyadic_block(opv, dsys, j).apply(cols)

@@ -1,14 +1,18 @@
 """Functional calculus: dense and Chebyshev routes, kernels, operator norms."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besovlab as bl
+from besovlab import calculus
 
-from conftest import interval_stage, random_function
+from conftest import diagonal_operator, interval_stage, random_function
 
 
 class TestDenseApply:
@@ -333,3 +337,70 @@ class TestBlockFactories:
         for j in st.sys.inhom_window:
             acc += bl.dyadic_block(st.op, st.sys, j).apply(f).values
         np.testing.assert_allclose(acc, f.values, atol=1e-10 * bl.lp_norm(f, np.inf))
+
+
+class TestSpectralProductProperties:
+    """The one spectral product (coefficients, then synthesis on the support
+    of the symbol) and the one Chebyshev engine, on prescribed spectra."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lams=st.lists(st.floats(-50.0, 5000.0), min_size=2, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_synthesis_matches_full_basis(self, lams, seed):
+        op = diagonal_operator(lams)
+        m = op.num_nodes
+        rng = np.random.default_rng(seed)
+        # synthesis reads only the basis, so any orthonormal one will do
+        op.eigvecs = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        # magnitudes over 40 decades (some below the support cut) and exact zeros
+        g = rng.standard_normal(m) * 10.0 ** rng.uniform(-40.0, 0.0, m) * (rng.random(m) < 0.8)
+        f = rng.standard_normal((m, 3))
+        U = op.eigvecs
+        bound = 4 * m * np.finfo(float).eps * np.abs(g).max() * np.abs(f).sum(axis=0).max()
+        for x in (f, f[:, 0]):
+            ref = U @ np.diag(g) @ (U.T @ x)
+            got = bl.spectral_synthesis(op, g, bl.spectral_coefficients(op, x))
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max(initial=0.0) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lams=st.lists(st.floats(0.5, 1e5), min_size=2, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_psi_and_blocks_reconstruct_f(self, lams, seed):
+        op = diagonal_operator(lams)
+        sys = bl.build_system(op.lam_pos_min, op.lam_max, op.lam0)
+        f = random_function(op.grid, seed=seed).values
+        acc = bl.psi_block(op, sys).apply(f)
+        for j in sys.inhom_window:
+            acc = acc + bl.dyadic_block(op, sys, j).apply(f)
+        assert np.abs(acc - f).max() <= 1e-13 * np.abs(f).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lams=st.lists(st.floats(-20.0, 2000.0), min_size=2, max_size=30),
+        t=st.floats(1e-4, 0.05),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_fixed_and_adaptive_chebyshev_agree_at_same_degree(self, lams, t, tol):
+        op = diagonal_operator(lams)
+        f = random_function(op.grid, seed=1).values
+
+        def symbol(lam):
+            return np.exp(-t * lam)
+
+        degrees = []
+
+        def fit(*args):
+            coeffs, err = bl.chebyshev_coefficients(*args)
+            degrees.append(len(coeffs) - 1)
+            return coeffs, err
+
+        with mock.patch.object(calculus, "chebyshev_coefficients", fit):
+            adaptive = calculus._cheb_apply(op, symbol, f, tol)
+            fixed = calculus._cheb_apply(op, symbol, f, degree=degrees[0])
+        assert len(degrees) == 1  # the fixed degree runs no error scan
+        np.testing.assert_array_equal(fixed, adaptive)

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -284,6 +285,37 @@ def test_operator_cache_reused(tmp_path):
     stamps = [p.stat().st_mtime_ns for p in cache]
     assert main(["spectrum", "--config", str(cfg)]) == 0
     assert [p.stat().st_mtime_ns for p in sorted((out / "cache").glob("*.bin"))] == stamps
+
+
+@pytest.mark.parametrize("damage", ["truncate", "bad-magic"])
+def test_damaged_operator_cache_is_rebuilt(tmp_path, damage):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, potential="-5", out=str(out))
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    expected = (out / "spectrum.csv").read_bytes()
+    (entry,) = (out / "cache").glob("op-*.bin")
+    raw = entry.read_bytes()
+    entry.write_bytes(raw[: len(raw) // 2] if damage == "truncate" else b"NOTANOP!" + raw[8:])
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert (out / "spectrum.csv").read_bytes() == expected
+    assert entry.read_bytes() == raw
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+
+@pytest.mark.parametrize("installed", [False, True])
+def test_manifest_records_whether_jobs_cap_applied(tmp_path, monkeypatch, installed):
+    calls = []
+    fake = None
+    if installed:
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: calls.append(limits)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out=str(out))
+    assert main(["spectrum", "--config", str(cfg), "--jobs", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["jobs"] == {"requested": 3, "applied": installed}
+    assert calls == ([3] if installed else [])
 
 
 def test_module_entry_point(tmp_path):

@@ -310,6 +310,26 @@ class TestSaveLoad:
         with pytest.raises(bl.SolverFailure):
             bl.load_operator(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        path = tmp_path / "op.bin"
+        bl.save_operator(bl.assemble_laplacian(g), path)
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(bl.SolverFailure):
+            bl.load_operator(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        op = bl.eigendecompose(bl.assemble_laplacian(g))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        before = path.read_bytes()
+        op.eigvecs = np.full(op.eigvecs.shape, "x")  # fails after the header is written
+        with pytest.raises(ValueError):
+            bl.save_operator(op, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["op.bin"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "op.bin"
         path.write_bytes(b"NOTANOP!" + b"\x00" * 64)
