@@ -76,15 +76,12 @@ from .calculus import (
     OperatorFunction,
     apply_symbol,
     chebyshev_coefficients,
-    dyadic_block,
-    fat_block,
     heat,
     heat_kernel,
     kernel,
     mixed_opnorm,
     opnorm,
     power,
-    psi_block,
     spectral_coefficients,
     spectral_synthesis,
     suite_symbols,
@@ -94,7 +91,6 @@ from .norms import (
     besov_norm,
     block_lp_norms,
     lorentz_norm,
-    psi_lp_norms,
     rearrangement_profile,
     sobolev_norm,
     test_seminorms,

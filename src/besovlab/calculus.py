@@ -1,12 +1,18 @@
 """Functional calculus for spectral operators: g(A) along two routes.
 
 Dense route: with cached eigendata, g(A) f = U g(L) U^T f, exact up to
-rounding, formed here only, on the spectral support of g.  Matrix-free
-route: Chebyshev approximation of the symbol on an interval enclosing the
-spectrum, evaluated by the three-term recurrence with sparse matvecs
-only, at a fixed degree or adaptively: the degree doubles until the
-sampled sup error of the symbol meets the tolerance, so the operator
-error in L2 is bounded by the same number.
+rounding, formed here only, on the spectral support of g.  It is split in
+two so that one transform serves many symbols: spectral_coefficients
+gives c = U^T f once, and spectral_synthesis gives U_S (g_S c_S) for each
+symbol g on the spectrum (every dyadic block is made this way, from the
+operator's memoized dyadic weights).  apply_symbol is the entry for a
+callable symbol, along either route.
+
+Matrix-free route: Chebyshev approximation of the symbol on an interval
+enclosing the spectrum, evaluated by the three-term recurrence with
+sparse matvecs only, at a fixed degree or adaptively: the degree doubles
+until the sampled sup error of the symbol meets the tolerance, so the
+operator error in L2 is bounded by the same number.
 
 Heat semigroups are computed spectrally (no time stepping); kernels are
 matrix entries divided by h^n, so they converge to the continuum kernels
@@ -30,7 +36,7 @@ from .errors import (
     InvalidSpectrumBounds,
     NegativeSpectrumComponent,
 )
-from .geometry import GridFunction, lp_columns, lp_norm
+from .geometry import GridFunction, lp_columns
 from .operators import SpectralOperator
 
 __all__ = [
@@ -40,9 +46,6 @@ __all__ = [
     "chebyshev_coefficients",
     "spectral_coefficients",
     "spectral_synthesis",
-    "dyadic_block",
-    "fat_block",
-    "psi_block",
     "suite_symbols",
     "heat",
     "heat_kernel",
@@ -216,18 +219,14 @@ def apply_symbol(
     path: str = "dense",
     cheb_tol: float = DEFAULT_CHEB_TOL,
     max_degree: int = DEFAULT_CHEB_MAX_DEGREE,
-    weights: np.ndarray | None = None,
 ):
     """Apply g(A) to f (GridFunction or (N,) / (N, m) array).
 
     path='dense' uses cached eigendata; path='cheb' is matrix-free.
-    ``weights``, when given, are the symbol's values on op.eigvals, which
-    the dense path then does not evaluate again.
     """
     vals, wrap = _as_array(op, f)
     if path == "dense":
-        g = _on_spectrum(op, symbol) if weights is None else weights
-        out = spectral_synthesis(op, g, spectral_coefficients(op, vals))
+        out = spectral_synthesis(op, _on_spectrum(op, symbol), spectral_coefficients(op, vals))
     elif path == "cheb":
         out = _cheb_apply(op, symbol, vals, cheb_tol, max_degree)
     else:
@@ -237,63 +236,22 @@ def apply_symbol(
 
 @dataclass
 class OperatorFunction:
-    """A named symbol bound to an operator; callable on grid functions.
+    """A named symbol bound to an operator: the argument of kernel and the
+    operator norms.
 
-    ``weights`` optionally holds the symbol's values on op.eigvals (the
-    dyadic blocks take them from the operator's memo); every dense route
-    then uses them instead of evaluating the symbol again.
+    ``weights`` optionally holds the symbol's values on op.eigvals (for
+    instance memoized dyadic weights), used instead of evaluating the
+    symbol again.
     """
 
     op: SpectralOperator
     symbol: Callable
     name: str
-    path: str = "dense"
-    cheb_tol: float = DEFAULT_CHEB_TOL
-    max_degree: int = DEFAULT_CHEB_MAX_DEGREE
     weights: np.ndarray | None = field(default=None, repr=False)
 
     def on_spectrum(self) -> np.ndarray:
         """The symbol on the eigenvalues of the operator."""
         return _on_spectrum(self.op, self.symbol) if self.weights is None else self.weights
-
-    def apply(self, f):
-        return apply_symbol(
-            self.op, self.symbol, f, path=self.path,
-            cheb_tol=self.cheb_tol, max_degree=self.max_degree, weights=self.weights,
-        )
-
-    def kernel(self) -> "KernelMatrix":
-        return kernel(self)
-
-    def opnorm(self, p: float, seed: int = 0):
-        return opnorm(self, p, seed=seed)
-
-
-def _dyadic_weights(op: SpectralOperator, sys: DyadicSystem, kind: str, j: int | None = None):
-    return op.dyadic_weights(sys, kind, j) if op.has_eigendata else None
-
-
-def dyadic_block(op: SpectralOperator, sys: DyadicSystem, j: int, path: str = "dense") -> OperatorFunction:
-    """Spectral shell selector phi_j(sqrt(A)); vanishes on the nonpositive spectrum."""
-    return OperatorFunction(
-        op, lambda lam: sys.phi_sqrt(j, lam), f"phi[{j}]", path=path,
-        weights=_dyadic_weights(op, sys, "phi", j),
-    )
-
-
-def fat_block(op: SpectralOperator, sys: DyadicSystem, j: int, path: str = "dense") -> OperatorFunction:
-    """Fattened shell Phi_j(sqrt(A)) = (phi_(j-1)+phi_j+phi_(j+1))(sqrt(A))."""
-    return OperatorFunction(
-        op, lambda lam: sys.fat_phi_sqrt(j, lam), f"Phi[{j}]", path=path,
-        weights=_dyadic_weights(op, sys, "fat", j),
-    )
-
-
-def psi_block(op: SpectralOperator, sys: DyadicSystem, path: str = "dense") -> OperatorFunction:
-    """Low-spectrum cap psi(A); equals the identity on the spectrum below 1."""
-    return OperatorFunction(
-        op, sys.psi, "psi", path=path, weights=_dyadic_weights(op, sys, "psi")
-    )
 
 
 def suite_symbols(
@@ -444,16 +402,12 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
         rr = 1.0 if math.isinf(r) else r / (r - 1.0)
         return OpNorm(float(lp_columns(kernel(opfun).values.T, meas, rr).max()), True, r, p)
 
-    rng = np.random.default_rng(seed)
-    N = op.num_nodes
-    best = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        fv = GridFunction(op.grid, v)
-        denom = lp_norm(fv, r)
-        out = opfun.apply(fv)
-        best = max(best, lp_norm(out, p) / denom)
-    return OpNorm(best, False, r, p)
+    # probe k is z[k, 0] + i z[k, 1], one column per probe
+    z = np.random.default_rng(seed).standard_normal((probes, 2, op.num_nodes))
+    vs = (z[:, 0] + 1j * z[:, 1]).T
+    out = spectral_synthesis(op, opfun.on_spectrum(), spectral_coefficients(op, vs))
+    ratios = lp_columns(out, meas, p) / lp_columns(vs, meas, r)
+    return OpNorm(float(ratios.max(initial=0.0)), False, r, p)
 
 
 def opnorm(opfun: OperatorFunction, p: float, probes: int = 16, seed: int = 0) -> OpNorm:

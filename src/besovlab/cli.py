@@ -46,6 +46,7 @@ from .errors import (
     CheckFailed,
     ConfigInvalid,
     DenseCapExceeded,
+    InvalidCheckParameter,
     SolverFailure,
 )
 from .norms import besov_norm, lorentz_norm, sobolev_norm
@@ -136,32 +137,35 @@ def _write_spectrum(stages: Sequence[Stage], out_dir: Path) -> None:
 
 
 def _norm_rows(cfg: RunConfig, stages: Sequence[Stage]):
+    """One row per (stage, request, function); Besov and Sobolev requests
+    are evaluated once per stage on the stacked family."""
     fam = cfg.family()
     for st in stages:
         funcs = fam.sample(st)
+        cols = np.column_stack([gf.values for gf in funcs])
         for spec in cfg.norms:
             kind = spec["kind"]
-            for i, gf in enumerate(funcs):
-                f = gf.values
-                if kind == "besov":
-                    hom = spec.get("homogeneous", False)
-                    value = besov_norm(
-                        st.op,
-                        st.sys,
-                        f,
-                        spec["s"],
-                        spec["p"],
-                        as_exponent(spec["q"]),
-                        homogeneous=hom,
-                    )
-                    row = (kind, spec["s"], spec["p"], spec["q"], "hom" if hom else "inhom")
-                elif kind == "sobolev":
-                    variant = spec.get("variant", "plain")
-                    value = sobolev_norm(st.op, f, spec["s"], variant=variant)
-                    row = (kind, spec["s"], "", "", variant)
-                else:
-                    value = lorentz_norm(gf, spec["p"], as_exponent(spec["q"]))
-                    row = (kind, "", spec["p"], spec["q"], "")
+            if kind == "besov":
+                hom = spec.get("homogeneous", False)
+                values = besov_norm(
+                    st.op,
+                    st.sys,
+                    cols,
+                    spec["s"],
+                    spec["p"],
+                    as_exponent(spec["q"]),
+                    homogeneous=hom,
+                )
+                row = (kind, spec["s"], spec["p"], spec["q"], "hom" if hom else "inhom")
+            elif kind == "sobolev":
+                variant = spec.get("variant", "plain")
+                values = sobolev_norm(st.op, cols, spec["s"], variant=variant)
+                row = (kind, spec["s"], "", "", variant)
+            else:
+                q = as_exponent(spec["q"])
+                values = [lorentz_norm(gf, spec["p"], q) for gf in funcs]
+                row = (kind, "", spec["p"], spec["q"], "")
+            for i, value in enumerate(values):
                 yield (*row, fam.tag, i, st.h, st.grid.num_nodes, float(value))
 
 
@@ -181,15 +185,27 @@ def _write_verify(
     rows: list[tuple] = []
     failed: list[str] = []
     summary: dict[str, bool] = {}
-    for entry in cfg.checks:
+    for index, entry in enumerate(cfg.checks):
         name = entry["name"]
         fn = CHECKS[name]
         kwargs = {k: v for k, v in entry.items() if k != "name"}
+        given = sorted(kwargs)
         if name == "equivalence_AV_A0" and report_only:
             kwargs["assert_window"] = False
         if "family" in inspect.signature(fn).parameters:
             kwargs.setdefault("family", cfg.family())
-        report = fn(stages, config_hash=cfg.config_hash, **kwargs)
+        try:
+            report = fn(stages, config_hash=cfg.config_hash, **kwargs)
+        except BesovLabError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            if not given:
+                raise
+            # the defaults are well formed, so the config's values are at fault
+            raise InvalidCheckParameter(
+                f"checks/{index} ({name}): parameters {given} rejected: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         summary[name] = report.passed
         if not report.passed:
             failed.append(name)
@@ -448,6 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest["failure"] = f"{type(exc).__name__}: {exc}"
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 2
+    except Exception as exc:
+        # a fault of the program itself: recorded, then raised with its traceback
+        manifest["failure"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest["timings_ms"]["total"] = round((time.perf_counter() - t_start) * 1e3, 3)
         try:

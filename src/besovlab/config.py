@@ -351,9 +351,15 @@ def prevalidate_windows(cfg: RunConfig, assert_mode: bool = True) -> None:
             )
         if not assert_mode or not entry.get("assert_window", True):
             continue
-        s = float(entry.get("s", 0.5))
-        p = float(entry.get("p", 2.0))
-        lo, hi = equivalence_window(n, p)
+        try:
+            s = float(entry.get("s", 0.5))
+            p = float(entry.get("p", 2.0))
+            lo, hi = equivalence_window(n, p)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigInvalid(
+                f"checks/{i} (equivalence_AV_A0): s and p must be numbers with p != 0: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if not (lo < s < hi):
             raise ConfigInvalid(
                 f"checks/{i} (equivalence_AV_A0): smoothness s={s} outside "

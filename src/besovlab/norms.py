@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1
 
-from .calculus import apply_symbol, psi_block, spectral_coefficients, spectral_synthesis
+from .calculus import apply_symbol, spectral_coefficients, spectral_synthesis
 from .dyadic import DyadicSystem
 from .errors import (
     InvalidExponent,
@@ -44,7 +44,6 @@ __all__ = [
     "lorentz_norm",
     "besov_norm",
     "block_lp_norms",
-    "psi_lp_norms",
     "check_homogeneous_spectrum",
     "sobolev_norm",
     "test_seminorms",
@@ -65,6 +64,19 @@ def _columns(f, op: SpectralOperator) -> np.ndarray:
     return vals
 
 
+def _shell_norms(
+    op: SpectralOperator, sys: DyadicSystem, coeff: np.ndarray, p: float, js
+) -> np.ndarray:
+    """||phi_j(sqrt(A)) f||_p for j in js, from the coefficients U^T f of
+    the columns of f; shape (len(js), m)."""
+    meas = op.grid.cell_measure
+    out = np.empty((len(js), coeff.shape[1]))
+    for i, j in enumerate(js):
+        block = spectral_synthesis(op, op.dyadic_weights(sys, "phi", j), coeff)
+        out[i] = lp_columns(block, meas, p)
+    return out
+
+
 def block_lp_norms(
     op: SpectralOperator, sys: DyadicSystem, f, p: float, js=None
 ) -> np.ndarray:
@@ -75,20 +87,7 @@ def block_lp_norms(
     if not (p >= 1.0):
         raise InvalidExponent(f"block norms need p >= 1, got {p}")
     js = list(sys.window if js is None else js)
-    cols = _columns(f, op)
-    coeff = spectral_coefficients(op, cols)
-    meas = op.grid.cell_measure
-    out = np.empty((len(js), cols.shape[1]))
-    for i, j in enumerate(js):
-        block = spectral_synthesis(op, op.dyadic_weights(sys, "phi", j), coeff)
-        out[i] = lp_columns(block, meas, p)
-    return out
-
-
-def psi_lp_norms(op: SpectralOperator, sys: DyadicSystem, f, p: float) -> np.ndarray:
-    """||psi(A) f||_p per input column."""
-    out = psi_block(op, sys).apply(_columns(f, op))
-    return lp_columns(out, op.grid.cell_measure, p)
+    return _shell_norms(op, sys, spectral_coefficients(op, _columns(f, op)), p, js)
 
 
 def check_homogeneous_spectrum(op: SpectralOperator) -> None:
@@ -122,6 +121,7 @@ def besov_norm(
     Inhomogeneous:  ||psi(A) f||_p + l^q over j >= 1 of 2^(s j) ||phi_j f||_p.
     Homogeneous:    l^q over the whole window; requires lam_min > 0.
 
+    The cap and every shell are synthesized from one transform U^T f.
     Scalar output for a single function, array for batched columns.
     """
     if not (p >= 1.0) or not (q >= 1.0):
@@ -134,15 +134,13 @@ def besov_norm(
     single = not (isinstance(f, np.ndarray) and f.ndim == 2)
     if homogeneous:
         check_homogeneous_spectrum(op)
-        js = list(sys.window)
-        norms = block_lp_norms(op, sys, f, p, js)
-        weights = 2.0 ** (s * np.asarray(js, float))
-        out = _lq(weights[:, None] * norms, q)
-    else:
-        js = list(sys.inhom_window)
-        norms = block_lp_norms(op, sys, f, p, js)
-        weights = 2.0 ** (s * np.asarray(js, float))
-        out = psi_lp_norms(op, sys, f, p) + _lq(weights[:, None] * norms, q)
+    js = list(sys.window if homogeneous else sys.inhom_window)
+    coeff = spectral_coefficients(op, _columns(f, op))
+    weights = 2.0 ** (s * np.asarray(js, float))
+    out = _lq(weights[:, None] * _shell_norms(op, sys, coeff, p, js), q)
+    if not homogeneous:
+        cap = spectral_synthesis(op, op.dyadic_weights(sys, "psi"), coeff)
+        out = lp_columns(cap, op.grid.cell_measure, p) + out
     return float(out[0]) if single else out
 
 

@@ -24,8 +24,6 @@ from scipy.spatial.distance import cdist
 from .calculus import (
     OperatorFunction,
     apply_symbol,
-    dyadic_block,
-    fat_block,
     heat_kernel,
     mixed_opnorm,
     power,
@@ -406,6 +404,13 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _ratio_max(num, den) -> float:
+    """Largest num / den over the entries with den > 0; 0 when there are none."""
+    num, den = np.asarray(num, float), np.asarray(den, float)
+    good = den > 0.0
+    return float((num[good] / den[good]).max(initial=0.0))
+
+
 def _default_family(family) -> FunctionFamily:
     return FunctionFamily() if family is None else family
 
@@ -445,10 +450,9 @@ def check_resolution_identity(
                 total = total + op.dyadic_weights(dsys, "phi", j)
         cols = _stack(family.sample(stage))
         defect = spectral_synthesis(op, 1.0 - total, spectral_coefficients(op, cols))
-        num = np.linalg.norm(defect, axis=0)
-        den = np.linalg.norm(cols, axis=0)
-        good = den > 0.0
-        residuals.append(float((num[good] / den[good]).max(initial=0.0)))
+        residuals.append(
+            _ratio_max(np.linalg.norm(defect, axis=0), np.linalg.norm(cols, axis=0))
+        )
     passed = all(r <= tol for r in residuals)
     variant = "hom" if homogeneous else "inhom"
     anchor = (
@@ -507,38 +511,39 @@ def check_bernstein(
             raise InvalidExponent(f"need 1 <= r <= p, got (r, p) = ({r}, {p})")
     tag = "opnorm" if family is None else family.tag
     seed = 0 if family is None else family.seed
-    constants: dict[str, list[float]] = {}
+
+    def key(r, p, a):
+        return f"r={_fmt_exp(r)},p={_fmt_exp(p)},a={_fmt_exp(a)}"
+
+    constants: dict[str, list[float]] = {key(r, p, a): [] for r, p in pairs for a in alphas}
     profiles: dict[str, dict[int, float]] = {}
     for stage in stages:
         op, dsys = stage.op, stage.sys
-        n = stage.grid.n
-        cols = None if family is None else _stack(family.sample(stage))
-        for r, p in pairs:
-            gain = n * (1.0 / r - (0.0 if math.isinf(p) else 1.0 / p))
+        n, meas = stage.grid.n, stage.grid.cell_measure
+        if family is not None:
+            cols = _stack(family.sample(stage))
+            coeff = spectral_coefficients(op, cols)
+        prof: dict[str, dict[int, float]] = {k: {} for k in constants}
+        for j in dsys.window:
             for a in alphas:
-                key = f"r={_fmt_exp(r)},p={_fmt_exp(p)},a={_fmt_exp(a)}"
-                best = 0.0
-                prof: dict[int, float] = {}
-                for j in dsys.window:
+                g = _lifted(op.dyadic_weights(dsys, "phi", j), op.eigvals, a)
+                if family is None:
                     def sym(lam, j=j, a=a, dsys=dsys):
                         return _lifted(dsys.phi_sqrt(j, lam), lam, a)
 
-                    opfun = OperatorFunction(
-                        op, sym, f"bern[j={j},a={a:g}]",
-                        weights=_lifted(op.dyadic_weights(dsys, "phi", j), op.eigvals, a),
-                    )
-                    if cols is None:
+                    opfun = OperatorFunction(op, sym, f"bern[j={j},a={a:g}]", weights=g)
+                else:
+                    block = spectral_synthesis(op, g, coeff)
+                for r, p in pairs:
+                    if family is None:
                         raw = mixed_opnorm(opfun, r, p).value
                     else:
-                        num = lp_columns(opfun.apply(cols), stage.grid.cell_measure, p)
-                        den = lp_columns(cols, stage.grid.cell_measure, r)
-                        good = den > 0.0
-                        raw = float((num[good] / den[good]).max(initial=0.0))
-                    c = raw / 2.0 ** ((gain + 2.0 * a) * j)
-                    prof[j] = c
-                    best = max(best, c)
-                constants.setdefault(key, []).append(best)
-                profiles[key] = prof
+                        raw = _ratio_max(lp_columns(block, meas, p), lp_columns(cols, meas, r))
+                    gain = n * (1.0 / r - (0.0 if math.isinf(p) else 1.0 / p))
+                    prof[key(r, p, a)][j] = raw / 2.0 ** ((gain + 2.0 * a) * j)
+        for k, per_j in prof.items():
+            constants[k].append(max([0.0, *per_j.values()]))
+        profiles = prof
     passed = all(_stable(v, stability) for v in constants.values())
     return _report(
         "bernstein",
@@ -563,22 +568,31 @@ def _adversarial_pair(
     q: float,
 ) -> np.ndarray | None:
     """Near-extremal dual function: fattened blocks of the pointwise L^p
-    duals of the blocks of f, with the l^q-extremal weights 2^{sj} a_j^{q-1}."""
+    duals of the blocks of f, with the l^q-extremal weights 2^{sj} a_j^{q-1}.
+
+    One transform of f gives every block; one transform of the duals,
+    stacked over j, gives every fattened block."""
     meas = op.grid.cell_measure
     js = list(dsys.inhom_window)
-    blocks = [dyadic_block(op, dsys, j).apply(fvals) for j in js]
+    coeff = spectral_coefficients(op, fvals)
+    blocks = [spectral_synthesis(op, op.dyadic_weights(dsys, "phi", j), coeff) for j in js]
     bnorms = np.array([lp_columns(b[:, None], meas, p)[0] for b in blocks])
     top = bnorms.max(initial=0.0)
     if top == 0.0:
         return None
+
+    def dual(b):
+        return np.sign(b) if p == 1.0 else np.sign(b) * np.abs(b) ** (p - 1.0)
+
+    kept = [i for i, nj in enumerate(bnorms) if not nj <= 1e-14 * top]
+    duals = np.column_stack([dual(blocks[i]) for i in kept])
+    dual_coeff = spectral_coefficients(op, duals)
     G = np.zeros_like(fvals)
-    for j, bj, nj in zip(js, blocks, bnorms):
-        if nj <= 1e-14 * top:
-            continue
-        dual = np.sign(bj) if p == 1.0 else np.sign(bj) * np.abs(bj) ** (p - 1.0)
+    for col, i in enumerate(kept):
+        j, nj = js[i], bnorms[i]
         a_j = 2.0 ** (s * j) * nj
         w = 2.0 ** (s * j) * a_j ** (q - 1.0) / nj ** (p - 1.0)
-        G = G + w * fat_block(op, dsys, j).apply(dual)
+        G = G + w * spectral_synthesis(op, op.dyadic_weights(dsys, "fat", j), dual_coeff[:, col])
     return G
 
 
@@ -611,10 +625,7 @@ def check_duality(
         cols = _stack(funcs)
         nf = np.asarray(besov_norm(op, dsys, cols, s, p, q))
         ng = np.asarray(besov_norm(op, dsys, cols, -s, pc, qc))
-        gram = grid.cell_measure * np.abs(cols.T @ cols)
-        denom = np.outer(nf, ng)
-        good = denom > 0.0
-        c_meas = float((gram[good] / denom[good]).max(initial=0.0))
+        c_meas = _ratio_max(grid.cell_measure * np.abs(cols.T @ cols), np.outer(nf, ng))
         attained = 0.0
         for i in range(cols.shape[1]):
             if nf[i] == 0.0:
@@ -708,25 +719,20 @@ def check_embeddings(
         cols = _stack(funcs)
         meas = grid.cell_measure
 
-        def ratio_max(num: np.ndarray, den: np.ndarray) -> float:
-            num, den = np.asarray(num, float), np.asarray(den, float)
-            good = den > 0.0
-            return float((num[good] / den[good]).max(initial=0.0))
-
         src = besov_norm(op, dsys, cols, s_g + eps, p_g, q_g)
         tgt = besov_norm(op, dsys, cols, s_g, p_g, q0_g)
-        constants[keys[0]].append(ratio_max(tgt, src))
+        constants[keys[0]].append(_ratio_max(tgt, src))
 
         s_src = s_h + grid.n * (1.0 / r_h - 1.0 / p_h)
         src = besov_norm(op, dsys, cols, s_src, r_h, q_h, homogeneous=True)
         tgt = besov_norm(op, dsys, cols, s_h, p_h, q0_h, homogeneous=True)
-        constants[keys[1]].append(ratio_max(tgt, src))
+        constants[keys[1]].append(_ratio_max(tgt, src))
 
         constants[keys[2]].append(
-            ratio_max(besov_norm(op, dsys, cols, 0.0, p_i, 2.0), lp_columns(cols, meas, p_i))
+            _ratio_max(besov_norm(op, dsys, cols, 0.0, p_i, 2.0), lp_columns(cols, meas, p_i))
         )
         constants[keys[3]].append(
-            ratio_max(lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0))
+            _ratio_max(lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0))
         )
 
         scols = _mollifier_stack(grid, family.count)
@@ -737,15 +743,14 @@ def check_embeddings(
                 for i in range(scols.shape[1])
             ]
         )
-        constants[keys[4]].append(ratio_max(sb, pM))
+        constants[keys[4]].append(_ratio_max(sb, pM))
         # f ranges over the requested family plus the smooth one; the smooth
         # side keeps the max from drifting when the family norms grow
         fside = np.column_stack([cols, scols])
         bnorms = np.asarray(besov_norm(op, dsys, fside, s_c, p_c, q_c))
-        gram = meas * np.abs(fside.T @ scols)
-        denom = np.outer(bnorms, pM)
-        good = denom > 0.0
-        constants[keys[5]].append(float((gram[good] / denom[good]).max(initial=0.0)))
+        constants[keys[5]].append(
+            _ratio_max(meas * np.abs(fside.T @ scols), np.outer(bnorms, pM))
+        )
 
     passed = all(_stable(v, stability) for v in constants.values())
     return _report(
@@ -1219,8 +1224,7 @@ def check_subspace_characterization(
             tails = weights @ norms
         else:
             tails = np.zeros(cols.shape[1])
-        good = den > 0.0
-        cs.append(float((tails[good] / den[good]).max(initial=0.0)))
+        cs.append(_ratio_max(tails, den))
     passed = _stable(cs, stability)
     return _report(
         "subspace_characterization",
@@ -1259,19 +1263,21 @@ def check_lorentz_bernstein(
         n = grid.n
         cols = _stack(family.sample(stage))
         den = lp_columns(cols, grid.cell_measure, p0)
+        ops = (opv,) if op0 is opv else (opv, op0)
+        coeffs = [spectral_coefficients(o, cols) for o in ops]
         best = 0.0
         for j in dsys.window:
-            bv = dyadic_block(opv, dsys, j).apply(cols)
-            b0 = bv if op0 is opv else dyadic_block(op0, dsys, j).apply(cols)
+            blocks = [
+                spectral_synthesis(o, o.dyadic_weights(dsys, "phi", j), c)
+                for o, c in zip(ops, coeffs)
+            ]
             gain = 2.0 ** (n * (1.0 / p0 - 1.0 / p) * j)
             for i in range(cols.shape[1]):
                 if den[i] == 0.0:
                     continue
-                lhs = lorentz_norm(GridFunction(grid, bv[:, i]), p, q)
-                if b0 is not bv:
-                    lhs += lorentz_norm(GridFunction(grid, b0[:, i]), p, q)
-                else:
-                    lhs *= 2.0
+                lhs = sum(lorentz_norm(GridFunction(grid, b[:, i]), p, q) for b in blocks)
+                if len(blocks) == 1:
+                    lhs *= 2.0  # A_V = A_0: both terms are the same norm
                 best = max(best, lhs / (gain * den[i]))
         cs.append(float(best))
     passed = _stable(cs, stability)

@@ -7,6 +7,7 @@ tests must not mutate them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,3 +74,23 @@ def stage_64() -> Stage:
 @pytest.fixture(scope="session")
 def stage_128() -> Stage:
     return interval_stage(128)
+
+
+@pytest.fixture
+def transforms(monkeypatch) -> list:
+    """Record every coefficient transform U^T f: each call of
+    calculus.spectral_coefficients, through whichever module calls it,
+    appends the shape of its input."""
+    from besovlab import calculus
+
+    orig = calculus.spectral_coefficients
+    calls: list = []
+
+    def counted(op, vals):
+        calls.append(np.shape(vals))
+        return orig(op, vals)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("besovlab.") and getattr(mod, "spectral_coefficients", None) is orig:
+            monkeypatch.setattr(mod, "spectral_coefficients", counted)
+    return calls

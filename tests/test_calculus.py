@@ -161,8 +161,11 @@ class TestChebyshevRoute:
         st = interval_stage(32)
         f = random_function(st.grid, seed=9)
         j = (st.sys.j_min + st.sys.j_max) // 2
-        dense = bl.dyadic_block(st.op, st.sys, j, path="dense").apply(f)
-        cheb = bl.dyadic_block(st.op, st.sys, j, path="cheb").apply(f)
+        def shell(lam):
+            return st.sys.phi_sqrt(j, lam)
+
+        dense = bl.apply_symbol(st.op, shell, f, path="dense")
+        cheb = bl.apply_symbol(st.op, shell, f, path="cheb")
         np.testing.assert_allclose(cheb.values, dense.values, atol=1e-8)
 
     def test_works_without_eigendata(self):
@@ -249,14 +252,14 @@ class TestOpNorm:
     def test_l1_exact_vs_basis_probe(self):
         st = interval_stage(16)
         fun = self._heat_fun(st)
-        res = fun.opnorm(1.0)
+        res = bl.opnorm(fun, 1.0)
         assert res.exact
         best = 0.0
         for y in range(st.grid.num_nodes):
             e = np.zeros(st.grid.num_nodes)
             e[y] = 1.0
             ef = bl.GridFunction(st.grid, e)
-            best = max(best, bl.lp_norm(fun.apply(ef), 1.0) / bl.lp_norm(ef, 1.0))
+            best = max(best, bl.lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), 1.0) / bl.lp_norm(ef, 1.0))
         np.testing.assert_allclose(res.value, best, rtol=1e-12)
 
     def test_linf_is_transpose_of_l1(self):
@@ -264,13 +267,13 @@ class TestOpNorm:
         fun = self._heat_fun(st)
         # self-adjoint kernel: L1 and Linf norms agree
         np.testing.assert_allclose(
-            fun.opnorm(1.0).value, fun.opnorm(np.inf).value, rtol=1e-12
+            bl.opnorm(fun, 1.0).value, bl.opnorm(fun, np.inf).value, rtol=1e-12
         )
 
     def test_l2_is_spectral_sup(self):
         st = interval_stage(16)
         fun = self._heat_fun(st, t=0.02)
-        res = fun.opnorm(2.0)
+        res = bl.opnorm(fun, 2.0)
         assert res.exact
         np.testing.assert_allclose(res.value, np.exp(-0.02 * st.op.eigvals[0]), rtol=1e-13)
 
@@ -285,17 +288,17 @@ class TestOpNorm:
                 e = np.zeros(st.grid.num_nodes)
                 e[y] = 1.0
                 ef = bl.GridFunction(st.grid, e)
-                best = max(best, bl.lp_norm(fun.apply(ef), p) / bl.lp_norm(ef, 1.0))
+                best = max(best, bl.lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), p) / bl.lp_norm(ef, 1.0))
             np.testing.assert_allclose(res.value, best, rtol=1e-12)
 
     def test_probed_norm_is_lower_bound(self):
         st = interval_stage(16)
         fun = self._heat_fun(st)
-        probed = fun.opnorm(1.7)
+        probed = bl.opnorm(fun, 1.7)
         assert not probed.exact
         # Interpolation: for self-adjoint kernels the Lp norm sits below
         # max(L1, Linf) for every p.
-        cap = max(fun.opnorm(1.0).value, fun.opnorm(np.inf).value)
+        cap = max(bl.opnorm(fun, 1.0).value, bl.opnorm(fun, np.inf).value)
         assert 0.0 < probed.value <= cap * (1 + 1e-12)
 
     def test_probing_deterministic_in_seed(self):
@@ -308,17 +311,24 @@ class TestOpNorm:
     def test_exponent_guard(self):
         st = interval_stage(16)
         with pytest.raises(bl.InvalidExponent):
-            self._heat_fun(st).opnorm(0.5)
+            bl.opnorm(self._heat_fun(st), 0.5)
+
+
+def _block(op, sys, kind, coeff, j=None):
+    """One dyadic block (kind psi, phi or fat) from the coefficients U^T f."""
+    return bl.spectral_synthesis(op, op.dyadic_weights(sys, kind, j), coeff)
 
 
 class TestBlockFactories:
+    """Dyadic blocks as syntheses of memoized weights from one transform."""
+
     def test_fat_block_absorbs_block(self):
         st = interval_stage(32)
         f = random_function(st.grid, seed=16)
         j = (st.sys.j_min + st.sys.j_max) // 2
-        blocked = bl.dyadic_block(st.op, st.sys, j).apply(f)
-        fat = bl.fat_block(st.op, st.sys, j).apply(blocked)
-        np.testing.assert_allclose(fat.values, blocked.values, atol=1e-12)
+        blocked = _block(st.op, st.sys, "phi", bl.spectral_coefficients(st.op, f.values), j)
+        fat = _block(st.op, st.sys, "fat", bl.spectral_coefficients(st.op, blocked), j)
+        np.testing.assert_allclose(fat, blocked, atol=1e-12)
 
     def test_psi_block_is_identity_on_low_modes(self):
         # Scale the operator so part of the spectrum sits below 1.
@@ -327,15 +337,16 @@ class TestBlockFactories:
         assert op.eigvals[0] < 1.0
         sys = bl.build_system(op.lam_pos_min, op.lam_max)
         u = bl.single_eigenvector(op, 0)
-        out = bl.psi_block(op, sys).apply(u)
-        np.testing.assert_allclose(out.values, u.values, rtol=1e-12)
+        out = _block(op, sys, "psi", bl.spectral_coefficients(op, u.values))
+        np.testing.assert_allclose(out, u.values, rtol=1e-12)
 
     def test_blocks_resolve_identity(self):
         st = interval_stage(64)
         f = random_function(st.grid, seed=17)
-        acc = bl.psi_block(st.op, st.sys).apply(f).values.copy()
+        coeff = bl.spectral_coefficients(st.op, f.values)
+        acc = _block(st.op, st.sys, "psi", coeff)
         for j in st.sys.inhom_window:
-            acc += bl.dyadic_block(st.op, st.sys, j).apply(f).values
+            acc += _block(st.op, st.sys, "phi", coeff, j)
         np.testing.assert_allclose(acc, f.values, atol=1e-10 * bl.lp_norm(f, np.inf))
 
 
@@ -374,9 +385,10 @@ class TestSpectralProductProperties:
         op = diagonal_operator(lams)
         sys = bl.build_system(op.lam_pos_min, op.lam_max, op.lam0)
         f = random_function(op.grid, seed=seed).values
-        acc = bl.psi_block(op, sys).apply(f)
+        coeff = bl.spectral_coefficients(op, f)
+        acc = _block(op, sys, "psi", coeff)
         for j in sys.inhom_window:
-            acc = acc + bl.dyadic_block(op, sys, j).apply(f)
+            acc = acc + _block(op, sys, "phi", coeff, j)
         assert np.abs(acc - f).max() <= 1e-13 * np.abs(f).max()
 
     @settings(max_examples=30, deadline=None)

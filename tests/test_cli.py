@@ -5,18 +5,24 @@ one test goes through ``python -m besovlab`` to cover the module entry.
 """
 
 import csv
+import inspect
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.cli import main
 from besovlab.config import as_exponent, load_config, make_config, prevalidate_windows
 from besovlab.errors import ConfigInvalid
+from besovlab.verify import CHECKS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -159,6 +165,101 @@ def test_bad_heat_t_grid_exits_two_with_failure(tmp_path, t_grid):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert manifest["failure"].startswith("InvalidCheckParameter")
+
+
+@pytest.mark.parametrize(
+    "entry, param",
+    [
+        ({"name": "duality", "p": "two"}, "p"),
+        ({"name": "bernstein", "pairs": [[1]]}, "pairs"),
+        ({"name": "subspace_characterization", "p": 0}, "p"),
+    ],
+)
+def test_malformed_check_kwargs_exit_two_naming_the_parameter(tmp_path, entry, param):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, checks=[{"name": "resolution_identity"}, entry], out=str(out))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["failure"].startswith("InvalidCheckParameter")
+    assert f"checks/1 ({entry['name']})" in manifest["failure"]
+    assert repr(param) in manifest["failure"]
+
+
+def test_non_numeric_equivalence_index_rejected_at_validation(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        h=[0.25],
+        checks=[{"name": "equivalence_AV_A0", "s": "half"}],
+        out=str(out),
+    )
+    assert main(["verify", "--config", str(cfg)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"].startswith("ConfigInvalid: checks/0 (equivalence_AV_A0)")
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.integers(-2, 4),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(["two", "inf", ""]),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=4),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+)
+
+
+@st.composite
+def _check_entries(draw):
+    name = draw(st.sampled_from(sorted(CHECKS)))
+    params = sorted(
+        set(inspect.signature(CHECKS[name]).parameters) - {"stages", "family", "config_hash"}
+    )
+    keys = draw(st.lists(st.sampled_from(params), max_size=3, unique=True))
+    return {"name": name, **{k: draw(_VALUES) for k in keys}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(entry=_check_entries())
+def test_exit_codes_total_over_check_kwargs(entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = write_config(Path(tmp), checks=[entry], out=str(out))
+        code = main(["verify", "--config", str(cfg)])
+        manifest = json.loads((out / "manifest.json").read_text())
+    assert code in (0, 1, 2, 3)
+    if manifest["status"] == "error":
+        assert manifest["failure"] is not None
+        assert code in (2, 3)
+    assert (code == 1) == (manifest["status"] == "checks-failed")
+
+
+def test_norms_transform_once_per_request_and_stage(tmp_path, transforms):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        h=[0.0625, 0.03125],
+        norms=[
+            {"kind": "besov", "s": 0.5, "p": 2, "q": 2},
+            {"kind": "besov", "s": -0.5, "p": 4, "q": 1, "homogeneous": True},
+            {"kind": "sobolev", "s": 1, "variant": "shifted"},
+            {"kind": "lorentz", "p": 2, "q": "inf"},
+        ],
+        family={"tag": "random-eigenmix", "count": 5},
+        out=str(out),
+    )
+    assert main(["norms", "--config", str(cfg)]) == 0
+    assert len(transforms) == 3 * 2
+    rows = read_rows(out / "norms.csv")
+    # stage-major, then request, then function
+    assert [(r["h"], r["kind"], r["func"]) for r in rows[:6]] == [
+        ("0.0625", "besov", str(i)) for i in range(5)
+    ] + [("0.0625", "besov", "0")]
+    assert len(rows) == 2 * 4 * 5
 
 
 def test_dense_cap_exits_three(tmp_path):

@@ -25,7 +25,8 @@ class TestBlockNorms:
         for p in (1.0, 2.0, 3.5, np.inf):
             norms = bl.block_lp_norms(st_.op, st_.sys, f, p)[:, 0]
             for i, j in enumerate(st_.sys.window):
-                direct = bl.lp_norm(bl.dyadic_block(st_.op, st_.sys, j).apply(f), p)
+                shell = bl.apply_symbol(st_.op, lambda lam: st_.sys.phi_sqrt(j, lam), f)
+                direct = bl.lp_norm(shell, p)
                 np.testing.assert_allclose(norms[i], direct, rtol=1e-12, atol=1e-15)
 
     def test_eigenbasis_oracle_p2(self):
@@ -99,7 +100,7 @@ class TestBesovNorm:
         s, p, q = 0.8, 2.0, 2.0
         blocks = bl.block_lp_norms(st_.op, st_.sys, f, p, list(st_.sys.inhom_window))[:, 0]
         weights = 2.0 ** (s * np.arange(st_.sys.inhom_window.start, st_.sys.inhom_window.stop))
-        expected = bl.psi_lp_norms(st_.op, st_.sys, f, p)[0] + math.sqrt(
+        expected = bl.lp_norm(bl.apply_symbol(st_.op, st_.sys.psi, f), p) + math.sqrt(
             np.sum((weights * blocks) ** 2)
         )
         np.testing.assert_allclose(
@@ -114,6 +115,15 @@ class TestBesovNorm:
                               1.0, 2.0, 1.0, homogeneous=hom)
             b = bl.besov_norm(st_.op, st_.sys, f, 1.0, 2.0, 1.0, homogeneous=hom)
             np.testing.assert_allclose(a, 2.5 * b, rtol=1e-12)
+
+    @pytest.mark.parametrize("hom", [False, True])
+    def test_one_transform_per_call(self, transforms, hom):
+        st_ = interval_stage(32)
+        block = np.random.default_rng(8).standard_normal((st_.grid.num_nodes, 3))
+        for f in (block, block[:, 0], bl.GridFunction(st_.grid, block[:, 1])):
+            before = len(transforms)
+            bl.besov_norm(st_.op, st_.sys, f, 0.5, 2.0, 2.0, homogeneous=hom)
+            assert len(transforms) - before == 1
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -165,13 +165,12 @@ class TestDyadicWeights:
         monkeypatch.setattr(bl.DyadicSystem, "phi_sqrt", count_phi)
         monkeypatch.setattr(bl.DyadicSystem, "psi", count_psi)
         f = np.random.default_rng(3).standard_normal((op.num_nodes, 2))
+        coeff = bl.spectral_coefficients(op, f)
         for _ in range(2):
             for j in sys.window:
-                op.dyadic_weights(sys, "phi", j)
-                op.dyadic_weights(sys, "fat", j)
-                bl.dyadic_block(op, sys, j).apply(f)
-                bl.fat_block(op, sys, j).apply(f)
-            bl.psi_block(op, sys).apply(f)
+                bl.spectral_synthesis(op, op.dyadic_weights(sys, "phi", j), coeff)
+                bl.spectral_synthesis(op, op.dyadic_weights(sys, "fat", j), coeff)
+            bl.spectral_synthesis(op, op.dyadic_weights(sys, "psi"), coeff)
             bl.besov_norm(op, sys, f, 0.5, 2.0, 2.0)
             bl.block_lp_norms(op, sys, f, 1.0)
         assert len(calls) == len(set(calls))

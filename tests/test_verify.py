@@ -428,6 +428,40 @@ def test_lorentz_bernstein_exponent_order():
 
 
 # ---------------------------------------------------------------------------
+# coefficient transforms: one per input set, every block synthesized from it
+# ---------------------------------------------------------------------------
+
+DISK_FAM = V.FunctionFamily(count=8)
+
+
+def test_bernstein_family_transforms_once_per_stage(transforms):
+    stages = disk_stages((16,))
+    V.check_bernstein(stages, DISK_FAM)
+    assert len(transforms) == len(stages)
+
+
+def test_duality_transform_budget(transforms):
+    # two Besov norms over the family, then per function one transform of
+    # f, one of its stacked duals and one for the norm of the dual pair
+    V.check_duality(disk_stages((16,)), DISK_FAM)
+    assert len(transforms) <= 2 + 3 * DISK_FAM.count
+
+
+def test_embeddings_transform_budget(transforms):
+    # six Besov norms and the seminorm of each of the eight mollifiers
+    V.check_embeddings(disk_stages((16,)), DISK_FAM)
+    assert len(transforms) <= 16
+
+
+def test_lorentz_bernstein_transforms_once_per_operator(transforms):
+    V.check_lorentz_bernstein(line_stages((64,)), FAM)
+    assert len(transforms) == 1
+    del transforms[:]
+    V.check_lorentz_bernstein(line_stages((64,), potential="-30"), FAM)
+    assert len(transforms) == 2
+
+
+# ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
 
