@@ -57,6 +57,7 @@ from .operators import (
     assemble_schrodinger,
     dirichlet_energy,
     eigendecompose,
+    laplacian_bounds,
     load_operator,
     quadratic_form,
     save_operator,

@@ -382,12 +382,15 @@ class OpNorm:
 
 
 def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
-                 probes: int = 16, seed: int = 0) -> OpNorm:
+                 probes: int = 16, seed: int = 0,
+                 kern: KernelMatrix | None = None) -> OpNorm:
     """Operator norm L^r -> L^p of g(A).
 
     Exact branches: r = 1 (kernel column L^p norms), p = inf (kernel row
     L^r' norms), r = p = 2 (max |g| over the spectrum).  Anything else is a
-    randomized lower bound and is flagged exact=False.
+    randomized lower bound and is flagged exact=False.  ``kern`` is
+    kernel(opfun) when the caller has formed it already, so several
+    exponent pairs can read one kernel.
     """
     if not (r >= 1.0) or not (p >= 1.0):
         raise InvalidExponent(f"operator norm needs exponents >= 1, got ({r}, {p})")
@@ -395,12 +398,14 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
     meas = op.grid.cell_measure
     if r == 2.0 and p == 2.0:
         return OpNorm(float(np.max(np.abs(opfun.on_spectrum()))), True, r, p)
+    if r == 1.0 or math.isinf(p):
+        kern = kernel(opfun) if kern is None else kern
     if r == 1.0:
-        return OpNorm(float(lp_columns(kernel(opfun).values, meas, p).max()), True, r, p)
+        return OpNorm(float(lp_columns(kern.values, meas, p).max()), True, r, p)
     if math.isinf(p):
         # dual of the r=1 case: rows in L^r'
         rr = 1.0 if math.isinf(r) else r / (r - 1.0)
-        return OpNorm(float(lp_columns(kernel(opfun).values.T, meas, rr).max()), True, r, p)
+        return OpNorm(float(lp_columns(kern.values.T, meas, rr).max()), True, r, p)
 
     # probe k is z[k, 0] + i z[k, 1], one column per probe
     z = np.random.default_rng(seed).standard_normal((probes, 2, op.num_nodes))

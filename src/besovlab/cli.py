@@ -50,7 +50,14 @@ from .errors import (
     SolverFailure,
 )
 from .norms import besov_norm, lorentz_norm, sobolev_norm
-from .operators import _FORMAT_VERSION, load_operator, save_operator
+from .operators import (
+    _FORMAT_VERSION,
+    SpectralOperator,
+    assemble_laplacian,
+    eigendecompose,
+    load_operator,
+    save_operator,
+)
 from .verify import CHECKS, Stage, build_stage
 
 __all__ = ["main"]
@@ -87,6 +94,7 @@ def _stage_key(cfg: RunConfig, h: float) -> str:
             "trunc_radius": cfg.trunc_radius,
             "dense_cap": cfg.dense_cap,
             "format": _FORMAT_VERSION,
+            "version": __version__,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -98,21 +106,36 @@ def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
     """Build one resolution stage, reusing the binary operator cache.
 
     Cache entries are keyed by the operator-determining part of the config
-    (domain, spacing, potential, truncation, dense cap) and the cache
-    format version, so verify/norms/spectrum runs over the same setup share
-    the eigendecompositions.  An entry that cannot be read is rebuilt.
+    (domain, spacing, potential, truncation, dense cap), the cache format
+    version and the package version, so verify/norms/spectrum runs over the
+    same setup share the eigendecompositions.  ``op-*.bin`` holds A_V and
+    is all a stage needs; ``op0-*.bin`` holds the decomposed A_0 and is
+    read, or decomposed and written, only when something reads
+    ``stage.op0``.  An entry that cannot be read is rebuilt.
     """
     key = _stage_key(cfg, h)
     op_path = cache_dir / f"op-{key}.bin"
     op0_path = cache_dir / f"op0-{key}.bin"
-    has_v = cfg.potential is not None
-    if op_path.exists() and (not has_v or op0_path.exists()):
+
+    def resolve_op0(op0: SpectralOperator) -> SpectralOperator:
+        if op0_path.exists():
+            try:
+                return load_operator(op0_path)
+            except (OSError, SolverFailure) as exc:
+                print(f"warning: rebuilding unreadable operator cache op0-{key}: {exc}",
+                      file=sys.stderr)
+        eigendecompose(op0, cfg.dense_cap)
+        save_operator(op0, op0_path)
+        return op0
+
+    if op_path.exists():
         try:
             op = load_operator(op_path)
-            op0 = load_operator(op0_path) if has_v else op
-            return Stage.from_operators(op, op0, cfg.profile)
         except (OSError, SolverFailure) as exc:
             print(f"warning: rebuilding unreadable operator cache {key}: {exc}", file=sys.stderr)
+        else:
+            op0 = op if cfg.potential is None else assemble_laplacian(op.grid)
+            return Stage.from_operators(op, op0, cfg.profile, resolve_op0)
     stage = build_stage(
         cfg.domain_spec(),
         h,
@@ -120,11 +143,10 @@ def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
         profile=cfg.profile,
         dense_cap=cfg.dense_cap,
         trunc_radius=cfg.trunc_radius,
+        resolve_op0=resolve_op0,
     )
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_operator(stage.op, op_path)
-    if stage.op0 is not stage.op:
-        save_operator(stage.op0, op0_path)
     return stage
 
 

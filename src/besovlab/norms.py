@@ -35,7 +35,7 @@ from .errors import (
     NegativeShiftedEigenvalue,
     ZeroEigenvaluePresent,
 )
-from .geometry import GridFunction, lp_columns, lp_norm
+from .geometry import GridFunction, lp_columns
 from .operators import SpectralOperator
 
 __all__ = [
@@ -169,26 +169,27 @@ def sobolev_norm(op: SpectralOperator, f, s: float, variant: str = "plain"):
     return float(res[0]) if single else res
 
 
-def test_seminorms(
-    op: SpectralOperator, sys: DyadicSystem, f, M: float
-) -> tuple[float, float]:
-    """Test-space seminorm pair (p_M, q_M) for a single function:
+def test_seminorms(op: SpectralOperator, sys: DyadicSystem, f, M: float):
+    """Test-space seminorm pair (p_M, q_M):
 
     p_M = ||f||_1 + sup_(j>=1) 2^(M j)   ||phi_j f||_1
     q_M = ||f||_1 + sup_(window) 2^(M|j|) ||phi_j f||_1
+
+    Floats for a single function; for batched columns, two arrays with
+    every block synthesized from one transform.
     """
-    if isinstance(f, np.ndarray) and f.ndim == 2:
-        raise InvalidExponent("test_seminorms expects a single function")
-    base = lp_norm(f if isinstance(f, GridFunction) else GridFunction(op.grid, f), 1.0)
+    vals = _columns(f, op)
+    base = lp_columns(vals, op.grid.cell_measure, 1.0)
     js = list(sys.window)
-    norms = block_lp_norms(op, sys, f, 1.0, js)[:, 0]
-    j_arr = np.asarray(js, float)
-    inh = j_arr >= 1.0
+    norms = block_lp_norms(op, sys, vals, 1.0, js)
+    j_arr = np.asarray(js, float)[:, None]
+    inh = j_arr[:, 0] >= 1.0
     p_val = base
     if inh.any():
-        p_val = base + float(np.max(2.0 ** (M * j_arr[inh]) * norms[inh]))
-    q_val = base + float(np.max(2.0 ** (M * np.abs(j_arr)) * norms))
-    return p_val, q_val
+        p_val = base + np.max(2.0 ** (M * j_arr[inh]) * norms[inh], axis=0)
+    q_val = base + np.max(2.0 ** (M * np.abs(j_arr)) * norms, axis=0)
+    single = not (isinstance(f, np.ndarray) and f.ndim == 2)
+    return (float(p_val[0]), float(q_val[0])) if single else (p_val, q_val)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ Potentials act as diagonal multiplication by their node samples.
 
 Eigendecompositions are dense and cached on the operator; a configurable
 cap guards against accidentally decomposing a matrix that is too large.
+The extreme eigenvalues of the free Laplacian, which is all the dyadic
+window needs of it, come from one sparse Lanczos solve instead.
 Operators (with grid, CSR matrix, potential and eigendata) can be saved to
 and loaded from a little-endian binary cache file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
     DenseCapExceeded,
@@ -38,6 +42,7 @@ __all__ = [
     "assemble_laplacian",
     "assemble_schrodinger",
     "eigendecompose",
+    "laplacian_bounds",
     "quadratic_form",
     "dirichlet_energy",
     "single_eigenvector",
@@ -53,6 +58,12 @@ _HEADER = "<IIQd"  # version, dimension, node count, spacing
 _COUNTS = "<IQ"  # flags, matrix nonzeros
 _FLAG_POTENTIAL = 1
 _FLAG_EIGEN = 2
+
+# smaller matrices take the dense solve (ARPACK wants k well below N)
+_LANCZOS_MIN_NODES = 16
+# distance in log4 from a power of 4 below which a Lanczos estimate could
+# land on the other side of a dyadic window edge than the dense eigenvalue
+_WINDOW_EDGE_GUARD = 1e-9
 
 
 @dataclass
@@ -229,6 +240,60 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     op.eigvals = vals
     op.eigvecs = vecs * signs
     return op
+
+
+def _near_power_of_4(lam: float) -> bool:
+    level = math.log(lam, 4.0)
+    return abs(level - round(level)) < _WINDOW_EDGE_GUARD
+
+
+def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a free Dirichlet Laplacian.
+
+    Read off the eigendata when ``op`` has it.  Otherwise lam_min comes from
+    one Lanczos solve (ARPACK, smallest algebraic, started from the all-ones
+    vector, which overlaps the positive ground state) and lam_max is
+    4n/h^2 - lam_min: the masked lattice is bipartite and the diagonal is
+    the constant 2n/h^2, so the spectrum is symmetric about 2n/h^2.  The top
+    eigenvalue is not solved for directly because the all-ones vector can
+    be orthogonal to its eigenvector (an interval with an even node count).
+
+    The dyadic window takes floor and ceil of log4 of these bounds.  When
+    an estimate lies within 1e-9 of a power of 4 in log4, when ARPACK
+    fails, or for a tiny matrix, the bounds come from dense eigenvalues
+    instead, so the window is the one the dense spectrum gives.  ``op``
+    itself is left without eigendata.
+
+    Examples
+    --------
+    The interval (0, 1) at h = 1/64 has the closed-form extremes
+    4/h^2 sin^2(pi h/2) and 4/h^2 cos^2(pi h/2):
+
+    >>> from .geometry import interval, build_grid
+    >>> h = 1 / 64
+    >>> op = assemble_laplacian(build_grid(interval(0.0, 1.0), h))
+    >>> lo, hi = laplacian_bounds(op)
+    >>> exact = 4 / h**2 * np.sin(np.pi * h / 2) ** 2, 4 / h**2 * np.cos(np.pi * h / 2) ** 2
+    >>> bool(np.allclose((lo, hi), exact, rtol=1e-12)), op.has_eigendata
+    (True, False)
+    """
+    if op.potential is not None:
+        raise ValueError("laplacian_bounds needs the potential-free operator")
+    if op.has_eigendata:
+        return op.lam_min, op.lam_max
+    N = op.num_nodes
+    if N >= _LANCZOS_MIN_NODES:
+        try:
+            (lo,) = eigsh(op.matrix, k=1, which="SA", tol=0, v0=np.ones(N),
+                          return_eigenvectors=False)
+        except ArpackError:
+            lo = math.nan
+        lo = float(lo)
+        hi = 4.0 * op.grid.n / op.grid.h**2 - lo
+        if 0.0 < lo <= hi and not (_near_power_of_4(lo) or _near_power_of_4(hi)):
+            return lo, hi
+    vals = np.linalg.eigvalsh(op.matrix.toarray())
+    return float(vals[0]), float(vals[-1])
 
 
 def quadratic_form(op: SpectralOperator, f: GridFunction) -> float:

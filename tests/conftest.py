@@ -94,3 +94,25 @@ def transforms(monkeypatch) -> list:
         if name.startswith("besovlab.") and getattr(mod, "spectral_coefficients", None) is orig:
             monkeypatch.setattr(mod, "spectral_coefficients", counted)
     return calls
+
+
+@pytest.fixture
+def eigensolves(monkeypatch) -> list:
+    """Record every dense eigensolve: each call of
+    operators.eigendecompose on an operator without eigendata, through
+    whichever module calls it, appends whether the operator is the free
+    Laplacian (no potential)."""
+    from besovlab import operators
+
+    orig = operators.eigendecompose
+    calls: list = []
+
+    def counted(op, *args, **kwargs):
+        if not op.has_eigendata:
+            calls.append(op.potential is None)
+        return orig(op, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("besovlab") and getattr(mod, "eigendecompose", None) is orig:
+            monkeypatch.setattr(mod, "eigendecompose", counted)
+    return calls

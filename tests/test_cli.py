@@ -8,6 +8,8 @@ import csv
 import inspect
 import json
 import math
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import besovlab
+from besovlab import cli
 from besovlab.cli import main
 from besovlab.config import as_exponent, load_config, make_config, prevalidate_windows
 from besovlab.errors import ConfigInvalid
@@ -382,10 +386,80 @@ def test_operator_cache_reused(tmp_path):
     cfg = write_config(tmp_path, potential="-5", out=str(out))
     assert main(["spectrum", "--config", str(cfg)]) == 0
     cache = sorted((out / "cache").glob("*.bin"))
-    assert len(cache) == 2  # potential and free operator
+    # A_V only: spectrum never reads A_0, so its entry is not written
+    assert [p.name[:3] for p in cache] == ["op-"]
     stamps = [p.stat().st_mtime_ns for p in cache]
     assert main(["spectrum", "--config", str(cfg)]) == 0
     assert [p.stat().st_mtime_ns for p in sorted((out / "cache").glob("*.bin"))] == stamps
+
+
+def _without_wall_ms(path):
+    rows = [r for r in csv.reader(path.read_text().splitlines())]
+    col = rows[0].index("wall_ms")
+    return [r[:col] + r[col + 1:] for r in rows]
+
+
+def _equivalence_config(tmp_path, out, h=(0.25, 0.125)):
+    """A disk with a potential whose only check reads A_0."""
+    return write_config(
+        tmp_path,
+        name=f"{out}.json",
+        domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        h=list(h),
+        potential="2",
+        norms=[{"kind": "besov", "s": 0.5, "p": 2.0, "q": 2.0}],
+        checks=[{"name": "equivalence_AV_A0"}],
+        out=str(tmp_path / out),
+    )
+
+
+def test_free_operator_solved_and_cached_on_first_use(tmp_path, eigensolves):
+    cfg, cache = _equivalence_config(tmp_path, "out"), tmp_path / "out" / "cache"
+    assert main(["norms", "--config", str(cfg)]) == 0
+    assert eigensolves == [False, False]  # A_V per stage
+    assert [p.name[:3] for p in cache.glob("*.bin")] == ["op-", "op-"]
+    norms = (tmp_path / "out" / "norms.csv").read_bytes()
+
+    verifies = []
+    for solves in ([True, True], []):  # A_0 per stage, then none
+        del eigensolves[:]
+        assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+        assert eigensolves == solves
+        assert len(list(cache.glob("op0-*.bin"))) == 2
+        verifies.append(_without_wall_ms(tmp_path / "out" / "verify.csv"))
+
+    fresh = _equivalence_config(tmp_path, "fresh")
+    assert main(["norms", "--config", str(fresh)]) == 0
+    assert (tmp_path / "fresh" / "norms.csv").read_bytes() == norms
+    shutil.rmtree(tmp_path / "fresh" / "cache")
+    assert main(["verify", "--config", str(fresh), "--report-only"]) == 0
+    assert verifies == [_without_wall_ms(tmp_path / "fresh" / "verify.csv")] * 2
+
+
+def test_damaged_free_operator_cache_is_rebuilt(tmp_path):
+    cfg = _equivalence_config(tmp_path, "out", h=[0.25])
+    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+    expected = _without_wall_ms(tmp_path / "out" / "verify.csv")
+    (entry,) = (tmp_path / "out" / "cache").glob("op0-*.bin")
+    raw = entry.read_bytes()
+    entry.write_bytes(raw[: len(raw) // 2])
+    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+    assert _without_wall_ms(tmp_path / "out" / "verify.csv") == expected
+    assert entry.read_bytes() == raw
+
+
+def test_stage_key_includes_package_version(monkeypatch):
+    cfg = make_config({"domain": {"kind": "interval", "a": 0.0, "b": 1.0}, "h": [0.5]})
+    key = cli._stage_key(cfg, 0.5)
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    assert cli._stage_key(cfg, 0.5) != key
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert besovlab.__version__ == version
 
 
 @pytest.mark.parametrize("damage", ["truncate", "bad-magic"])

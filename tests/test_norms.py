@@ -244,6 +244,15 @@ class TestSeminorms:
         assert all(a[0] <= b[0] * (1 + 1e-12) for a, b in zip(pairs, pairs[1:]))
         assert all(a[1] <= b[1] * (1 + 1e-12) for a, b in zip(pairs, pairs[1:]))
 
+    def test_batched_columns_match_single(self, transforms):
+        st_ = interval_stage(32)
+        cols = np.column_stack([random_function(st_.grid, seed=k).values for k in range(4)])
+        p_vals, q_vals = bl.test_seminorms(st_.op, st_.sys, cols, 2)
+        assert len(transforms) == 1
+        for i in range(cols.shape[1]):
+            single = bl.test_seminorms(st_.op, st_.sys, cols[:, i], 2)
+            np.testing.assert_allclose((p_vals[i], q_vals[i]), single, rtol=1e-12)
+
     def test_tail_profile_decays_for_smooth_bump(self):
         # A smooth bump has rapidly decaying block norms, so the weighted
         # tail profile stays bounded and trails off at the window ends.

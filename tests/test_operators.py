@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import besovlab as bl
 
@@ -137,6 +138,58 @@ class TestEigendata:
         op = bl.eigendecompose(bl.assemble_schrodinger(g, np.full(g.num_nodes, -500.0)))
         assert op.lam_min < 0.0
         np.testing.assert_allclose(op.lam0, np.sqrt(-op.lam_min), rtol=1e-14)
+
+
+class TestLaplacianBounds:
+    """Extremes of the free Laplacian without its eigendecomposition."""
+
+    @pytest.mark.parametrize(
+        "spec, h",
+        [
+            (bl.interval(0.0, 1.0), 1 / 64),
+            (bl.interval(0.0, 1.0), 1 / 65),  # ones is orthogonal to the top mode
+            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 16),
+            (bl.ball([0.0, 0.0], 1.0), 1 / 16),
+            (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 6),
+        ],
+    )
+    def test_window_equals_dense_window(self, spec, h):
+        op = bl.assemble_laplacian(bl.build_grid(spec, h))
+        lo, hi = bl.laplacian_bounds(op)
+        assert not op.has_eigendata
+        vals = np.linalg.eigh(op.matrix.toarray())[0]
+        np.testing.assert_allclose([lo, hi], [vals[0], vals[-1]], rtol=1e-10)
+        est, dense = bl.build_system(lo, hi), bl.build_system(vals[0], vals[-1])
+        assert (est.j_min, est.j_max) == (dense.j_min, dense.j_max)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_estimate_near_power_of_4_takes_dense_path(self, monkeypatch, side):
+        # at h = 1/65, 4n/h^2 = 16900 puts lam_max = 16384 = 4^7 within reach
+        op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 65))
+        if side == "lo":
+            fake = 4.0**2 * (1.0 + 1e-12)
+        else:
+            fake = 4.0 / op.grid.h**2 - 4.0**7 * (1.0 + 1e-12)
+        monkeypatch.setattr(bl.operators, "eigsh", lambda *a, **k: np.array([fake]))
+        vals = np.linalg.eigvalsh(op.matrix.toarray())
+        assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
+
+    def test_arpack_failure_takes_dense_path(self, monkeypatch):
+        op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 64))
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(bl.operators, "eigsh", fail)
+        vals = np.linalg.eigvalsh(op.matrix.toarray())
+        assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
+
+    def test_eigendata_read_and_potential_rejected(self):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 8)
+        op = bl.eigendecompose(bl.assemble_laplacian(g))
+        assert bl.laplacian_bounds(op) == (op.lam_min, op.lam_max)
+        with pytest.raises(ValueError):
+            bl.laplacian_bounds(bl.assemble_schrodinger(g, np.ones(g.num_nodes)))
 
 
 class TestDyadicWeights:

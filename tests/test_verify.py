@@ -99,6 +99,19 @@ def test_boundary_layer_peaks_at_the_boundary():
         assert min(peak, 1.0 - peak) <= 2.0 * stage.h
 
 
+def test_free_operator_decomposed_on_first_read(eigensolves):
+    stage = V.build_stage(bl.ball([0.0, 0.0], 1.0), 1 / 16, potential="0.25/r^2")
+    assert eigensolves == [False]  # A_V only
+    op0 = stage.op0
+    assert eigensolves == [False, True] and op0.has_eigendata
+    assert stage.op0 is op0 and eigensolves == [False, True]
+    # the window the dense spectra of both operators give
+    dense = bl.build_system(
+        min(stage.op.lam_pos_min, op0.lam_pos_min), max(stage.op.lam_max, op0.lam_max)
+    )
+    assert (stage.sys.j_min, stage.sys.j_max) == (dense.j_min, dense.j_max)
+
+
 def test_build_stage_accepts_potential_forms():
     spec = bl.interval(0.0, 1.0)
     st0 = V.build_stage(spec, 1 / 16)
@@ -441,16 +454,38 @@ def test_bernstein_family_transforms_once_per_stage(transforms):
 
 
 def test_duality_transform_budget(transforms):
-    # two Besov norms over the family, then per function one transform of
-    # f, one of its stacked duals and one for the norm of the dual pair
+    # two Besov norms over the family, per function one transform of f and
+    # one of its stacked duals, and one for the norms of all dual pairs
     V.check_duality(disk_stages((16,)), DISK_FAM)
-    assert len(transforms) <= 2 + 3 * DISK_FAM.count
+    assert len(transforms) <= 2 + 2 * DISK_FAM.count + 1
 
 
 def test_embeddings_transform_budget(transforms):
-    # six Besov norms and the seminorm of each of the eight mollifiers
+    # eight Besov norms and one for the seminorms of all mollifiers
     V.check_embeddings(disk_stages((16,)), DISK_FAM)
-    assert len(transforms) <= 16
+    assert len(transforms) <= 9
+
+
+def test_bernstein_opnorm_forms_each_kernel_once(monkeypatch):
+    from besovlab import calculus
+
+    stages = line_stages((64,))
+    orig = calculus.kernel
+    names: list = []
+
+    def counted(opfun):
+        names.append(opfun.name)
+        return orig(opfun)
+
+    monkeypatch.setattr(calculus, "kernel", counted)
+    monkeypatch.setattr(V, "kernel", counted)
+    rep = V.check_bernstein(stages, family=None)
+    # nine shells times two lifts, each kernel read by (1, inf) and (1, 2)
+    assert len(names) == len(set(names)) == 18
+    # against each pair forming its own kernel: not a bit moves
+    single = calculus.mixed_opnorm
+    monkeypatch.setattr(V, "mixed_opnorm", lambda opfun, r, p, kern=None: single(opfun, r, p))
+    assert V.check_bernstein(stages, family=None).constants == rep.constants
 
 
 def test_lorentz_bernstein_transforms_once_per_operator(transforms):
