@@ -20,7 +20,6 @@ from .errors import (
     DenseCapExceeded,
     EmptyDomain,
     GridMismatch,
-    IncompatibleSpacing,
     IndexConstraintViolated,
     InvalidExponent,
     InvalidSpectrumBounds,
@@ -38,9 +37,7 @@ from .geometry import (
     DomainSpec,
     Grid,
     GridFunction,
-    HalfSpace,
     Intersection,
-    Predicate,
     Union,
     ball,
     box,
@@ -48,7 +45,6 @@ from .geometry import (
     interval,
     lp_norm,
     pairing,
-    zero_extend,
 )
 from .dyadic import DyadicSystem, build_system, bump_primitive, chi, second_system
 from .operators import (

@@ -290,7 +290,7 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
         _validate_check_entry(i, entry)
 
     family = {**_DEFAULTS["family"], **data.get("family", {})}
-    return RunConfig(
+    cfg = RunConfig(
         domain=dict(dom),
         h=tuple(sorted((float(v) for v in data["h"]), reverse=True)),
         potential=data.get("potential", _DEFAULTS["potential"]),
@@ -305,6 +305,15 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
         dense_cap=int(data.get("dense_cap", _DEFAULTS["dense_cap"])),
         kernels=bool(data.get("kernels", _DEFAULTS["kernels"])),
     )
+    try:
+        cfg.domain_spec()
+    except ValueError as exc:  # a bounding box that overflows to infinity
+        raise ConfigInvalid(f"at domain: {exc}") from exc
+    return cfg
+
+
+def _reject_constant(name: str):
+    raise ConfigInvalid(f"non-finite number {name} is not allowed; JSON numbers must be finite")
 
 
 def load_config(path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -313,6 +322,7 @@ def load_config(path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     ``overrides`` maps top-level keys to replacement values (None entries
     are ignored); the overridden dict is what gets validated and hashed,
     so command-line flags become part of the effective configuration.
+    The non-standard literals NaN, Infinity and -Infinity are rejected.
     """
     p = Path(path)
     try:
@@ -320,7 +330,7 @@ def load_config(path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {p}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

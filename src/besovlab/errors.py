@@ -26,10 +26,6 @@ class GridMismatch(BesovLabError):
     """Two grid functions (or a function and an operator) live on different grids."""
 
 
-class IncompatibleSpacing(BesovLabError):
-    """Zero-extension target grid does not share the source lattice spacing."""
-
-
 class ComplexPotential(BesovLabError):
     """Potential samples must be real valued."""
 

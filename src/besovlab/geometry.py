@@ -1,11 +1,12 @@
 """Masked uniform lattices on open subsets of R^n, n in {1, 2, 3}.
 
-A domain is described by a small shape tree (boxes, balls, half-spaces and
-boolean combinations).  A grid at spacing h collects the lattice nodes k*h
-(k integer) that fall strictly inside the domain; Dirichlet boundary
-conditions later act by plain mask truncation, so the boundary itself never
-has to be meshed.  Each node owns a cell of measure h^n, which fixes the
-quadrature weight behind every discrete integral in the package.
+A domain is described by a small shape tree (boxes, balls and their
+unions, intersections and complements).  A grid at spacing h collects the
+lattice nodes k*h (k integer) that fall strictly inside the domain;
+Dirichlet boundary conditions later act by plain mask truncation, so the
+boundary itself never has to be meshed.  Each node owns a cell of measure
+h^n, which fixes the quadrature weight behind every discrete integral in
+the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     BudgetExceeded,
     EmptyDomain,
     GridMismatch,
-    IncompatibleSpacing,
     InvalidExponent,
     UnsupportedDimension,
 )
@@ -28,11 +28,9 @@ from .errors import (
 __all__ = [
     "Box",
     "Ball",
-    "HalfSpace",
     "Union",
     "Intersection",
     "Complement",
-    "Predicate",
     "DomainSpec",
     "Grid",
     "GridFunction",
@@ -40,7 +38,6 @@ __all__ = [
     "lp_norm",
     "lp_columns",
     "pairing",
-    "zero_extend",
     "interval",
     "box",
     "ball",
@@ -84,21 +81,6 @@ class Ball:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center, float)
         return c - self.radius, c + self.radius
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """Open half-space {x : <normal, x> < offset}.  Unbounded: needs an explicit bounding box."""
-
-    normal: tuple[float, ...]
-    offset: float
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        nrm = np.asarray(self.normal)
-        return pts @ nrm < self.offset
-
-    def bbox(self) -> None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -153,27 +135,12 @@ class Complement:
 
 
 @dataclass(frozen=True)
-class Predicate:
-    """Arbitrary vectorized membership test with a caller-supplied bounding box."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(pts), bool)
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.lo, float), np.asarray(self.hi, float)
-
-
-@dataclass(frozen=True)
 class DomainSpec:
     """Open domain in R^n given by a shape tree plus a bounding box.
 
     The bounding box is derived from the shapes when possible; unbounded
-    shapes (half-spaces, complements) require an explicit ``bounding_box``,
-    which then acts as a truncation box.
+    shapes (complements) require an explicit ``bounding_box``, which then
+    acts as a truncation box.  It must be finite.
 
     Examples
     --------
@@ -189,11 +156,14 @@ class DomainSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise UnsupportedDimension(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        lo, hi = self.bbox()
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness test below
+            lo, hi = self.bbox()
         if lo.shape != (self.dimension,) or hi.shape != (self.dimension,):
             raise GridMismatch("bounding box dimension does not match domain dimension")
         if not np.all(hi > lo):
             raise EmptyDomain("bounding box has nonpositive volume")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"bounding box must be finite, got {lo} to {hi}")
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         if self.bounding_box is not None:
@@ -314,10 +284,15 @@ def build_grid(spec: DomainSpec, h: float, node_budget: int = _DEFAULT_NODE_BUDG
     lo, hi = spec.bbox()
     n = spec.dimension
 
-    k_lo = np.floor(lo / h).astype(np.int64) - 1
-    k_hi = np.ceil(hi / h).astype(np.int64) + 1
+    with np.errstate(over="ignore"):
+        k_lo = np.floor(lo / h) - 1
+        k_hi = np.ceil(hi / h) + 1
+    # lattice indices stay exact floats below 2^53; the cell count is an
+    # exact Python integer, where an int64 product would wrap
+    if not np.all(np.abs(np.concatenate([k_lo, k_hi])) < 2.0**53):
+        raise BudgetExceeded(f"spacing h={h} needs lattice indices beyond 2^53")
     shape = tuple(int(b - a + 1) for a, b in zip(k_lo, k_hi))
-    total = int(np.prod([max(s, 0) for s in shape]))
+    total = math.prod(max(s, 0) for s in shape)
     if total <= 0:
         raise EmptyDomain("bounding box contains no lattice cells at this spacing")
     if total > node_budget:
@@ -325,6 +300,7 @@ def build_grid(spec: DomainSpec, h: float, node_budget: int = _DEFAULT_NODE_BUDG
             f"bounding box holds {total} candidate cells, budget is {node_budget}"
         )
 
+    k_lo = k_lo.astype(np.int64)
     axes = [np.arange(a, a + s, dtype=np.int64) for a, s in zip(k_lo, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1) * h
@@ -403,30 +379,3 @@ def pairing(f: GridFunction, g: GridFunction) -> complex:
     if not f.grid.same_geometry(g.grid):
         raise GridMismatch("pairing requires both functions on the same grid")
     return complex(f.grid.cell_measure * np.sum(f.values * np.conj(g.values)))
-
-
-def zero_extend(f: GridFunction, ambient: Grid) -> GridFunction:
-    """Extend by zero onto an ambient grid with the same spacing.
-
-    Every node of the source must be present in the ambient grid; since both
-    lattices are anchored at the origin, node identity is the integer index.
-    """
-    g = f.grid
-    if ambient.n != g.n:
-        raise GridMismatch("ambient grid has different dimension")
-    if not math.isclose(ambient.h, g.h, rel_tol=1e-12, abs_tol=0.0):
-        raise IncompatibleSpacing(
-            f"ambient spacing {ambient.h} does not match source spacing {g.h}"
-        )
-
-    offsets = g.lattice_keys() - ambient.k_lo
-    inside_box = np.all((offsets >= 0) & (offsets < np.asarray(ambient.shape)), axis=1)
-    if not inside_box.all():
-        raise GridMismatch("ambient grid bounding box does not cover the source grid")
-    target = ambient.flat_of_cell[tuple(offsets.T)]
-    if (target < 0).any():
-        raise GridMismatch("ambient grid does not contain every source node")
-
-    out = np.zeros(ambient.num_nodes, dtype=f.values.dtype)
-    out[target] = f.values
-    return GridFunction(ambient, out)

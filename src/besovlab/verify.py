@@ -6,8 +6,10 @@ constants are merely asserted to exist get the "measured and stable under
 refinement" treatment: the constant computed at spacing h and at h/2 must
 agree within a configurable factor (default 2).
 
-Reports carry neutral formula anchors, the measured constants per stage,
-the sweep metadata, and the hash of the configuration that produced them.
+Every check plugs its per-stage measurement into one driver, which samples
+the test family, stacks the constants, applies the stability gate and
+builds the report: neutral formula anchors, the measured constants per
+stage, the sweep metadata, and the hash of the configuration.
 """
 
 from __future__ import annotations
@@ -232,7 +234,57 @@ class FunctionFamily:
             raise ValueError(f"family count must be positive, got {self.count}")
 
     def sample(self, stage: Stage) -> list[GridFunction]:
-        return _sample_family(self, stage)
+        grid, op = stage.grid, stage.op
+        rng = np.random.default_rng(self.seed)
+        coords = grid.coordinates
+        lo, hi, diam = _bbox(grid)
+        out: list[GridFunction] = []
+
+        if self.tag == "random-eigenmix":
+            op.require_eigendata()
+            for i in range(self.count):
+                # per-function substream: the first k coefficients agree across
+                # grids, so refinement only adds high modes
+                sub = np.random.default_rng([self.seed, i])
+                c = sub.standard_normal(op.num_nodes)
+                out.append(GridFunction(grid, op.eigvecs @ c))
+            return out
+
+        if self.tag == "bump":
+            u = rng.uniform(size=(self.count, grid.n))
+            widths = np.exp(rng.uniform(math.log(0.03), math.log(0.25), size=self.count))
+            for i in range(self.count):
+                center = lo + u[i] * (hi - lo)
+                sigma = max(widths[i] * diam, 2.0 * grid.h)
+                d2 = np.sum((coords - center) ** 2, axis=1)
+                out.append(GridFunction(grid, np.exp(-d2 / (2.0 * sigma * sigma))))
+            return out
+
+        if self.tag == "single-eigenvector":
+            op.require_eigendata()
+            ks = np.unique(np.round(np.geomspace(1, op.num_nodes, self.count)).astype(int) - 1)
+            scale = grid.cell_measure ** -0.5
+            for k in ks:
+                out.append(GridFunction(grid, op.eigvecs[:, int(k)] * scale))
+            return out
+
+        if self.tag == "indicator":
+            u = rng.uniform(size=(self.count, grid.n))
+            radii = rng.uniform(0.05, 0.25, size=self.count)
+            for i in range(self.count):
+                center = lo + u[i] * (hi - lo)
+                rho = max(radii[i] * diam, 3.0 * grid.h)
+                inside = np.sum((coords - center) ** 2, axis=1) <= rho * rho
+                out.append(GridFunction(grid, inside.astype(float)))
+            return out
+
+        # boundary-layer
+        dist = _boundary_distance(op)
+        widths = np.exp(rng.uniform(math.log(1.0), math.log(10.0), size=self.count))
+        for i in range(self.count):
+            ell = max(widths[i] * grid.h, grid.h)
+            out.append(GridFunction(grid, np.exp(-dist / ell)))
+        return out
 
 
 def _bbox(grid: Grid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -267,11 +319,9 @@ def _mollifier_stack(grid: Grid, count: int) -> np.ndarray:
 def _boundary_distance(op: SpectralOperator) -> np.ndarray:
     """Distance to the domain boundary, via lattice hops to the outermost
     interior layer (nodes missing at least one stencil neighbor)."""
-    offdiag = op.matrix.copy().tolil()
-    offdiag.setdiag(0.0)
-    adj = offdiag.tocsr()
+    adj = abs(op.matrix).tocsr()
+    adj.setdiag(0.0)
     adj.eliminate_zeros()
-    adj.data = np.abs(adj.data)
     degree = np.diff(adj.indptr)
     seeds = np.flatnonzero(degree < 2 * op.grid.n)
     if seeds.size == 0:
@@ -280,68 +330,8 @@ def _boundary_distance(op: SpectralOperator) -> np.ndarray:
     return (hops + 1.0) * op.grid.h
 
 
-def _sample_family(family: FunctionFamily, stage: Stage) -> list[GridFunction]:
-    grid, op = stage.grid, stage.op
-    rng = np.random.default_rng(family.seed)
-    coords = grid.coordinates
-    lo, hi, diam = _bbox(grid)
-    out: list[GridFunction] = []
-
-    if family.tag == "random-eigenmix":
-        op.require_eigendata()
-        num = op.num_nodes
-        for i in range(family.count):
-            # per-function substream: the first k coefficients agree across
-            # grids, so refinement only adds high modes
-            sub = np.random.default_rng([family.seed, i])
-            c = sub.standard_normal(num)
-            out.append(GridFunction(grid, op.eigvecs @ c))
-        return out
-
-    if family.tag == "bump":
-        u = rng.uniform(size=(family.count, grid.n))
-        widths = np.exp(rng.uniform(math.log(0.03), math.log(0.25), size=family.count))
-        for i in range(family.count):
-            center = lo + u[i] * (hi - lo)
-            sigma = max(widths[i] * diam, 2.0 * grid.h)
-            d2 = np.sum((coords - center) ** 2, axis=1)
-            out.append(GridFunction(grid, np.exp(-d2 / (2.0 * sigma * sigma))))
-        return out
-
-    if family.tag == "single-eigenvector":
-        op.require_eigendata()
-        num = op.num_nodes
-        ks = np.unique(np.round(np.geomspace(1, num, family.count)).astype(int) - 1)
-        scale = grid.cell_measure ** -0.5
-        for k in ks:
-            out.append(GridFunction(grid, op.eigvecs[:, int(k)] * scale))
-        return out
-
-    if family.tag == "indicator":
-        u = rng.uniform(size=(family.count, grid.n))
-        radii = rng.uniform(0.05, 0.25, size=family.count)
-        for i in range(family.count):
-            center = lo + u[i] * (hi - lo)
-            rho = max(radii[i] * diam, 3.0 * grid.h)
-            inside = np.sum((coords - center) ** 2, axis=1) <= rho * rho
-            out.append(GridFunction(grid, inside.astype(float)))
-        return out
-
-    # boundary-layer
-    dist = _boundary_distance(op)
-    widths = np.exp(rng.uniform(math.log(1.0), math.log(10.0), size=family.count))
-    for i in range(family.count):
-        ell = max(widths[i] * grid.h, grid.h)
-        out.append(GridFunction(grid, np.exp(-dist / ell)))
-    return out
-
-
-def _stack(funcs: Sequence[GridFunction]) -> np.ndarray:
-    return np.column_stack([f.values for f in funcs])
-
-
 # ---------------------------------------------------------------------------
-# reports
+# reports and the per-stage driver
 # ---------------------------------------------------------------------------
 
 
@@ -391,50 +381,63 @@ def _stable(values: Sequence[float], factor: float) -> bool:
     if any(not math.isfinite(v) or v < 0.0 for v in vals):
         return False
     for a, b in zip(vals, vals[1:]):
-        if a == 0.0 and b == 0.0:
-            continue
-        if a == 0.0 or b == 0.0:
+        if (a == 0.0) != (b == 0.0):
             return False
-        if not (1.0 / factor <= b / a <= factor):
+        if a != 0.0 and not (1.0 / factor <= b / a <= factor):
             return False
     return True
 
 
-def _report(
+def _drive(
     check: str,
     anchor: str,
-    constants: dict[str, tuple[float, ...]],
-    passed: bool,
-    stages: Sequence[Stage],
-    seed: int,
-    family_tag: str,
-    t0: float,
+    stages,
+    family: FunctionFamily | str | None,
+    measure: Callable[[Stage, np.ndarray | None], dict],
     config_hash: str,
+    stability: float | None = None,
+    gated: Sequence[str] | None = None,
     details: dict | None = None,
+    finish: Callable[[dict[str, tuple], list[Stage]], tuple[bool, dict]] | None = None,
 ) -> VerifyReport:
-    sys0 = stages[0].sys
+    """Run ``measure(stage, cols)`` at every stage and build the report.
+
+    ``cols`` holds the family sampled on the stage, one function per
+    column (``family`` None: the default family); a string ``family`` only
+    labels a check that samples none, and ``cols`` is then None.  The
+    ``{key: value}`` dicts ``measure`` returns are stacked per key in stage
+    order.  ``finish(values, stages)`` returns an extra pass condition and
+    details, and may pop side values; the rest are the report's constants.
+    With a ``stability`` factor, the ``gated`` constants (default: all)
+    must also be stable across stages.
+    """
+    t0 = time.perf_counter()
+    stages = _as_stages(stages)
+    if family is None:
+        family = FunctionFamily()
+    sampled = not isinstance(family, str)
+    rows = []
+    for stage in stages:
+        cols = np.column_stack([f.values for f in family.sample(stage)]) if sampled else None
+        rows.append(measure(stage, cols))
+    values = {key: tuple(row[key] for row in rows) for key in rows[0]}
+    passed, extra = finish(values, stages) if finish else (True, {})
+    if stability is not None:
+        passed = passed and all(_stable(values[k], stability) for k in gated or values)
     return VerifyReport(
         check=check,
         anchor=anchor,
-        constants=constants,
+        constants=values,
         passed=bool(passed),
         h_values=tuple(st.h for st in stages),
         num_nodes=tuple(st.grid.num_nodes for st in stages),
-        seed=seed,
-        family=family_tag,
-        window=(sys0.j_min, sys0.j_max),
+        seed=family.seed if sampled else 0,
+        family=family.tag if sampled else family,
+        window=(stages[0].sys.j_min, stages[0].sys.j_max),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         config_hash=config_hash,
-        details=details or {},
+        details={**(details or {}), **extra},
     )
-
-
-def _conjugate(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 def _ratio_max(num, den) -> float:
@@ -442,10 +445,6 @@ def _ratio_max(num, den) -> float:
     num, den = np.asarray(num, float), np.asarray(den, float)
     good = den > 0.0
     return float((num[good] / den[good]).max(initial=0.0))
-
-
-def _default_family(family) -> FunctionFamily:
-    return FunctionFamily() if family is None else family
 
 
 # ---------------------------------------------------------------------------
@@ -466,51 +465,29 @@ def check_resolution_identity(
     Homogeneous:   f = sum_{j in window} phi_j(sqrt A) f, defined only for
     operators with strictly positive spectrum (zero eigenvalues raise).
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
-    residuals = []
-    for stage in stages:
+
+    def measure(stage, cols):
         op, dsys = stage.op, stage.sys
         if homogeneous:
             check_homogeneous_spectrum(op)
-            total = np.zeros_like(op.eigvals)
-            for j in dsys.window:
-                total = total + op.dyadic_weights(dsys, "phi", j)
-        else:
-            total = op.dyadic_weights(dsys, "psi")
-            for j in dsys.inhom_window:
-                total = total + op.dyadic_weights(dsys, "phi", j)
-        cols = _stack(family.sample(stage))
+        total = np.zeros_like(op.eigvals) if homogeneous else op.dyadic_weights(dsys, "psi")
+        for j in dsys.window if homogeneous else dsys.inhom_window:
+            total = total + op.dyadic_weights(dsys, "phi", j)
         defect = spectral_synthesis(op, 1.0 - total, spectral_coefficients(op, cols))
-        residuals.append(
-            _ratio_max(np.linalg.norm(defect, axis=0), np.linalg.norm(cols, axis=0))
-        )
-    passed = all(r <= tol for r in residuals)
+        residual = _ratio_max(np.linalg.norm(defect, axis=0), np.linalg.norm(cols, axis=0))
+        return {"residual": residual}
+
     variant = "hom" if homogeneous else "inhom"
     anchor = (
         "f = sum_j phi_j(sqrt A) f"
         if homogeneous
         else "f = psi(A) f + sum_{j>=1} phi_j(sqrt A) f"
     )
-    return _report(
-        "resolution_identity",
-        anchor,
-        {"residual": tuple(residuals)},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"tol": tol, "variant": variant},
+    return _drive(
+        "resolution_identity", anchor, stages, family, measure, config_hash,
+        details={"tol": tol, "variant": variant},
+        finish=lambda values, _: (all(r <= tol for r in values["residual"]), {}),
     )
-
-
-def _fmt_exp(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:g}"
 
 
 def _lifted(g: np.ndarray, lam: np.ndarray, a: float) -> np.ndarray:
@@ -537,32 +514,25 @@ def check_bernstein(
     for r=1, p=inf and r=p=2); otherwise the constant is measured over the
     family.  Pass requires each measured constant stable across stages.
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
     for r, p in pairs:
         if not (1.0 <= r <= p):
             raise InvalidExponent(f"need 1 <= r <= p, got (r, p) = ({r}, {p})")
-    tag = "opnorm" if family is None else family.tag
-    seed = 0 if family is None else family.seed
     # the r = 1 and p = inf norms of one block all read one kernel
     needs_kernel = any(r == 1.0 or math.isinf(p) for r, p in pairs)
 
     def key(r, p, a):
-        return f"r={_fmt_exp(r)},p={_fmt_exp(p)},a={_fmt_exp(a)}"
+        return f"r={r:g},p={p:g},a={a:g}"
 
-    constants: dict[str, list[float]] = {key(r, p, a): [] for r, p in pairs for a in alphas}
-    profiles: dict[str, dict[int, float]] = {}
-    for stage in stages:
+    def measure(stage, cols):
         op, dsys = stage.op, stage.sys
         n, meas = stage.grid.n, stage.grid.cell_measure
-        if family is not None:
-            cols = _stack(family.sample(stage))
+        if cols is not None:
             coeff = spectral_coefficients(op, cols)
-        prof: dict[str, dict[int, float]] = {k: {} for k in constants}
+        prof: dict[str, dict[int, float]] = {key(r, p, a): {} for r, p in pairs for a in alphas}
         for j in dsys.window:
             for a in alphas:
                 g = _lifted(op.dyadic_weights(dsys, "phi", j), op.eigvals, a)
-                if family is None:
+                if cols is None:
                     def sym(lam, j=j, a=a, dsys=dsys):
                         return _lifted(dsys.phi_sqrt(j, lam), lam, a)
 
@@ -571,27 +541,24 @@ def check_bernstein(
                 else:
                     block = spectral_synthesis(op, g, coeff)
                 for r, p in pairs:
-                    if family is None:
+                    if cols is None:
                         raw = mixed_opnorm(opfun, r, p, kern=kern).value
                     else:
                         raw = _ratio_max(lp_columns(block, meas, p), lp_columns(cols, meas, r))
                     gain = n * (1.0 / r - (0.0 if math.isinf(p) else 1.0 / p))
                     prof[key(r, p, a)][j] = raw / 2.0 ** ((gain + 2.0 * a) * j)
-        for k, per_j in prof.items():
-            constants[k].append(max([0.0, *per_j.values()]))
-        profiles = prof
-    passed = all(_stable(v, stability) for v in constants.values())
-    return _report(
+        return {**{k: max([0.0, *per_j.values()]) for k, per_j in prof.items()}, "per_j": prof}
+
+    def finish(values, stages):
+        profiles = values.pop("per_j")[-1]
+        per_j = {k: {str(j): c for j, c in prof.items()} for k, prof in profiles.items()}
+        return True, {"per_j": per_j}
+
+    return _drive(
         "bernstein",
         "||A^a phi_j(sqrt A) f||_p <= C 2^{(n(1/r-1/p)+2a)j} ||f||_r",
-        {k: tuple(v) for k, v in constants.items()},
-        passed,
-        stages,
-        seed,
-        tag,
-        t0,
-        config_hash,
-        {"per_j": {k: {str(j): c for j, c in prof.items()} for k, prof in profiles.items()}},
+        stages, "opnorm" if family is None else family, measure, config_hash,
+        stability, finish=finish,
     )
 
 
@@ -648,17 +615,13 @@ def check_duality(
     pairs; pass needs C stable across stages and the constructed pairs to
     reach at least attain_frac of the measured constant at every stage.
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
     if not (1.0 <= p < math.inf) or not (1.0 <= q < math.inf):
         raise InvalidExponent(f"duality needs 1 <= p, q < inf, got ({p}, {q})")
-    family = _default_family(family)
-    pc, qc = _conjugate(p), _conjugate(q)
-    cs, attained_list = [], []
-    for stage in stages:
+    # conjugate exponents; p and q are finite here
+    pc, qc = (math.inf if x == 1.0 else x / (x - 1.0) for x in (p, q))
+
+    def measure(stage, cols):
         op, dsys, grid = stage.op, stage.sys, stage.grid
-        funcs = family.sample(stage)
-        cols = _stack(funcs)
         nf = np.asarray(besov_norm(op, dsys, cols, s, p, q))
         ng = np.asarray(besov_norm(op, dsys, cols, -s, pc, qc))
         c_meas = _ratio_max(grid.cell_measure * np.abs(cols.T @ cols), np.outer(nf, ng))
@@ -677,23 +640,14 @@ def check_duality(
                     continue
                 ratio = abs(grid.cell_measure * float(cols[:, i] @ G)) / (nf[i] * nG)
                 attained = max(attained, ratio)
-        c_meas = max(c_meas, attained)
-        cs.append(c_meas)
-        attained_list.append(attained)
-    passed = _stable(cs, stability) and all(
-        a >= attain_frac * c for a, c in zip(attained_list, cs)
-    )
-    return _report(
+        return {"C": max(c_meas, attained), "attained": attained}
+
+    return _drive(
         "duality",
         "|<f,g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}}",
-        {"C": tuple(cs), "attained": tuple(attained_list)},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"s": s, "p": p, "q": q, "attain_frac": attain_frac},
+        stages, family, measure, config_hash, stability, gated=("C",),
+        details={"s": s, "p": p, "q": q, "attain_frac": attain_frac},
+        finish=lambda v, _: (all(a >= attain_frac * c for a, c in zip(v["attained"], v["C"])), {}),
     )
 
 
@@ -721,9 +675,6 @@ def check_embeddings(
     uniformly in that class, and randomly drawn widths near the grid scale
     leave top-shell content that fakes a refinement drift.
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
     s_g, eps, p_g, q_g, q0_g = gain
     if eps < 0.0 or (eps == 0.0 and q_g > q0_g):
         raise IndexConstraintViolated(
@@ -742,62 +693,53 @@ def check_embeddings(
     s_c, p_c, q_c, M = chain
     if M < 1:
         raise IndexConstraintViolated(f"seminorm order M must be >= 1, got {M}")
+    count = (family or FunctionFamily()).count
 
     keys = [
-        f"B^{{{s_g + eps:g}}}_{{{p_g:g},{_fmt_exp(q_g)}}}->B^{{{s_g:g}}}_{{{p_g:g},{q0_g:g}}}",
+        f"B^{{{s_g + eps:g}}}_{{{p_g:g},{q_g:g}}}->B^{{{s_g:g}}}_{{{p_g:g},{q0_g:g}}}",
         f"hom:r={r_h:g}->p={p_h:g}",
         f"L^{p_i:g}->B^0_{{{p_i:g},2}}",
         f"B^0_{{{p_ii:g},2}}->L^{p_ii:g}",
         "X->B",
         "B->X'",
     ]
-    constants = {k: [] for k in keys}
-    for stage in stages:
+
+    def measure(stage, cols):
         op, dsys, grid = stage.op, stage.sys, stage.grid
-        funcs = family.sample(stage)
-        cols = _stack(funcs)
         meas = grid.cell_measure
+        out = {}
 
         src = besov_norm(op, dsys, cols, s_g + eps, p_g, q_g)
         tgt = besov_norm(op, dsys, cols, s_g, p_g, q0_g)
-        constants[keys[0]].append(_ratio_max(tgt, src))
+        out[keys[0]] = _ratio_max(tgt, src)
 
         s_src = s_h + grid.n * (1.0 / r_h - 1.0 / p_h)
         src = besov_norm(op, dsys, cols, s_src, r_h, q_h, homogeneous=True)
         tgt = besov_norm(op, dsys, cols, s_h, p_h, q0_h, homogeneous=True)
-        constants[keys[1]].append(_ratio_max(tgt, src))
+        out[keys[1]] = _ratio_max(tgt, src)
 
-        constants[keys[2]].append(
-            _ratio_max(besov_norm(op, dsys, cols, 0.0, p_i, 2.0), lp_columns(cols, meas, p_i))
+        out[keys[2]] = _ratio_max(
+            besov_norm(op, dsys, cols, 0.0, p_i, 2.0), lp_columns(cols, meas, p_i)
         )
-        constants[keys[3]].append(
-            _ratio_max(lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0))
+        out[keys[3]] = _ratio_max(
+            lp_columns(cols, meas, p_ii), besov_norm(op, dsys, cols, 0.0, p_ii, 2.0)
         )
 
-        scols = _mollifier_stack(grid, family.count)
+        scols = _mollifier_stack(grid, count)
         sb = np.asarray(besov_norm(op, dsys, scols, s_c, p_c, q_c))
         pM = test_seminorms(op, dsys, scols, M)[0]
-        constants[keys[4]].append(_ratio_max(sb, pM))
+        out[keys[4]] = _ratio_max(sb, pM)
         # f ranges over the requested family plus the smooth one; the smooth
         # side keeps the max from drifting when the family norms grow
         fside = np.column_stack([cols, scols])
         bnorms = np.asarray(besov_norm(op, dsys, fside, s_c, p_c, q_c))
-        constants[keys[5]].append(
-            _ratio_max(meas * np.abs(fside.T @ scols), np.outer(bnorms, pM))
-        )
+        out[keys[5]] = _ratio_max(meas * np.abs(fside.T @ scols), np.outer(bnorms, pM))
+        return out
 
-    passed = all(_stable(v, stability) for v in constants.values())
-    return _report(
-        "embeddings",
-        "||f||_target <= C ||f||_source",
-        {k: tuple(v) for k, v in constants.items()},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"gain": gain, "hom_gain": hom_gain, "square_p": square_p, "chain": chain},
+    return _drive(
+        "embeddings", "||f||_target <= C ||f||_source", stages, family, measure,
+        config_hash, stability,
+        details={"gain": gain, "hom_gain": hom_gain, "square_p": square_p, "chain": chain},
     )
 
 
@@ -818,16 +760,11 @@ def check_lifting(
     Both directions (+s0 and -s0) are measured; single eigenvectors land in
     the bracket [2^{-|s0|}, 2^{|s0|}] around 1.
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
     directions = [s0] if s0 == 0.0 else [s0, -s0]
-    constants: dict[str, list[float]] = {}
-    ranges: dict[str, tuple[float, float]] = {}
-    for stage in stages:
+
+    def measure(stage, cols):
         op, dsys = stage.op, stage.sys
-        funcs = family.sample(stage)
-        cols = _stack(funcs)
+        out, ranges = {}, {}
         for d in directions:
             key = f"s0={d:g}"
             if homogeneous:
@@ -842,35 +779,30 @@ def check_lifting(
             num, den = np.asarray(num, float), np.asarray(den, float)
             good = den > 0.0
             ratios = num[good] / den[good]
-            constants.setdefault(key, []).append(float(ratios.max(initial=0.0)))
+            out[key] = float(ratios.max(initial=0.0))
             if ratios.size:
                 ranges[key] = (float(ratios.min()), float(ratios.max()))
-    passed = all(_stable(v, stability) for v in constants.values())
+        return {**out, "ranges": ranges}
+
+    def finish(values, stages):
+        # the range of each direction at the finest stage that has one
+        ranges = {k: list(v) for per_stage in values.pop("ranges") for k, v in per_stage.items()}
+        return True, {"ratio_range": ranges}
+
     anchor = (
         "||A^{s0/2} f||_{hom B^{s-s0}_{p,q}} ~ ||f||_{hom B^s_{p,q}}"
         if homogeneous
         else "||(lam0^2+1+A)^{s0/2} f||_{B^{s-s0}_{p,q}} ~ ||f||_{B^s_{p,q}}"
     )
-    return _report(
-        "lifting",
-        anchor,
-        {k: tuple(v) for k, v in constants.items()},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"s": s, "s0": s0, "p": p, "q": q,
-         "ratio_range": {k: list(v) for k, v in ranges.items()}},
+    return _drive(
+        "lifting", anchor, stages, family, measure, config_hash, stability,
+        details={"s": s, "s0": s0, "p": p, "q": q}, finish=finish,
     )
 
 
 def _sigma_max(mat: np.ndarray, iters: int = 80) -> float:
     """Largest singular value by power iteration on M^T M (deterministic
     symmetry-breaking start; a tight lower bound, ample for slope fits)."""
-    if mat.size == 0:
-        return 0.0
     m = mat.shape[1]
     v = np.cos(0.7 * np.arange(m) + 0.3)
     v /= np.linalg.norm(v)
@@ -981,9 +913,7 @@ def check_equivalence_AV_A0(
     outside (-min(2, n(1-1/p)), min(n/p, 2)) either raises (assert mode)
     or is reported without a pass assertion.
     """
-    t0 = time.perf_counter()
     stages = _as_stages(stages)
-    family = _default_family(family)
     n = stages[0].grid.n
     if n < 2:
         raise AssumptionViolated(f"operator-norm equivalence needs n >= 2, got n = {n}")
@@ -993,7 +923,6 @@ def check_equivalence_AV_A0(
         raise AssumptionViolated(
             f"smoothness s = {s} outside the admissible window ({lo:g}, {hi:g})"
         )
-    has_v = any(st.has_potential for st in stages)
     kato_info: dict[str, float | bool] = {}
     for stage in stages:
         if stage.has_potential:
@@ -1014,60 +943,52 @@ def check_equivalence_AV_A0(
                     stage.grid.cell_measure * np.abs(stage.op.potential).sum()
                 )
 
-    r_max, r_min, spreads, control_defects = [], [], [], []
-    slopes_l1, slopes_l2 = [], []
-    for stage in stages:
+    def measure(stage, cols):
         opv, op0, dsys = stage.op, stage.op0, stage.sys
-        cols = _stack(family.sample(stage))
         nv = np.asarray(besov_norm(opv, dsys, cols, s, p, q), float)
         n0 = np.asarray(besov_norm(op0, dsys, cols, s, p, q), float)
         good = n0 > 0.0
         ratios = nv[good] / n0[good]
         if ratios.size == 0:
             raise AssumptionViolated("family produced no usable functions")
-        r_max.append(float(ratios.max()))
-        r_min.append(float(ratios.min()))
-        spreads.append(r_max[-1] / r_min[-1] if r_min[-1] > 0 else math.inf)
-        control_defects.append(float(np.abs(ratios - 1.0).max()))
+        r_max, r_min = float(ratios.max()), float(ratios.min())
+        slopes = (math.nan, math.nan)
         if stage.has_potential:
             tails = _cross_block_tails(stage)
-            slopes_l1.append(_tail_slope(tails, 1))
-            slopes_l2.append(_tail_slope(tails, 2))
-        else:
-            slopes_l1.append(math.nan)
-            slopes_l2.append(math.nan)
+            slopes = (_tail_slope(tails, 1), _tail_slope(tails, 2))
+        return {
+            "spread": r_max / r_min if r_min > 0 else math.inf,
+            "R_max": r_max,
+            "R_min": r_min,
+            "slope": slopes[0],
+            "control_defect": float(np.abs(ratios - 1.0).max()),
+            "slope_interp_l2": slopes[1],
+        }
 
-    ok = _stable(spreads, stability)
-    if has_v:
-        slope = slopes_l1[-1]
-        ok = ok and math.isfinite(slope) and abs(slope - (-2.0)) <= slope_tol
-    else:
-        ok = ok and all(d <= control_tol for d in control_defects)
-    passed = ok if in_window else True
-    details = {
-        "s": s, "p": p, "q": q,
-        "window": [lo, hi], "in_window": in_window, "asserted": in_window,
-        "control_defect": control_defects,
-        "slope_l1": slopes_l1, "slope_interp_l2": slopes_l2,
-        **kato_info,
-    }
-    return _report(
+    def finish(values, stages):
+        control_defects = list(values.pop("control_defect"))
+        if any(st.has_potential for st in stages):
+            slope = values["slope"][-1]
+            ok = math.isfinite(slope) and abs(slope - (-2.0)) <= slope_tol
+        else:
+            ok = all(d <= control_tol for d in control_defects)
+        return not in_window or ok, {
+            "control_defect": control_defects,
+            "slope_l1": list(values["slope"]),
+            "slope_interp_l2": list(values.pop("slope_interp_l2")),
+            **kato_info,
+        }
+
+    return _drive(
         "equivalence_AV_A0",
         "||f||_{B^s_{p,q}(A_V)} ~ ||f||_{B^s_{p,q}(A_0)}; "
         "||phi_j(sqrt A_V) Phi_k(sqrt A_0)||_{1->1} <= C 2^{-2(j-k)}",
-        {
-            "spread": tuple(spreads),
-            "R_max": tuple(r_max),
-            "R_min": tuple(r_min),
-            "slope": tuple(slopes_l1),
+        stages, family, measure, config_hash, stability if in_window else None,
+        gated=("spread",), finish=finish,
+        details={
+            "s": s, "p": p, "q": q,
+            "window": [lo, hi], "in_window": in_window, "asserted": in_window,
         },
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        details,
     )
 
 
@@ -1088,15 +1009,13 @@ def check_heat_gaussian(
     reported.  Potentials also get the entrywise domination sub-check
     |e^{-tA_V}| <= e^{-tA_{-V_-}} (slack relative to the kernel scale).
     """
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
     ts = np.asarray(
         2.0 ** np.arange(-10, 1) if t_grid is None else sorted(t_grid), float
     )
     if ts.size == 0 or np.any(ts <= 0.0):
         raise InvalidCheckParameter("heat check needs a nonempty positive t grid")
-    sups, defects, omegas = [], [], []
-    for stage in stages:
+
+    def measure(stage, cols):
         op, grid = stage.op, stage.grid
         n = grid.n
         kato_ok = True
@@ -1111,13 +1030,11 @@ def check_heat_gaussian(
             )
         d2 = cdist(grid.coordinates, grid.coordinates, "sqeuclidean")
 
-        # the dominating operator A_{-V_-}: A_V itself when V = -V_-, the
-        # stage's free operator when V_- = 0
+        # the dominating operator A_{-V_-}: the stage's free operator when
+        # V_- = 0; none to form when V = -V_-, where domination is exact
         op_star = None
-        if stage.has_potential:
-            if vplus.max() == 0.0:
-                op_star = op
-            elif vminus.max() == 0.0:
+        if stage.has_potential and vplus.max() > 0.0:
+            if vminus.max() == 0.0:
                 op_star = stage.op0
             else:
                 op_star = eigendecompose(
@@ -1135,42 +1052,30 @@ def check_heat_gaussian(
             # the true kernel tail is far below machine precision
             floor = op.num_nodes * np.finfo(float).eps * float(absK.max())
             nz = absK > floor
-            if not nz.any():
-                log_scores.append(-math.inf)
-            else:
-                with np.errstate(divide="ignore"):
-                    logs = np.log(absK[nz]) + 0.5 * n * math.log(t) + d2[nz] / (cstar * t)
-                log_scores.append(float(logs.max()))
+            logs = np.log(absK[nz]) + 0.5 * n * math.log(t) + d2[nz] / (cstar * t)
+            log_scores.append(float(logs.max(initial=-math.inf)))
             if op_star is not None:
-                if op_star is op:
-                    pass  # identical operators, domination is exact
-                else:
-                    K_star = heat_kernel(op_star, t).values
-                    scale = max(1.0, float(K_star.max()))
-                    defect = min(defect, float((K_star - absK).min()) / scale)
+                K_star = heat_kernel(op_star, t).values
+                scale = max(1.0, float(K_star.max()))
+                defect = min(defect, float((K_star - absK).min()) / scale)
         with np.errstate(over="ignore"):
-            sups.append(float(np.exp(max(log_scores))))
-        defects.append(defect)
+            sup = float(np.exp(max(log_scores)))
+        omega = math.nan
         if not kato_ok and len(t_used) >= 2 and all(map(math.isfinite, log_scores)):
-            omegas.append(float(np.polyfit(t_used, np.asarray(log_scores), 1)[0]))
-        else:
-            omegas.append(math.nan)
+            omega = float(np.polyfit(t_used, np.asarray(log_scores), 1)[0])
+        return {"C": sup, "domination_defect": defect, "omega": omega}
 
-    passed = _stable(sups, stability) and all(d >= -dom_slack for d in defects)
-    constants: dict[str, tuple[float, ...]] = {"C": tuple(sups)}
-    if any(st.has_potential for st in stages):
-        constants["domination_defect"] = tuple(defects)
-    return _report(
+    def finish(values, stages):
+        ok = all(d >= -dom_slack for d in values["domination_defect"])
+        if not any(st.has_potential for st in stages):
+            del values["domination_defect"]
+        return ok, {"omega": list(values.pop("omega"))}
+
+    return _drive(
         "heat_gaussian",
         "|K_t(x,y)| <= C t^{-n/2} exp(-|x-y|^2/(8t)); |e^{-tA_V}| <= e^{-tA_{-V_-}}",
-        constants,
-        passed,
-        stages,
-        0,
-        "kernel",
-        t0,
-        config_hash,
-        {"t_grid": [float(t) for t in ts], "cstar": cstar, "omega": omegas},
+        stages, "kernel", measure, config_hash, stability, gated=("C",),
+        details={"t_grid": [float(t) for t in ts], "cstar": cstar}, finish=finish,
     )
 
 
@@ -1187,41 +1092,32 @@ def check_partition_independence(
     """Besov norms under the two built-in transition profiles agree up to a
     stable constant; the overlap identity phi_j = phi_j (phi'_{j-1} +
     phi'_j + phi'_{j+1}) holds pointwise on a log-spaced frequency grid."""
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
-    cs = []
-    for stage in stages:
+
+    def measure(stage, cols):
         op, sys1 = stage.op, stage.sys
         sys2 = second_system(sys1)
-        cols = _stack(family.sample(stage))
         n1 = np.asarray(besov_norm(op, sys1, cols, s, p, q), float)
         n2 = np.asarray(besov_norm(op, sys2, cols, s, p, q), float)
         good = (n1 > 0.0) & (n2 > 0.0)
         ratios = n1[good] / n2[good]
-        cs.append(float(max(ratios.max(initial=1.0), (1.0 / ratios).max(initial=1.0))))
+        return {"C": float(max(ratios.max(initial=1.0), (1.0 / ratios).max(initial=1.0)))}
 
-    sys1 = stages[-1].sys
-    sys2 = second_system(sys1)
-    xs = np.geomspace(2.0 ** (sys1.j_min - 2), 2.0 ** (sys1.j_max + 2), 4001)
-    defect = 0.0
-    for j in sys1.window:
-        lhs = sys1.phi(j, xs)
-        overlap = sys2.phi(j - 1, xs) + sys2.phi(j, xs) + sys2.phi(j + 1, xs)
-        defect = max(defect, float(np.abs(lhs - lhs * overlap).max()))
+    def finish(values, stages):
+        sys1 = stages[-1].sys
+        sys2 = second_system(sys1)
+        xs = np.geomspace(2.0 ** (sys1.j_min - 2), 2.0 ** (sys1.j_max + 2), 4001)
+        defect = 0.0
+        for j in sys1.window:
+            lhs = sys1.phi(j, xs)
+            overlap = sys2.phi(j - 1, xs) + sys2.phi(j, xs) + sys2.phi(j + 1, xs)
+            defect = max(defect, float(np.abs(lhs - lhs * overlap).max()))
+        return defect <= pointwise_tol, {"pointwise_defect": defect}
 
-    passed = _stable(cs, stability) and defect <= pointwise_tol
-    return _report(
+    return _drive(
         "partition_independence",
         "||f||_{B(sys1)} ~ ||f||_{B(sys2)}; phi_j = phi_j (phi'_{j-1}+phi'_j+phi'_{j+1})",
-        {"C": tuple(cs)},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"s": s, "p": p, "q": q, "pointwise_defect": defect},
+        stages, family, measure, config_hash, stability,
+        details={"s": s, "p": p, "q": q}, finish=finish,
     )
 
 
@@ -1237,19 +1133,15 @@ def check_subspace_characterization(
     """Low-frequency summability behind the subspace characterization:
     sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}},
     admissible for s < n/p or (s, q) = (n/p, 1)."""
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
-    n = stages[0].grid.n
+    n = _as_stages(stages)[0].grid.n
     boundary = abs(s - n / p) <= 1e-12 and q == 1.0
     if not (s < n / p - 1e-12 or boundary):
         raise IndexConstraintViolated(
             f"need s < n/p or (s, q) = (n/p, 1); got s = {s}, n/p = {n / p:g}, q = {q}"
         )
-    cs = []
-    for stage in stages:
+
+    def measure(stage, cols):
         op, dsys = stage.op, stage.sys
-        cols = _stack(family.sample(stage))
         js_low = [j for j in dsys.window if j <= 0]
         den = np.asarray(besov_norm(op, dsys, cols, s, p, q, homogeneous=True), float)
         if js_low:
@@ -1258,19 +1150,13 @@ def check_subspace_characterization(
             tails = weights @ norms
         else:
             tails = np.zeros(cols.shape[1])
-        cs.append(_ratio_max(tails, den))
-    passed = _stable(cs, stability)
-    return _report(
+        return {"C": _ratio_max(tails, den)}
+
+    return _drive(
         "subspace_characterization",
         "sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}}",
-        {"C": tuple(cs)},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"s": s, "p": p, "q": q},
+        stages, family, measure, config_hash, stability,
+        details={"s": s, "p": p, "q": q},
     )
 
 
@@ -1286,16 +1172,12 @@ def check_lorentz_bernstein(
     """Lorentz-refined block bounds for the operator pair:
     ||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}}
     <= C 2^{n(1/p0-1/p)j} ||f||_{L^{p0}}, for 1 <= p0 < p < inf."""
-    t0 = time.perf_counter()
-    stages = _as_stages(stages)
-    family = _default_family(family)
     if not (1.0 <= p0 < p < math.inf):
         raise IndexConstraintViolated(f"need 1 <= p0 < p < inf, got p0 = {p0}, p = {p}")
-    cs = []
-    for stage in stages:
+
+    def measure(stage, cols):
         opv, op0, dsys, grid = stage.op, stage.op0, stage.sys, stage.grid
         n = grid.n
-        cols = _stack(family.sample(stage))
         den = lp_columns(cols, grid.cell_measure, p0)
         ops = (opv,) if op0 is opv else (opv, op0)
         coeffs = [spectral_coefficients(o, cols) for o in ops]
@@ -1313,20 +1195,14 @@ def check_lorentz_bernstein(
                 if len(blocks) == 1:
                     lhs *= 2.0  # A_V = A_0: both terms are the same norm
                 best = max(best, lhs / (gain * den[i]))
-        cs.append(float(best))
-    passed = _stable(cs, stability)
-    return _report(
+        return {"C": float(best)}
+
+    return _drive(
         "lorentz_bernstein",
         "||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}} "
         "<= C 2^{n(1/p0-1/p)j} ||f||_{L^{p0}}",
-        {"C": tuple(cs)},
-        passed,
-        stages,
-        family.seed,
-        family.tag,
-        t0,
-        config_hash,
-        {"p0": p0, "p": p, "q": q},
+        stages, family, measure, config_hash, stability,
+        details={"p0": p0, "p": p, "q": q},
     )
 
 

@@ -91,6 +91,32 @@ def test_malformed_json_exits_two_and_writes_manifest(tmp_path):
     assert manifest["failure"].startswith("ConfigInvalid")
 
 
+def _finite_only(name):
+    raise ValueError(f"non-finite constant {name}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"domain": {"kind": "interval", "a": 0, "b": 1}, "h": [NaN]}',
+        '{"domain": {"kind": "interval", "a": 0, "b": 1}, "h": [Infinity]}',
+        '{"domain": {"kind": "ball", "center": [0, 0], "radius": Infinity}, "h": [0.25]}',
+        '{"domain": {"kind": "interval", "a": 0, "b": 1}, "h": [0.0625], '
+        '"checks": [{"name": "resolution_identity", "tol": NaN}]}',
+        '{"domain": {"kind": "ball", "center": [1e308, 0], "radius": 1e308}, "h": [0.25]}',
+    ],
+    ids=["h-nan", "h-inf", "radius-inf", "tol-nan", "bbox-overflow"],
+)
+def test_nonfinite_numbers_exit_two(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_finite_only)
+    assert manifest["status"] == "error"
+    assert manifest["failure"].startswith("ConfigInvalid")
+
+
 def test_norm_entry_missing_exponent_rejected(tmp_path):
     cfg = write_config(
         tmp_path, norms=[{"kind": "lorentz", "p": 2.0}], out=str(tmp_path / "o")
@@ -240,6 +266,42 @@ def test_exit_codes_total_over_check_kwargs(entry):
         assert manifest["failure"] is not None
         assert code in (2, 3)
     assert (code == 1) == (manifest["status"] == "checks-failed")
+
+
+_EXTENTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -1.0, 1e-7, math.nan, math.inf, -math.inf]),
+)
+_SPACINGS = st.one_of(
+    st.floats(0.1, 1.0),
+    st.sampled_from([0.0, -0.25, 1e-7, math.nan, math.inf]),
+)
+
+
+@st.composite
+def _domains(draw):
+    kind = draw(st.sampled_from(["interval", "box", "ball"]))
+    if kind == "interval":
+        return {"kind": kind, "a": draw(_EXTENTS), "b": draw(_EXTENTS)}
+    coords = st.lists(_EXTENTS, min_size=1, max_size=3)
+    if kind == "box":
+        return {"kind": kind, "lo": draw(coords), "hi": draw(coords)}
+    return {"kind": kind, "center": draw(coords), "radius": draw(_EXTENTS)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=_domains(), hs=st.lists(_SPACINGS, min_size=1, max_size=3))
+def test_exit_codes_total_over_domain_and_spacing(domain, hs):
+    # json.dumps writes NaN and Infinity literals for the non-finite draws
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"domain": domain, "h": hs, "dense_cap": 256}))
+        code = main(["spectrum", "--config", str(cfg), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_finite_only)
+    assert code in (0, 2, 3)
+    if manifest["status"] == "error":
+        assert manifest["failure"] is not None
 
 
 def test_norms_transform_once_per_request_and_stage(tmp_path, transforms):

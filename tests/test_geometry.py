@@ -1,4 +1,4 @@
-"""Grid construction, norms, pairings, and zero-extension."""
+"""Grid construction, norms and pairings."""
 
 import numpy as np
 import pytest
@@ -78,6 +78,18 @@ class TestBuildGrid:
     def test_node_budget(self):
         with pytest.raises(bl.BudgetExceeded):
             bl.build_grid(bl.interval(0.0, 1.0), 1e-4, node_budget=100)
+        # about 8e21 candidate cells: an int64 product wraps this count
+        with pytest.raises(bl.BudgetExceeded):
+            bl.build_grid(bl.ball([0.0, 0.0, 0.0], 1.0), 1e-7)
+        # 1 / h overflows to infinity: no finite lattice index exists
+        with pytest.raises(bl.BudgetExceeded):
+            bl.build_grid(bl.interval(0.0, 1.0), 5e-324)
+
+    def test_nonfinite_bounding_box_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            bl.ball([0.0, 0.0], np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            bl.DomainSpec(1, bl.Box((0.0,), (1.0,)), bounding_box=((-np.inf,), (1.0,)))
 
     def test_lexicographic_ordering(self):
         g = bl.build_grid(bl.box([0.0, 0.0], [1.0, 1.0]), 0.25)
@@ -178,38 +190,3 @@ class TestPairing:
         g2 = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
         with pytest.raises(bl.GridMismatch):
             bl.pairing(bl.GridFunction(g1, np.ones(3)), bl.GridFunction(g2, np.ones(7)))
-
-
-class TestZeroExtend:
-    def test_values_land_on_matching_nodes(self):
-        inner = bl.build_grid(bl.interval(0.25, 0.75), 0.125)
-        outer = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        f = bl.GridFunction(inner, np.arange(1, inner.num_nodes + 1, dtype=float))
-        g = bl.zero_extend(f, outer)
-        # Nodes at matching coordinates carry the same values; others are zero.
-        for xi, vi in zip(inner.coordinates[:, 0], f.values):
-            j = np.argmin(np.abs(outer.coordinates[:, 0] - xi))
-            assert g.values[j] == vi
-        assert np.count_nonzero(g.values) == inner.num_nodes
-
-    def test_norm_preserved(self):
-        inner = bl.build_grid(bl.ball([0.0, 0.0], 0.5), 0.125)
-        outer = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.125)
-        f = bl.GridFunction(inner, np.linspace(-1, 1, inner.num_nodes))
-        g = bl.zero_extend(f, outer)
-        for p in (1.0, 2.0, np.inf):
-            np.testing.assert_allclose(bl.lp_norm(g, p), bl.lp_norm(f, p), rtol=1e-14)
-
-    def test_incompatible_spacing(self):
-        inner = bl.build_grid(bl.interval(0.25, 0.75), 0.125)
-        outer = bl.build_grid(bl.interval(0.0, 1.0), 0.1)
-        f = bl.GridFunction(inner, np.ones(inner.num_nodes))
-        with pytest.raises(bl.IncompatibleSpacing):
-            bl.zero_extend(f, outer)
-
-    def test_not_contained(self):
-        inner = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        outer = bl.build_grid(bl.interval(0.25, 0.75), 0.125)
-        f = bl.GridFunction(inner, np.ones(inner.num_nodes))
-        with pytest.raises(bl.GridMismatch):
-            bl.zero_extend(f, outer)
