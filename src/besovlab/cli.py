@@ -15,7 +15,8 @@ Exit codes: 0 all requested work done and every check passed; 1 a check
 failed under --assert; 2 the configuration was rejected (schema, index
 constraints, or violated assumptions); 3 a compute budget was exceeded.
 
-The manifest is written even when the run fails, with the failure recorded;
+The manifest is written even when the run fails, with the failure recorded,
+and always carries the process's peak resident set size (peak_rss_kib);
 numbers in CSV cells are full-precision reprs, so reruns with the same
 config and seed produce byte-identical CSVs apart from the timing columns
 (wall_ms in verify.csv, dense_ms and cheb_ms in bench.csv).
@@ -28,6 +29,7 @@ import hashlib
 import inspect
 import json
 import platform
+import resource
 import sys
 import time
 from csv import writer as csv_writer
@@ -492,6 +494,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise
     finally:
         manifest["timings_ms"]["total"] = round((time.perf_counter() - t_start) * 1e3, 3)
+        # the process's high-water resident set so far (KiB on Linux)
+        manifest["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / "manifest.json"

@@ -178,6 +178,23 @@ def _json_path(error: jsonschema.ValidationError) -> str:
     return "/".join(parts) if parts else "<root>"
 
 
+def _nonfinite_path(value: Any, path: tuple = ()) -> tuple | None:
+    """Path to the first non-finite float in nested mappings and lists."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, Mapping):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _nonfinite_path(item, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def _validate_check_entry(index: int, entry: Mapping[str, Any]) -> None:
     name = entry["name"]
     sig = inspect.signature(CHECKS[name])
@@ -264,11 +281,16 @@ class RunConfig:
 def make_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a raw mapping and realize it as a RunConfig.
 
-    Raises ConfigInvalid on any schema violation, unknown key, malformed
-    domain, or check entry whose keywords do not match the check.
+    Raises ConfigInvalid on any schema violation, unknown key, non-finite
+    float, malformed domain, or check entry whose keywords do not match
+    the check.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
+    bad = _nonfinite_path(data)
+    if bad is not None:
+        where = "/".join(map(str, bad)) or "<root>"
+        raise ConfigInvalid(f"at {where}: non-finite number; numbers must be finite")
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(dict(data)))
     if error is not None:
         raise ConfigInvalid(f"at {_json_path(error)}: {error.message}")

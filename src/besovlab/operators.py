@@ -367,18 +367,18 @@ def save_operator(op: SpectralOperator, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack(_HEADER, _FORMAT_VERSION, grid.n, grid.num_nodes, grid.h))
-            fh.write(np.asarray(grid.k_lo, "<i8").tobytes())
-            fh.write(np.asarray(grid.shape, "<u8").tobytes())
+            _write(fh, grid.k_lo, "<i8")
+            _write(fh, grid.shape, "<u8")
             fh.write(struct.pack(_COUNTS, flags, mat.nnz))
-            fh.write(np.ascontiguousarray(grid.multi_indices, "<i8").tobytes())
-            fh.write(np.asarray(mat.indptr, "<i8").tobytes())
-            fh.write(np.asarray(mat.indices, "<i8").tobytes())
-            fh.write(np.asarray(mat.data, "<f8").tobytes())
+            _write(fh, grid.multi_indices, "<i8")
+            _write(fh, mat.indptr, "<i8")
+            _write(fh, mat.indices, "<i8")
+            _write(fh, mat.data, "<f8")
             if flags & _FLAG_POTENTIAL:
-                fh.write(np.asarray(op.potential, "<f8").tobytes())
+                _write(fh, op.potential, "<f8")
             if flags & _FLAG_EIGEN:
-                fh.write(np.asarray(op.eigvals, "<f8").tobytes())
-                fh.write(np.ascontiguousarray(op.eigvecs, "<f8").tobytes())
+                _write(fh, op.eigvals, "<f8")
+                _write(fh, op.eigvecs, "<f8")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -392,9 +392,23 @@ def _read_exact(fh, size: int) -> bytes:
     return buf
 
 
+def _write(fh, values, dtype) -> None:
+    """Write values as a contiguous little-endian block, without a bytes copy."""
+    fh.write(memoryview(np.ascontiguousarray(values, dtype)).cast("B"))
+
+
 def _read(fh, dtype, count) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    return np.frombuffer(_read_exact(fh, dtype.itemsize * count), dtype=dtype).copy()
+    """Read count items straight into a new array, without a bytes copy.
+
+    A count the rest of the file cannot hold (a cut-short file, or a
+    damaged header) is rejected before anything is allocated."""
+    count = int(count)
+    if np.dtype(dtype).itemsize * count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise SolverFailure("operator cache file is truncated")
+    arr = np.empty(count, dtype)
+    if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+        raise SolverFailure("operator cache file is truncated")
+    return arr
 
 
 def _unpack(fh, fmt: str) -> tuple:

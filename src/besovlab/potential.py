@@ -317,7 +317,9 @@ def _parse(tokens: _Tokenizer, env: dict[str, np.ndarray]) -> np.ndarray:
         kind, text = tokens.next()
         if kind == "num":
             try:
-                return float(text)
+                # a numpy scalar, so 1/0, overflow and negative bases with
+                # fractional powers give inf or nan instead of raising
+                return np.float64(text)
             except ValueError:
                 raise ConfigInvalid(f"malformed number {text!r} in potential expression") from None
         if kind == "ident":
@@ -358,8 +360,11 @@ def potential_from_expression(
         env[names[d]] = coords[:, d]
         env[f"x{d + 1}"] = coords[:, d]
     env["r"] = np.maximum(r_raw, trunc)
-    with np.errstate(all="ignore"):  # nonfinite samples are rejected below
-        values = _parse(_Tokenizer(expr), env)
+    try:
+        with np.errstate(all="ignore"):  # nonfinite samples are rejected below
+            values = _parse(_Tokenizer(expr), env)
+    except RecursionError:
+        raise ConfigInvalid("potential expression nests too deeply") from None
     values = np.broadcast_to(np.asarray(values, float), (grid.num_nodes,)).copy()
     if not np.all(np.isfinite(values)):
         raise ConfigInvalid("potential expression produced nonfinite samples")

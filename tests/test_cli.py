@@ -26,7 +26,7 @@ from besovlab import cli
 from besovlab.cli import main
 from besovlab.config import as_exponent, load_config, make_config, prevalidate_windows
 from besovlab.errors import ConfigInvalid
-from besovlab.verify import CHECKS
+from besovlab.verify import CHECKS, FAMILY_TAGS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -61,6 +61,7 @@ def test_run_minimal_exits_zero(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["checks"] == {"resolution_identity": True}
     assert len(manifest["config_hash"]) == 64
+    assert isinstance(manifest["peak_rss_kib"], int) and manifest["peak_rss_kib"] > 0
 
 
 def test_unknown_key_exits_two_with_manifest(tmp_path):
@@ -71,6 +72,7 @@ def test_unknown_key_exits_two_with_manifest(tmp_path):
     assert manifest["status"] == "error"
     assert "bogus" in manifest["failure"]
     assert not (out / "norms.csv").exists()
+    assert isinstance(manifest["peak_rss_kib"], int) and manifest["peak_rss_kib"] > 0
 
 
 def test_unknown_check_parameter_exits_two(tmp_path):
@@ -115,6 +117,26 @@ def test_nonfinite_numbers_exit_two(tmp_path, text):
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_finite_only)
     assert manifest["status"] == "error"
     assert manifest["failure"].startswith("ConfigInvalid")
+
+
+_INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"domain": _INTERVAL, "h": [math.nan]},
+        {"domain": _INTERVAL, "h": [0.0625],
+         "checks": [{"name": "resolution_identity", "tol": math.nan}]},
+        {"domain": _INTERVAL, "h": [0.0625],
+         "norms": [{"kind": "besov", "s": -math.inf, "p": 2, "q": 2}]},
+        {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": math.inf}, "h": [0.25]},
+    ],
+    ids=["h-nan", "tol-nan", "norm-s-inf", "radius-inf"],
+)
+def test_make_config_rejects_nonfinite_floats(data):
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        make_config(data)
 
 
 def test_norm_entry_missing_exponent_rejected(tmp_path):
@@ -302,6 +324,75 @@ def test_exit_codes_total_over_domain_and_spacing(domain, hs):
     assert code in (0, 2, 3)
     if manifest["status"] == "error":
         assert manifest["failure"] is not None
+
+
+# (valid, malformed) draws per norm-entry key
+_NORM_VALUES = {
+    "s": (st.floats(-3.0, 3.0), st.sampled_from([math.nan, math.inf, "half"])),
+    "p": (st.floats(1.0, 8.0), st.sampled_from([0.5, -1, math.nan, math.inf, "inf"])),
+    "q": (st.one_of(st.floats(1.0, 8.0), st.just("inf")), st.sampled_from([0.5, math.nan, "two"])),
+    "homogeneous": (st.booleans(), st.just("yes")),
+    "variant": (st.sampled_from(["plain", "shifted"]), st.just("other")),
+}
+_NORM_KINDS = {"besov": ("s", "p", "q", "homogeneous"), "sobolev": ("s", "variant"),
+               "lorentz": ("p", "q")}
+_POTENTIALS = st.sampled_from([None, "4*x", "-40", "0.25/r^2", "-0.5/r", "1/(x+1)"])
+_BAD_POTENTIALS = st.one_of(
+    st.sampled_from([
+        "1/0", "0^-1", "(-8)^(1/3)", "9^9^9", "1e999", "y", "x+", "",
+        "(" * 400 + "x" + ")" * 400, "-" * 2000 + "x",
+    ]),
+    st.text(alphabet="xr0129.+-*/^() e", max_size=10),
+)
+
+
+@st.composite
+def _norm_entries(draw, malformed=False):
+    kind = draw(st.sampled_from(sorted(_NORM_KINDS)))
+    keys = _NORM_KINDS[kind]
+    entry = {"kind": kind, **{k: draw(_NORM_VALUES[k][0]) for k in keys}}
+    if malformed:
+        key = draw(st.sampled_from(keys))
+        how = draw(st.sampled_from(["value", "missing", "kind"]))
+        if how == "value":
+            entry[key] = draw(_NORM_VALUES[key][1])
+        elif how == "missing":
+            del entry[key]
+        else:
+            entry["kind"] = "bogus"
+    return entry
+
+
+@st.composite
+def _norms_configs(draw):
+    """A norms config whose entries, family and potential are valid, with at
+    most one of them (drawn) made malformed."""
+    defect = draw(st.sampled_from([None, "norm", "family", "potential"]))
+    norms = draw(st.lists(_norm_entries(), min_size=1, max_size=3))
+    if defect == "norm":
+        norms.insert(draw(st.integers(0, len(norms))), draw(_norm_entries(malformed=True)))
+    family = {"tag": draw(st.sampled_from(FAMILY_TAGS)), "count": draw(st.integers(1, 4))}
+    if defect == "family":
+        key = draw(st.sampled_from(sorted(family)))
+        family[key] = draw(st.sampled_from(["chirp", 0, -1, 4097, 2.5]))
+    potential = draw(_BAD_POTENTIALS if defect == "potential" else _POTENTIALS)
+    return {"norms": norms, "family": family, "potential": potential,
+            "dense_cap": draw(st.integers(1, 256))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_norms_configs())
+def test_exit_codes_total_over_norms_family_and_potential(config):
+    # json.dumps writes NaN and Infinity literals for the non-finite draws
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = write_config(Path(tmp), h=[0.125], out=str(out), **config)
+        code = main(["norms", "--config", str(cfg)])
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_finite_only)
+    assert code in (0, 2, 3)
+    if manifest["status"] == "error":
+        assert manifest["failure"] is not None
+    assert (code == 0) == (manifest["status"] == "ok")
 
 
 def test_norms_transform_once_per_request_and_stage(tmp_path, transforms):

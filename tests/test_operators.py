@@ -362,6 +362,19 @@ class TestSaveLoad:
         with pytest.raises(bl.SolverFailure):
             bl.load_operator(path)
 
+    @pytest.mark.parametrize("num_nodes", [2**40, 2**62])
+    def test_header_claiming_more_than_the_file_rejected(self, tmp_path, num_nodes):
+        # a damaged node count must read as a truncated file, not as an
+        # attempt to allocate the array it claims
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        path = tmp_path / "op.bin"
+        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 16, num_nodes)
+        path.write_bytes(raw)
+        with pytest.raises(bl.SolverFailure, match="truncated"):
+            bl.load_operator(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
         path = tmp_path / "op.bin"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from conftest import diagonal_operator
+from scipy.spatial.distance import cdist
 
 import besovlab as bl
 from besovlab import verify as V
@@ -383,6 +385,151 @@ def test_heat_gaussian_reuses_free_operator_for_nonnegative_potential(monkeypatc
             defect = min(defect, float((K_star - absK).min()) / scale)
         expected.append(defect)
     np.testing.assert_allclose(rep.constants["domination_defect"], expected, rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the dense checks stream in row blocks: same numbers, no N x N transients
+# ---------------------------------------------------------------------------
+
+
+def streamed_disk(potential="0.25/r^2"):
+    """The h = 1/16 disk (N = 793, several row blocks) with A_0 decomposed."""
+    (st,) = disk_stages((16,), potential=potential)
+    assert st.grid.num_nodes > V._ROW_BLOCK
+    st.op0
+    return st
+
+
+def transient_bytes(fn) -> int:
+    """tracemalloc peak of fn() above the arrays live when it starts; a
+    first untraced call fills the memoized dyadic weights."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def heat_oracle(st, ts, cstar=8.0):
+    """The unblocked heat measurement: full |K|, distance and difference
+    matrices at every t."""
+    op, grid, n = st.op, st.grid, st.grid.n
+    vplus, vminus = bl.decompose(grid, op.potential)
+    kato_ok = vminus.max() == 0.0 or bl.check_smallness(grid, op.potential).satisfies_weak
+    t_used = ts if kato_ok else ts[ts <= 1.0]
+    d2 = cdist(grid.coordinates, grid.coordinates, "sqeuclidean")
+    op_star = None
+    if vplus.max() > 0.0:
+        op_star = st.op0 if vminus.max() == 0.0 else bl.eigendecompose(
+            bl.assemble_schrodinger(grid, bl.GridFunction(grid, -vminus)),
+            dense_cap=op.num_nodes,
+        )
+    log_scores, defect = [], 0.0
+    for t in t_used:
+        absK = np.abs(bl.heat_kernel(op, t).values)
+        floor = op.num_nodes * np.finfo(float).eps * float(absK.max())
+        nz = absK > floor
+        logs = np.log(absK[nz]) + 0.5 * n * math.log(t) + d2[nz] / (cstar * t)
+        log_scores.append(float(logs.max(initial=-math.inf)))
+        if op_star is not None:
+            K_star = bl.heat_kernel(op_star, t).values
+            scale = max(1.0, float(K_star.max()))
+            defect = min(defect, float((K_star - absK).min()) / scale)
+    omega = math.nan
+    if not kato_ok:
+        omega = float(np.polyfit(t_used, np.asarray(log_scores), 1)[0])
+    return float(np.exp(max(log_scores))), defect, omega
+
+
+def tails_oracle(st):
+    """The unblocked cross-block tails: the full N x N kernel per (j, k)."""
+    opv, op0, dsys = st.op, st.op0, st.sys
+    W = opv.eigvecs.T @ op0.eigvecs
+    out = {}
+    for j in dsys.window:
+        gv = opv.dyadic_weights(dsys, "phi", j)
+        rows = np.flatnonzero(gv)
+        if rows.size == 0:
+            continue
+        left = opv.eigvecs[:, rows] * gv[rows]
+        pts = []
+        for k in dsys.window:
+            g0 = op0.dyadic_weights(dsys, "fat", k)
+            cols = np.flatnonzero(g0)
+            if k > j - 3 or cols.size == 0:
+                continue
+            mid = W[np.ix_(rows, cols)] * g0[cols]
+            tail = (left @ mid) @ op0.eigvecs[:, cols].T
+            pts.append((j - k, float(np.abs(tail).sum(axis=0).max()),
+                        V._sigma_max(gv[rows, None] * mid)))
+        if pts:
+            out[j] = pts
+    return out
+
+
+@pytest.mark.parametrize("potential", ["0.25/r^2", "-40+80*r"])
+def test_heat_gaussian_streaming_matches_unblocked_oracle(potential):
+    # "-40+80*r" fails the smallness flags, so omega is fitted and the
+    # dominating operator is eigendecomposed rather than taken from op0
+    st = streamed_disk(potential)
+    ts = 2.0 ** np.arange(-10, 1)
+    rep = V.check_heat_gaussian([st])
+    C, defect, omega = heat_oracle(st, ts)
+    assert rep.constants["C"] == (C,)
+    assert rep.constants["domination_defect"] == (defect,)
+    assert math.isnan(omega) == (potential == "0.25/r^2")
+    np.testing.assert_array_equal(rep.details["omega"], [omega])
+
+
+def test_heat_gaussian_scores_every_row_once(monkeypatch):
+    # the kernel is symmetric, so a skipped row block could hide behind its
+    # transpose in the oracle comparison: the row blocks must tile 0..N
+    st = streamed_disk()
+    seen = []
+
+    def spy(xa, xb, metric):
+        seen.append((xa[0].tolist(), len(xa)))
+        return cdist(xa, xb, metric)
+
+    monkeypatch.setattr(V, "cdist", spy)
+    V.check_heat_gaussian([st], t_grid=[0.5])
+    coords, B = st.grid.coordinates, V._ROW_BLOCK
+    assert seen == [(coords[lo].tolist(), len(coords[lo:lo + B]))
+                    for lo in range(0, len(coords), B)]
+
+
+@pytest.mark.parametrize("where", [0, 200, -1])
+def test_max_column_l1_matches_unblocked_product(where):
+    # 300 columns span three blocks, the last one partial; the largest
+    # column is planted in the first, a middle and the last block
+    rng = np.random.default_rng(4)
+    left, basis = rng.standard_normal((40, 7)), rng.standard_normal((300, 12))
+    cols = np.array([0, 2, 3, 7, 8, 9, 11])
+    basis[where, cols] *= 50.0
+    expected = float(np.abs(left @ basis[:, cols].T).sum(axis=0).max())
+    assert V._max_column_l1(left, basis, cols) == expected
+    column = np.abs(left @ basis[:, cols].T).sum(axis=0)
+    assert column.argmax() == np.arange(300)[where]
+
+
+def test_cross_block_tails_streaming_matches_unblocked_oracle():
+    st = streamed_disk()
+    tails = V._cross_block_tails(st)
+    assert tails
+    assert tails == tails_oracle(st)
+
+
+@pytest.mark.parametrize("name", ["heat_gaussian", "cross_block_tails"])
+def test_dense_checks_hold_at_most_four_transient_kernels(name):
+    st = streamed_disk()
+    run = {
+        "heat_gaussian": lambda: V.check_heat_gaussian([st]),
+        "cross_block_tails": lambda: V._cross_block_tails(st),
+    }[name]
+    N = st.grid.num_nodes
+    assert transient_bytes(run) <= 4 * N * N * 8
 
 
 # ---------------------------------------------------------------------------
