@@ -1,7 +1,7 @@
 """Desk-scale laboratory for dyadic spectral analysis of Dirichlet
 Schrodinger operators -Delta + V on masked uniform lattices.
 
-The package builds grids on arbitrary open subsets of R^n (n <= 3),
+The package builds grids on open boxes and balls in R^n (n <= 3),
 assembles the stencil operator, decomposes functions into smooth dyadic
 spectral shells, and measures Besov / Sobolev / Lorentz norms together
 with a battery of quantitative checks (Bernstein bounds, heat kernel
@@ -33,12 +33,9 @@ from .errors import (
 from .geometry import (
     Ball,
     Box,
-    Complement,
     DomainSpec,
     Grid,
     GridFunction,
-    Intersection,
-    Union,
     ball,
     box,
     build_grid,
@@ -112,4 +109,4 @@ from .verify import (
     check_subspace_characterization,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 import jsonschema
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, EmptyDomain, GridMismatch
 from .geometry import DomainSpec, ball, box, interval
 from .verify import CHECKS, FAMILY_TAGS, FunctionFamily, equivalence_window
 
@@ -214,14 +214,6 @@ def _validate_check_entry(index: int, entry: Mapping[str, Any]) -> None:
         )
 
 
-def _domain_dimension(dom: Mapping[str, Any]) -> int:
-    if dom["kind"] == "interval":
-        return 1
-    if dom["kind"] == "box":
-        return len(dom["lo"])
-    return len(dom["center"])
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration with every default filled in."""
@@ -250,7 +242,7 @@ class RunConfig:
 
     @property
     def dimension(self) -> int:
-        return _domain_dimension(self.domain)
+        return self.domain_spec().dimension
 
     def family(self) -> FunctionFamily:
         return FunctionFamily(self.family_tag, seed=self.seed, count=self.family_count)
@@ -295,25 +287,13 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     if error is not None:
         raise ConfigInvalid(f"at {_json_path(error)}: {error.message}")
 
-    dom = data["domain"]
-    if dom["kind"] == "interval" and not dom["a"] < dom["b"]:
-        raise ConfigInvalid(
-            f"at domain: interval needs a < b, got [{dom['a']}, {dom['b']}]"
-        )
-    if dom["kind"] == "box":
-        lo, hi = dom["lo"], dom["hi"]
-        if len(lo) != len(hi):
-            raise ConfigInvalid("at domain: box lo and hi need matching lengths")
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ConfigInvalid("at domain: box needs lo < hi componentwise")
-
     checks = [dict(entry) for entry in data.get("checks", _DEFAULTS["checks"])]
     for i, entry in enumerate(checks):
         _validate_check_entry(i, entry)
 
     family = {**_DEFAULTS["family"], **data.get("family", {})}
     cfg = RunConfig(
-        domain=dict(dom),
+        domain=dict(data["domain"]),
         h=tuple(sorted((float(v) for v in data["h"]), reverse=True)),
         potential=data.get("potential", _DEFAULTS["potential"]),
         trunc_radius=data.get("trunc_radius", _DEFAULTS["trunc_radius"]),
@@ -329,7 +309,7 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     )
     try:
         cfg.domain_spec()
-    except ValueError as exc:  # a bounding box that overflows to infinity
+    except (EmptyDomain, GridMismatch, ValueError) as exc:
         raise ConfigInvalid(f"at domain: {exc}") from exc
     return cfg
 

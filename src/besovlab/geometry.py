@@ -1,12 +1,11 @@
 """Masked uniform lattices on open subsets of R^n, n in {1, 2, 3}.
 
-A domain is described by a small shape tree (boxes, balls and their
-unions, intersections and complements).  A grid at spacing h collects the
-lattice nodes k*h (k integer) that fall strictly inside the domain;
-Dirichlet boundary conditions later act by plain mask truncation, so the
-boundary itself never has to be meshed.  Each node owns a cell of measure
-h^n, which fixes the quadrature weight behind every discrete integral in
-the package.
+A domain is an open axis-aligned box (an interval when n = 1) or an open
+ball.  A grid at spacing h collects the lattice nodes k*h (k integer) that
+fall strictly inside the domain; Dirichlet boundary conditions later act
+by plain mask truncation, so the boundary itself never has to be meshed.
+Each node owns a cell of measure h^n, which fixes the quadrature weight
+behind every discrete integral in the package.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from .errors import (
 __all__ = [
     "Box",
     "Ball",
-    "Union",
-    "Intersection",
-    "Complement",
     "DomainSpec",
     "Grid",
     "GridFunction",
@@ -47,7 +43,7 @@ _DEFAULT_NODE_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# shape tree
+# shapes
 # ---------------------------------------------------------------------------
 
 
@@ -84,63 +80,8 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Union:
-    parts: tuple
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        out = self.parts[0].contains(pts)
-        for part in self.parts[1:]:
-            out = out | part.contains(pts)
-        return out
-
-    def bbox(self):
-        boxes = [p.bbox() for p in self.parts]
-        if any(b is None for b in boxes):
-            return None
-        lo = np.min([b[0] for b in boxes], axis=0)
-        hi = np.max([b[1] for b in boxes], axis=0)
-        return lo, hi
-
-
-@dataclass(frozen=True)
-class Intersection:
-    parts: tuple
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        out = self.parts[0].contains(pts)
-        for part in self.parts[1:]:
-            out = out & part.contains(pts)
-        return out
-
-    def bbox(self):
-        boxes = [b for b in (p.bbox() for p in self.parts) if b is not None]
-        if not boxes:
-            return None
-        lo = np.max([b[0] for b in boxes], axis=0)
-        hi = np.min([b[1] for b in boxes], axis=0)
-        return lo, hi
-
-
-@dataclass(frozen=True)
-class Complement:
-    """Complement of a shape.  Unbounded: needs an explicit bounding box."""
-
-    part: object
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return ~self.part.contains(pts)
-
-    def bbox(self) -> None:
-        return None
-
-
-@dataclass(frozen=True)
 class DomainSpec:
-    """Open domain in R^n given by a shape tree plus a bounding box.
-
-    The bounding box is derived from the shapes when possible; unbounded
-    shapes (complements) require an explicit ``bounding_box``, which then
-    acts as a truncation box.  It must be finite.
+    """Open box or ball in R^n; its bounding box must be finite and nonempty.
 
     Examples
     --------
@@ -150,8 +91,7 @@ class DomainSpec:
     """
 
     dimension: int
-    shape: object
-    bounding_box: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    shape: Box | Ball
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
@@ -166,17 +106,7 @@ class DomainSpec:
             raise ValueError(f"bounding box must be finite, got {lo} to {hi}")
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.bounding_box is not None:
-            return (
-                np.asarray(self.bounding_box[0], float),
-                np.asarray(self.bounding_box[1], float),
-            )
-        derived = self.shape.bbox()
-        if derived is None:
-            raise EmptyDomain(
-                "shape has no intrinsic bounding box; pass bounding_box= as a truncation box"
-            )
-        return derived
+        return self.shape.bbox()
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -305,11 +235,7 @@ def build_grid(spec: DomainSpec, h: float, node_budget: int = _DEFAULT_NODE_BUDG
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1) * h
 
-    inside = spec.contains(pts)
-    # nodes must also sit inside the bounding box: the box doubles as a
-    # truncation box for unbounded shape trees
-    inside &= np.all((pts > lo) & (pts < hi), axis=-1)
-    inside = inside.reshape(shape)
+    inside = spec.contains(pts).reshape(shape)
 
     if not inside.any():
         raise EmptyDomain(f"no lattice node falls strictly inside the domain at h={h}")

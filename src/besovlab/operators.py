@@ -31,7 +31,7 @@ from .errors import (
     MissingEigendata,
     SolverFailure,
 )
-from .geometry import Grid, GridFunction
+from .geometry import _DEFAULT_NODE_BUDGET, Grid, GridFunction
 from .potential import potential_samples
 
 if TYPE_CHECKING:
@@ -418,8 +418,10 @@ def _unpack(fh, fmt: str) -> tuple:
 def load_operator(path) -> SpectralOperator:
     """Read an operator cache written by save_operator.
 
-    A file that is not such a cache, has another format version or is cut
-    short raises SolverFailure.
+    A file that is not such a cache, has another format version, is cut
+    short or holds a grid block that build_grid could not have made (an
+    index box above the default node budget, a node outside its box)
+    raises SolverFailure.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
@@ -441,6 +443,10 @@ def load_operator(path) -> SpectralOperator:
             eigvals.flags.writeable = False
             eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
 
+    if not 0 < math.prod(shape) <= _DEFAULT_NODE_BUDGET:
+        raise SolverFailure(f"operator cache grid box {shape} is empty or over the node budget")
+    if ((multi < 0) | (multi >= np.asarray(shape, np.int64))).any():
+        raise SolverFailure("operator cache node lies outside its grid box")
     flat_of_cell = np.full(shape, -1, dtype=np.int64)
     flat_of_cell[tuple(multi.T)] = np.arange(int(N))
     grid = Grid(n=int(n), h=float(h), k_lo=k_lo, shape=shape,

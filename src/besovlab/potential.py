@@ -26,7 +26,9 @@ certificate rules out lam_min(A_V) <= 0 for bounded domains.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,114 +231,34 @@ def form_bound(op0, vminus, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# expression sampling (tiny arithmetic grammar for config-driven potentials)
+# expression sampling (Python arithmetic for config-driven potentials)
 # ---------------------------------------------------------------------------
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str]] = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                         (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                    j += 1
-                self.tokens.append(("num", text[i:j]))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j]))
-                i = j
-                continue
-            if text.startswith("**", i):
-                self.tokens.append(("op", "**"))
-                i += 2
-                continue
-            if c in "+-*/^()":
-                self.tokens.append(("op", c))
-                i += 1
-                continue
-            raise ConfigInvalid(f"unexpected character {c!r} in potential expression")
-
-    def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else ("end", "")
-
-    def next(self):
-        tok = self.peek()
-        self.idx += 1
-        return tok
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 
-def _parse(tokens: _Tokenizer, env: dict[str, np.ndarray]) -> np.ndarray:
-    def expr():
-        out = term()
-        while tokens.peek() == ("op", "+") or tokens.peek() == ("op", "-"):
-            _, op = tokens.next()
-            rhs = term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def term():
-        out = factor()
-        while tokens.peek() == ("op", "*") or tokens.peek() == ("op", "/"):
-            _, op = tokens.next()
-            rhs = factor()
-            out = out * rhs if op == "*" else out / rhs
-        return out
-
-    def factor():
-        base = unary()
-        if tokens.peek() in (("op", "^"), ("op", "**")):
-            tokens.next()
-            return base ** factor()  # right associative
-        return base
-
-    def unary():
-        if tokens.peek() == ("op", "-"):
-            tokens.next()
-            return -unary()
-        return atom()
-
-    def atom():
-        kind, text = tokens.next()
-        if kind == "num":
-            try:
-                # a numpy scalar, so 1/0, overflow and negative bases with
-                # fractional powers give inf or nan instead of raising
-                return np.float64(text)
-            except ValueError:
-                raise ConfigInvalid(f"malformed number {text!r} in potential expression") from None
-        if kind == "ident":
-            if text not in env:
-                raise ConfigInvalid(f"unknown name {text!r} in potential expression")
-            return env[text]
-        if (kind, text) == ("op", "("):
-            out = expr()
-            if tokens.next() != ("op", ")"):
-                raise ConfigInvalid("unbalanced parentheses in potential expression")
-            return out
-        raise ConfigInvalid(f"unexpected token {text!r} in potential expression")
-
-    out = expr()
-    if tokens.peek()[0] != "end":
-        raise ConfigInvalid("trailing input in potential expression")
-    return out
+def _evaluate(node: ast.AST, env: dict[str, np.ndarray]):
+    """Evaluate a parsed expression over the whitelisted nodes only."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # a numpy scalar, so 1/0, overflow and negative bases with
+        # fractional powers give inf or nan instead of raising, and an
+        # integer power tower never becomes big-integer work
+        return np.float64(node.value)
+    if isinstance(node, ast.Name):
+        if node.id not in env:
+            raise ConfigInvalid(f"unknown name {node.id!r} in potential expression")
+        return env[node.id]
+    raise ConfigInvalid(f"unsupported {type(node).__name__} in potential expression")
 
 
 def potential_from_expression(
@@ -344,11 +266,24 @@ def potential_from_expression(
 ) -> tuple[GridFunction, int]:
     """Sample an arithmetic expression of the coordinates on the grid nodes.
 
-    Allowed names: coordinates x, y, z (aliases x1, x2, x3), the distance
-    r to the origin, and pi; operators + - * / ^ (or **) and parentheses.
-    The variable r is floored at ``trunc_radius`` (default: one spacing h),
-    which truncates |x|^-a singularities at the cell scale; the number of
-    nodes where the floor engaged is returned alongside the samples.
+    The expression is Python arithmetic: names x, y, z (aliases x1, x2,
+    x3), the distance r to the origin and pi; int and float literals;
+    binary + - * / ** (``^`` is spelled ``**``), unary minus and
+    parentheses, with Python's precedence.  The variable r is floored at
+    ``trunc_radius`` (default: one spacing h), which truncates |x|^-a
+    singularities at the cell scale; the number of nodes where the floor
+    engaged is returned alongside the samples.
+
+    Examples
+    --------
+    Unary minus binds looser than a power, so ``-x^2`` is -(x^2):
+
+    >>> from besovlab.geometry import build_grid, interval
+    >>> g = build_grid(interval(0.0, 1.0), 0.5)
+    >>> potential_from_expression(g, "-x^2")[0].values  # the node x = 0.5
+    array([-0.25])
+    >>> potential_from_expression(g, "2^-1^2")[0].values  # 2^(-(1^2))
+    array([0.5])
     """
     coords = grid.coordinates
     trunc = grid.h if trunc_radius is None else float(trunc_radius)
@@ -361,9 +296,14 @@ def potential_from_expression(
         env[f"x{d + 1}"] = coords[:, d]
     env["r"] = np.maximum(r_raw, trunc)
     try:
+        tree = ast.parse(expr.strip().replace("^", "**"), mode="eval")
         with np.errstate(all="ignore"):  # nonfinite samples are rejected below
-            values = _parse(_Tokenizer(expr), env)
-    except RecursionError:
+            values = _evaluate(tree.body, env)
+    except (SyntaxError, ValueError, OverflowError) as exc:
+        # ValueError: a null byte before Python 3.12; OverflowError: an
+        # integer literal beyond the float range
+        raise ConfigInvalid(f"malformed potential expression: {exc}") from None
+    except (RecursionError, MemoryError):  # MemoryError: the 3.10-3.12 parser stack
         raise ConfigInvalid("potential expression nests too deeply") from None
     values = np.broadcast_to(np.asarray(values, float), (grid.num_nodes,)).copy()
     if not np.all(np.isfinite(values)):

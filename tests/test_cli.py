@@ -10,6 +10,7 @@ import json
 import math
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -615,16 +616,29 @@ def test_version_matches_pyproject():
     assert besovlab.__version__ == version
 
 
-@pytest.mark.parametrize("damage", ["truncate", "bad-magic"])
-def test_damaged_operator_cache_is_rebuilt(tmp_path, damage):
+_DAMAGE = {
+    "truncate": lambda raw: raw[: len(raw) // 2],
+    "bad-magic": lambda raw: b"NOTANOP!" + raw[8:],
+    # interval h = 1/16 cache: the shape (19,) sits at byte 40, the first
+    # node's multi-index at byte 60
+    "shape-over-budget": lambda raw: raw[:40] + struct.pack("<Q", 2**40) + raw[48:],
+    "index-past-shape": lambda raw: raw[:60] + struct.pack("<q", 19) + raw[68:],
+    "negative-index": lambda raw: raw[:60] + struct.pack("<q", -1) + raw[68:],
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGE))
+def test_damaged_operator_cache_is_rebuilt(tmp_path, capsys, damage):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, potential="-5", out=str(out))
     assert main(["spectrum", "--config", str(cfg)]) == 0
     expected = (out / "spectrum.csv").read_bytes()
     (entry,) = (out / "cache").glob("op-*.bin")
     raw = entry.read_bytes()
-    entry.write_bytes(raw[: len(raw) // 2] if damage == "truncate" else b"NOTANOP!" + raw[8:])
+    entry.write_bytes(_DAMAGE[damage](raw))
+    capsys.readouterr()
     assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert "warning: rebuilding unreadable operator cache" in capsys.readouterr().err
     assert (out / "spectrum.csv").read_bytes() == expected
     assert entry.read_bytes() == raw
     assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
@@ -686,6 +700,10 @@ def test_invalid_domains_rejected():
     with pytest.raises(ConfigInvalid):
         make_config(
             {"domain": {"kind": "box", "lo": [0.0], "hi": [1.0, 2.0]}, "h": [0.5]}
+        )
+    with pytest.raises(ConfigInvalid, match="domain"):
+        make_config(
+            {"domain": {"kind": "box", "lo": [0.0, 1.0], "hi": [1.0, 1.0]}, "h": [0.5]}
         )
     with pytest.raises(ConfigInvalid):
         make_config({"domain": {"kind": "torus", "a": 0.0, "b": 1.0}, "h": [0.5]})

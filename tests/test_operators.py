@@ -375,6 +375,25 @@ class TestSaveLoad:
         with pytest.raises(bl.SolverFailure, match="truncated"):
             bl.load_operator(path)
 
+    @pytest.mark.parametrize(
+        "offset,value",
+        [(40, 2**40), (60, 11), (60, -1)],
+        ids=["shape-over-budget", "index-past-shape", "negative-index"],
+    )
+    def test_damaged_grid_block_rejected(self, tmp_path, offset, value):
+        # interval h = 1/8: the shape (11,) sits at byte 40, the first
+        # node's multi-index at byte 60; neither may reach flat_of_cell
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        path = tmp_path / "op.bin"
+        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<Q", raw, 40) == (11,)
+        assert struct.unpack_from("<q", raw, 60) == (2,)
+        struct.pack_into("<q", raw, offset, value)
+        path.write_bytes(raw)
+        with pytest.raises(bl.SolverFailure, match="grid box"):
+            bl.load_operator(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
         path = tmp_path / "op.bin"

@@ -340,9 +340,18 @@ class TestExpressionPotentials:
         with pytest.raises(bl.ConfigInvalid):
             bl.potential_from_expression(g, "y")
 
+    def test_unary_minus_binds_looser_than_power(self):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
+        x = g.coordinates[:, 0]
+        for expr, expected in (("-x^2", -(x**2)), ("-2^2", -4.0), ("2^-1^2", 0.5)):
+            f, _ = bl.potential_from_expression(g, expr)
+            np.testing.assert_array_equal(f.values, np.broadcast_to(expected, x.shape))
+
     def test_syntax_errors(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
-        for bad in ("1 + ", "(x", "x ) ", "x @ 2", "3..5"):
+        for bad in ("1 + ", "(x", "x ) ", "x @ 2", "3..5", "f(x)", "x.real", "x[0]",
+                    "x < 1", "True", "1j", "'a'", "+x", "x % 2", "x // 2", "lambda: 1",
+                    "(x := 1)", "x, y", "x\x00", "1" * 5000):
             with pytest.raises(bl.ConfigInvalid):
                 bl.potential_from_expression(g, bad)
 
