@@ -51,6 +51,7 @@ from .errors import (
     InvalidCheckParameter,
     SolverFailure,
 )
+from .geometry import Grid, build_grid
 from .norms import besov_norm, lorentz_norm, sobolev_norm
 from .operators import (
     _FORMAT_VERSION,
@@ -104,16 +105,26 @@ def _stage_key(cfg: RunConfig, h: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _load_entry(path: Path, grid: Grid) -> SpectralOperator:
+    """load_operator, rejecting an entry whose grid is not ``grid``."""
+    op = load_operator(path)
+    if not op.grid.same_geometry(grid):
+        raise SolverFailure("cached grid differs from the configured grid")
+    return op
+
+
 def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
     """Build one resolution stage, reusing the binary operator cache.
 
     Cache entries are keyed by the operator-determining part of the config
     (domain, spacing, potential, truncation, dense cap), the cache format
     version and the package version, so verify/norms/spectrum runs over the
-    same setup share the eigendecompositions.  ``op-*.bin`` holds A_V and
-    is all a stage needs; ``op0-*.bin`` holds the decomposed A_0 and is
-    read, or decomposed and written, only when something reads
-    ``stage.op0``.  An entry that cannot be read is rebuilt.
+    same setup share the eigendecompositions.  ``op-*.bin`` holds A_V and,
+    with a potential, the free Laplacian's extremes, so it is all a stage
+    needs: a hit runs no solve at all.  ``op0-*.bin`` holds the decomposed
+    A_0 and is read, or decomposed and written, only when something reads
+    ``stage.op0``.  An entry that cannot be read, or whose grid is not the
+    one the config builds, is rebuilt.
     """
     key = _stage_key(cfg, h)
     op_path = cache_dir / f"op-{key}.bin"
@@ -122,7 +133,7 @@ def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
     def resolve_op0(op0: SpectralOperator) -> SpectralOperator:
         if op0_path.exists():
             try:
-                return load_operator(op0_path)
+                return _load_entry(op0_path, op0.grid)
             except (OSError, SolverFailure) as exc:
                 print(f"warning: rebuilding unreadable operator cache op0-{key}: {exc}",
                       file=sys.stderr)
@@ -132,7 +143,7 @@ def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
 
     if op_path.exists():
         try:
-            op = load_operator(op_path)
+            op = _load_entry(op_path, build_grid(cfg.domain_spec(), h))
         except (OSError, SolverFailure) as exc:
             print(f"warning: rebuilding unreadable operator cache {key}: {exc}", file=sys.stderr)
         else:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .calculus import apply_symbol, spectral_coefficients, spectral_synthesis
 from .dyadic import DyadicSystem
@@ -285,6 +284,8 @@ def _fractional_piece(t0, t1, a, b, c, q):
     happen for fractional q).  Mixed pieces always have t1 <= 2 t0, so the
     selected form keeps its argument in [-2, 0] where 2F1 is well behaved.
     """
+    from scipy.special import hyp2f1
+
     gam = c - q
     a_ok = not _near_integer(gam)
     b_ok = not (_near_integer(c) and round(c) >= 1)

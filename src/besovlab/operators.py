@@ -8,9 +8,10 @@ Potentials act as diagonal multiplication by their node samples.
 Eigendecompositions are dense and cached on the operator; a configurable
 cap guards against accidentally decomposing a matrix that is too large.
 The extreme eigenvalues of the free Laplacian, which is all the dyadic
-window needs of it, come from one sparse Lanczos solve instead.
-Operators (with grid, CSR matrix, potential and eigendata) can be saved to
-and loaded from a little-endian binary cache file.
+window needs of it, come from one sparse Lanczos solve instead; scipy's
+sparse eigensolver is imported only when that solve runs.  Operators (with
+grid, CSR matrix, potential, eigendata and the free Laplacian's extremes)
+can be saved to and loaded from a little-endian binary cache file.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
     DenseCapExceeded,
@@ -53,11 +53,14 @@ __all__ = [
 DEFAULT_DENSE_CAP = 4096
 
 _MAGIC = b"BESOVOP1"
-_FORMAT_VERSION = 1
+# format 2 added the free Laplacian's extremes (_FLAG_BOUNDS); a file
+# without that block is a format-1 file byte for byte and is stamped 1
+_FORMAT_VERSION = 2
 _HEADER = "<IIQd"  # version, dimension, node count, spacing
 _COUNTS = "<IQ"  # flags, matrix nonzeros
 _FLAG_POTENTIAL = 1
 _FLAG_EIGEN = 2
+_FLAG_BOUNDS = 4
 
 # smaller matrices take the dense solve (ARPACK wants k well below N)
 _LANCZOS_MIN_NODES = 16
@@ -76,6 +79,10 @@ class SpectralOperator:
 
     Eigenvalues are fixed once set (read-only after eigendecompose and
     load_operator), so dyadic weights on them are memoized per system.
+
+    ``free_bounds`` holds laplacian_bounds of the potential-free Laplacian
+    on the same grid once a stage has computed them (or a cache entry has
+    kept them), so a stage rebuilt from the cache needs no Lanczos solve.
     """
 
     grid: Grid
@@ -83,6 +90,7 @@ class SpectralOperator:
     potential: np.ndarray | None = None
     eigvals: np.ndarray | None = field(default=None, repr=False)
     eigvecs: np.ndarray | None = field(default=None, repr=False)
+    free_bounds: tuple[float, float] | None = field(default=None, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -242,6 +250,17 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     return op
 
 
+def eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on first call.
+
+    The Lanczos solve in laplacian_bounds is the only use of
+    scipy.sparse.linalg (and of scipy.linalg, which it loads), so a process
+    that never runs it never imports them."""
+    from scipy.sparse.linalg import eigsh as _eigsh
+
+    return _eigsh(*args, **kwargs)
+
+
 def _near_power_of_4(lam: float) -> bool:
     level = math.log(lam, 4.0)
     return abs(level - round(level)) < _WINDOW_EDGE_GUARD
@@ -283,6 +302,8 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
         return op.lam_min, op.lam_max
     N = op.num_nodes
     if N >= _LANCZOS_MIN_NODES:
+        from scipy.sparse.linalg import ArpackError
+
         try:
             (lo,) = eigsh(op.matrix, k=1, which="SA", tol=0, v0=np.ones(N),
                           return_eigenvectors=False)
@@ -349,10 +370,14 @@ def single_eigenvector(op: SpectralOperator, k: int) -> GridFunction:
 
 
 def save_operator(op: SpectralOperator, path) -> None:
-    """Write grid, CSR matrix, potential and eigendata as little-endian binary.
+    """Write grid, CSR matrix, potential, eigendata and the free Laplacian's
+    extremes as little-endian binary.
 
-    The file is written under a temporary name and renamed into place, so
-    an interrupted write never leaves a partial file at ``path``.
+    The blocks follow one another in that order; the optional ones are
+    flagged.  The header carries the oldest format that reads the file, so
+    a file without the extremes block is stamped format 1.  The file is
+    written under a temporary name and renamed into place, so an
+    interrupted write never leaves a partial file at ``path``.
     """
     grid = op.grid
     mat = op.matrix.tocsr()
@@ -362,11 +387,14 @@ def save_operator(op: SpectralOperator, path) -> None:
         flags |= _FLAG_POTENTIAL
     if op.has_eigendata:
         flags |= _FLAG_EIGEN
+    if op.free_bounds is not None:
+        flags |= _FLAG_BOUNDS
+    version = _FORMAT_VERSION if flags & _FLAG_BOUNDS else 1
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack(_HEADER, _FORMAT_VERSION, grid.n, grid.num_nodes, grid.h))
+            fh.write(struct.pack(_HEADER, version, grid.n, grid.num_nodes, grid.h))
             _write(fh, grid.k_lo, "<i8")
             _write(fh, grid.shape, "<u8")
             fh.write(struct.pack(_COUNTS, flags, mat.nnz))
@@ -379,6 +407,8 @@ def save_operator(op: SpectralOperator, path) -> None:
             if flags & _FLAG_EIGEN:
                 _write(fh, op.eigvals, "<f8")
                 _write(fh, op.eigvecs, "<f8")
+            if flags & _FLAG_BOUNDS:
+                _write(fh, op.free_bounds, "<f8")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -418,17 +448,28 @@ def _unpack(fh, fmt: str) -> tuple:
 def load_operator(path) -> SpectralOperator:
     """Read an operator cache written by save_operator.
 
-    A file that is not such a cache, has another format version, is cut
-    short or holds a grid block that build_grid could not have made (an
-    index box above the default node budget, a node outside its box)
-    raises SolverFailure.
+    Raises SolverFailure, before any scipy structure is built, for a file
+    that is not such a cache, has a format version this reader does not
+    know or is cut short, and for blocks that no save_operator could have
+    written:
+
+    - a spacing that is not a positive finite number;
+    - a grid block build_grid could not have made (an index box above the
+      default node budget, a node outside its box);
+    - a CSR block whose row pointers do not start at 0, decrease or do not
+      end at the nonzero count, or whose column indices leave [0, N);
+    - eigenvalues that are not finite or not ascending;
+    - free-Laplacian extremes that are not finite, not positive or out of
+      order.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise SolverFailure("not an operator cache file (bad magic)")
         version, n, N, h = _unpack(fh, _HEADER)
-        if version != _FORMAT_VERSION:
+        if version not in (1, _FORMAT_VERSION):
             raise SolverFailure(f"unsupported operator cache version {version}")
+        if not (math.isfinite(h) and h > 0.0):
+            raise SolverFailure(f"operator cache spacing {h} is not a positive finite number")
         k_lo = _read(fh, "<i8", n)
         shape = tuple(int(s) for s in _read(fh, "<u8", n))
         flags, nnz = _unpack(fh, _COUNTS)
@@ -442,11 +483,24 @@ def load_operator(path) -> SpectralOperator:
             eigvals = _read(fh, "<f8", N)
             eigvals.flags.writeable = False
             eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
+        bounds = _read(fh, "<f8", 2) if flags & _FLAG_BOUNDS else None
 
     if not 0 < math.prod(shape) <= _DEFAULT_NODE_BUDGET:
         raise SolverFailure(f"operator cache grid box {shape} is empty or over the node budget")
     if ((multi < 0) | (multi >= np.asarray(shape, np.int64))).any():
         raise SolverFailure("operator cache node lies outside its grid box")
+    # scipy checks none of this, and an index past N is read out of bounds
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise SolverFailure("operator cache matrix has malformed row pointers")
+    if ((indices < 0) | (indices >= N)).any():
+        raise SolverFailure("operator cache matrix has a column index outside [0, N)")
+    if eigvals is not None and not (np.isfinite(eigvals).all()
+                                    and (np.diff(eigvals) >= 0.0).all()):
+        raise SolverFailure("operator cache eigenvalues are not finite and ascending")
+    if bounds is not None:
+        lo, hi = bounds = tuple(bounds.tolist())
+        if not (math.isfinite(hi) and 0.0 < lo <= hi):
+            raise SolverFailure(f"operator cache free Laplacian bounds {bounds} are invalid")
     flat_of_cell = np.full(shape, -1, dtype=np.int64)
     flat_of_cell[tuple(multi.T)] = np.arange(int(N))
     grid = Grid(n=int(n), h=float(h), k_lo=k_lo, shape=shape,
@@ -455,4 +509,4 @@ def load_operator(path) -> SpectralOperator:
         (data, indices.astype(np.int64), indptr.astype(np.int64)), shape=(int(N), int(N))
     )
     return SpectralOperator(grid=grid, matrix=mat, potential=potential,
-                            eigvals=eigvals, eigvecs=eigvecs)
+                            eigvals=eigvals, eigvecs=eigvecs, free_bounds=bounds)

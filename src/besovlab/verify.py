@@ -21,8 +21,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial.distance import cdist
 
 from .calculus import (
     OperatorFunction,
@@ -149,10 +147,13 @@ class Stage:
         """Bundle the eigendecomposed ``op`` and the free operator ``op0``
         (``op`` itself, or assembled, decomposed or not) with the dyadic
         system whose window covers both spectra.  The free spectrum enters
-        through laplacian_bounds, which needs no eigendecomposition."""
+        through ``op.free_bounds``: kept by the operator cache, or else set
+        here from laplacian_bounds, which needs no eigendecomposition."""
         lo, hi = op.lam_pos_min, op.lam_max
         if op0 is not op:
-            lo0, hi0 = laplacian_bounds(op0)
+            if op.free_bounds is None:
+                op.free_bounds = laplacian_bounds(op0)
+            lo0, hi0 = op.free_bounds
             lo, hi = min(lo, lo0), max(hi, hi0)
         sys = build_system(lo, hi, lam0=op.lam0, profile=profile)
         return cls(op.grid, op, op0, sys, resolve_op0)
@@ -323,6 +324,8 @@ def _mollifier_stack(grid: Grid, count: int) -> np.ndarray:
 def _boundary_distance(op: SpectralOperator) -> np.ndarray:
     """Distance to the domain boundary, via lattice hops to the outermost
     interior layer (nodes missing at least one stencil neighbor)."""
+    from scipy.sparse.csgraph import dijkstra
+
     adj = abs(op.matrix).tocsr()
     adj.setdiag(0.0)
     adj.eliminate_zeros()
@@ -1003,6 +1006,14 @@ def check_equivalence_AV_A0(
             "window": [lo, hi], "in_window": in_window, "asserted": in_window,
         },
     )
+
+
+def cdist(xa, xb, metric):
+    """scipy.spatial.distance.cdist, imported on first call: the heat check
+    is the only user of scipy.spatial (and of the scipy.linalg it loads)."""
+    from scipy.spatial.distance import cdist as _cdist
+
+    return _cdist(xa, xb, metric)
 
 
 def check_heat_gaussian(

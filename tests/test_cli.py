@@ -8,6 +8,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -624,6 +625,15 @@ _DAMAGE = {
     "shape-over-budget": lambda raw: raw[:40] + struct.pack("<Q", 2**40) + raw[48:],
     "index-past-shape": lambda raw: raw[:60] + struct.pack("<q", 19) + raw[68:],
     "negative-index": lambda raw: raw[:60] + struct.pack("<q", -1) + raw[68:],
+    # the spacing sits at byte 24 and the box's low corner k_lo at byte 32;
+    # a far k_lo loads, but its grid is not the one the config builds
+    "spacing-nan": lambda raw: raw[:24] + struct.pack("<d", math.nan) + raw[32:],
+    "spacing-negative": lambda raw: raw[:24] + struct.pack("<d", -0.125) + raw[32:],
+    "k_lo-far": lambda raw: raw[:32] + struct.pack("<q", 2**40) + raw[40:],
+    # the free Laplacian's extremes are the last 16 bytes
+    "bounds-nan": lambda raw: raw[:-16] + struct.pack("<dd", math.nan, 1e3),
+    "bounds-zero": lambda raw: raw[:-16] + struct.pack("<dd", 0.0, 1e3),
+    "bounds-reversed": lambda raw: raw[:-16] + raw[-8:] + raw[-16:-8],
 }
 
 
@@ -642,6 +652,143 @@ def test_damaged_operator_cache_is_rebuilt(tmp_path, capsys, damage):
     assert (out / "spectrum.csv").read_bytes() == expected
     assert entry.read_bytes() == raw
     assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+
+def _subprocess_env():
+    """The environment with this besovlab first on the import path."""
+    src = str(Path(besovlab.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _without_columns(path, *names):
+    rows = [r for r in csv.reader(path.read_text().splitlines())]
+    keep = [i for i, c in enumerate(rows[0]) if c not in names]
+    return [[r[i] for i in keep] for r in rows]
+
+
+def test_column_index_out_of_range_rebuilds_before_bench(tmp_path):
+    # scipy does not bound-check CSR indices: before load_operator checked
+    # them, bench read past the matrix and died with SIGSEGV
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, h=[1 / 64], potential="4*x", out=str(out))
+    cmd = [sys.executable, "-m", "besovlab", "bench", "--config", str(cfg)]
+    first = subprocess.run(cmd, capture_output=True, text=True, env=_subprocess_env())
+    assert first.returncode == 0, first.stderr
+    expected = _without_columns(out / "bench.csv", "dense_ms", "cheb_ms")
+    (entry,) = (out / "cache").glob("op-*.bin")
+    raw = entry.read_bytes()
+    # header, k_lo, shape and counts take 60 bytes, then the multi-indices
+    # and the row pointers of the N = 63 nodes precede the column indices
+    N = 63
+    offset = 60 + 8 * N + 8 * (N + 1)
+    assert struct.unpack_from("<q", raw, offset) == (0,)
+    damaged = bytearray(raw)
+    struct.pack_into("<q", damaged, offset, 10**7)
+    entry.write_bytes(damaged)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=_subprocess_env())
+    assert second.returncode == 0, second.stderr
+    assert "warning: rebuilding unreadable operator cache" in second.stderr
+    assert _without_columns(out / "bench.csv", "dense_ms", "cheb_ms") == expected
+    assert entry.read_bytes() == raw
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+
+def test_free_operator_entry_on_another_grid_is_rebuilt(tmp_path, capsys):
+    cfg = _equivalence_config(tmp_path, "out", h=[0.25])
+    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+    expected = _without_wall_ms(tmp_path / "out" / "verify.csv")
+    (entry,) = (tmp_path / "out" / "cache").glob("op0-*.bin")
+    raw = entry.read_bytes()
+    entry.write_bytes(raw[:32] + struct.pack("<q", 2**40) + raw[40:])  # k_lo[0]
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+    assert "warning: rebuilding unreadable operator cache op0-" in capsys.readouterr().err
+    assert _without_wall_ms(tmp_path / "out" / "verify.csv") == expected
+    assert entry.read_bytes() == raw
+
+
+# scipy submodules that only a cold solve, a check or a fractional Lorentz
+# norm needs; a warm spectrum/norms/bench process must not load them
+_HEAVY_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+                  "scipy.spatial", "scipy.special", "mpmath")
+
+_LOADED_HEAVY = """
+import json, sys
+{body}
+heavy = {heavy!r}
+print(json.dumps(sorted(m for m in sys.modules if m in heavy or m.startswith(
+    tuple(h + "." for h in heavy)))))
+"""
+
+
+def _heavy_after(body, cwd):
+    code = _LOADED_HEAVY.format(body=body, heavy=_HEAVY_MODULES)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        domain={"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        h=[0.25],
+        potential="-0.5/r",
+        norms=[
+            {"kind": "besov", "s": 0.5, "p": 2.0, "q": 2.0},
+            {"kind": "sobolev", "s": 1.0},
+            {"kind": "lorentz", "p": 2.0, "q": "inf"},
+        ],
+        out=str(out),
+    )
+    assert main(["spectrum", "--config", str(cfg)]) == 0  # primes the cache
+    floor = _heavy_after("import numpy, scipy.sparse, jsonschema", tmp_path)
+    assert _heavy_after("import besovlab", tmp_path) <= floor
+    warm = "\n".join(
+        ["from besovlab.cli import main"]
+        + [f"assert main([{c!r}, '--config', {str(cfg)!r}]) == 0"
+           for c in ("spectrum", "norms", "bench")]
+    )
+    assert _heavy_after(warm, tmp_path) <= floor
+    assert len(read_rows(out / "norms.csv")) == 3 * 8
+
+
+def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
+    from besovlab import operators, verify
+
+    cfg = _equivalence_config(tmp_path, "out")
+    assert main(["norms", "--config", str(cfg)]) == 0
+    norms = (tmp_path / "out" / "norms.csv").read_bytes()
+    calls = []
+    monkeypatch.setattr(verify, "laplacian_bounds", lambda op: calls.append("bounds"))
+    monkeypatch.setattr(operators, "eigsh", lambda *a, **k: calls.append("eigsh"))
+    del eigensolves[:]
+    assert main(["norms", "--config", str(cfg)]) == 0
+    assert calls == [] and eigensolves == []
+    assert (tmp_path / "out" / "norms.csv").read_bytes() == norms
+
+
+@pytest.mark.parametrize(
+    "domain,h,potential",
+    [
+        ({"kind": "interval", "a": 0.0, "b": 1.0}, 1 / 64, "4*x"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, 1 / 8, "2 + x*y"),
+        ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, 1 / 4, "-0.5/r"),
+    ],
+    ids=["interval", "disk", "ball3"],
+)
+def test_cached_free_bounds_give_the_cold_window(tmp_path, domain, h, potential):
+    cfg = make_config({"domain": domain, "h": [h], "potential": potential})
+    cold = cli._cached_stage(cfg, h, tmp_path)
+    warm = cli._cached_stage(cfg, h, tmp_path)
+    assert warm.op is not cold.op and warm.op.free_bounds is not None
+    assert (warm.sys.j_min, warm.sys.j_max) == (cold.sys.j_min, cold.sys.j_max)
+    assert warm.sys == cold.sys
+    fresh = besovlab.laplacian_bounds(besovlab.assemble_laplacian(warm.grid))
+    assert struct.pack("<dd", *warm.op.free_bounds) == struct.pack("<dd", *fresh)
 
 
 @pytest.mark.parametrize("installed", [False, True])

@@ -394,6 +394,61 @@ class TestSaveLoad:
         with pytest.raises(bl.SolverFailure, match="grid box"):
             bl.load_operator(path)
 
+    def test_free_bounds_roundtrip_as_format_2(self, tmp_path):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 64)
+        op = bl.eigendecompose(bl.assemble_schrodinger(g, np.ones(g.num_nodes)))
+        op.free_bounds = bl.laplacian_bounds(bl.assemble_laplacian(g))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 8) == (2,)
+        assert raw[-16:] == struct.pack("<dd", *op.free_bounds)
+        assert bl.load_operator(path).free_bounds == op.free_bounds
+
+    # interval h = 1/8, decomposed, with free bounds: N = 7 nodes and
+    # nnz = 19; the row pointers start at byte 116, the column indices at
+    # 180, the eigenvalues (no potential block) at 484
+    @pytest.mark.parametrize(
+        "offset,fmt,value",
+        [
+            (24, "<d", float("nan")),
+            (24, "<d", -0.125),
+            (24, "<d", 0.0),
+            (116, "<q", 1),
+            (124, "<q", 100),
+            (172, "<q", 18),
+            (180, "<q", 7),
+            (180, "<q", -1),
+            (484, "<d", float("nan")),
+            (484, "<d", 1e9),
+            (-16, "<d", float("nan")),
+            (-16, "<d", -1.0),
+            (-8, "<d", float("inf")),
+            (-8, "<d", 1.0),
+        ],
+        ids=[
+            "spacing-nan", "spacing-negative", "spacing-zero",
+            "indptr-start", "indptr-decreasing", "indptr-end",
+            "index-past-N", "index-negative",
+            "eigval-nan", "eigvals-descending",
+            "bounds-nan", "bounds-negative", "bounds-inf", "bounds-reversed",
+        ],
+    )
+    def test_damaged_blocks_rejected(self, tmp_path, offset, fmt, value):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        op = bl.eigendecompose(bl.assemble_laplacian(g))
+        op.free_bounds = (op.lam_min, op.lam_max)
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<qq", raw, 116) == (0, 2)
+        assert struct.unpack_from("<qq", raw, 172) == (19, 0)
+        assert struct.unpack_from("<d", raw, 484) == (op.eigvals[0],)
+        struct.pack_into(fmt, raw, offset % len(raw), value)
+        path.write_bytes(raw)
+        with pytest.raises(bl.SolverFailure):
+            bl.load_operator(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
         path = tmp_path / "op.bin"
