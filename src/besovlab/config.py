@@ -1,12 +1,14 @@
-"""Run configuration: JSON schema, validation, defaults, canonical hashing.
+"""Run configuration: validation, defaults, canonical hashing.
 
 A run is described by one flat JSON object.  Validation happens before any
-grid is built: the schema rejects unknown keys and malformed values, check
-entries are matched against the actual keyword signature of the registered
-check, and an equivalence check whose smoothness index falls outside the
-admissible window is rejected here rather than deep inside the run.  All
-rejections raise :class:`~besovlab.errors.ConfigInvalid` with a message
-that names the offending path.
+grid is built: unknown keys and malformed values are rejected at every
+level (the ``_ROOT`` table below lists each key and the check its value
+must pass), check entries are matched against the actual keyword
+signature of the registered check, and an equivalence check whose
+smoothness index falls outside the admissible window is rejected here
+rather than deep inside the run.  All rejections raise
+:class:`~besovlab.errors.ConfigInvalid` with a message that starts
+``at <path>:``, the slash-separated path of the offending value.
 """
 
 from __future__ import annotations
@@ -15,139 +17,159 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
-
-import jsonschema
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigInvalid, EmptyDomain, GridMismatch
 from .geometry import DomainSpec, ball, box, interval
 from .verify import CHECKS, FAMILY_TAGS, FunctionFamily, equivalence_window
 
-__all__ = [
-    "SCHEMA",
-    "RunConfig",
-    "load_config",
-    "make_config",
-    "prevalidate_windows",
-]
+__all__ = ["RunConfig", "load_config", "make_config", "prevalidate_windows"]
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_COORDS = {"type": "array", "items": _NUMBER, "minItems": 1, "maxItems": 3}
+# A value check takes (value, path) and raises through _fail.  JSON types
+# map to Python ones as json.loads makes them: an object is a dict, an
+# array a list, and a bool is neither a number nor an integer.
+Check = Callable[[Any, tuple], None]
+
+
+def _fail(path: tuple, message: str):
+    raise ConfigInvalid(f"at {'/'.join(map(str, path)) or '<root>'}: {message}")
+
+
+def _number(minimum=-math.inf, maximum=math.inf, exclusive=False, integer=False) -> Check:
+    """A number in [minimum, maximum], minimum excluded when ``exclusive``;
+    with ``integer``, an int or a float without fractional part (2.0)."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            _fail(path, f"{value!r} is not a number")
+        if integer and not (isinstance(value, int) or isinstance(value, float)
+                            and value.is_integer()):
+            _fail(path, f"{value!r} is not an integer")
+        if not minimum <= value <= maximum or exclusive and value == minimum:
+            _fail(path, f"{value!r} is outside {'(' if exclusive else '['}{minimum}, {maximum}]")
+    return check
+
+
+def _string(min_length: int = 0) -> Check:
+    def check(value, path):
+        if not isinstance(value, str) or len(value) < min_length:
+            _fail(path, f"{value!r} is not a string of at least {min_length} characters")
+    return check
+
+
+def _either(*options: Any, otherwise: Check | None = None) -> Check:
+    """One of the listed strings (or None), else what ``otherwise`` accepts."""
+    def check(value, path):
+        if any(value is o or isinstance(value, str) and value == o for o in options):
+            return
+        if otherwise is None:
+            _fail(path, f"{value!r} is not one of {list(options)}")
+        otherwise(value, path)
+    return check
+
+
+def _array(item: Check, lo: int = 0, hi: int | float = math.inf, unique: bool = False) -> Check:
+    def check(value, path):
+        if not isinstance(value, list):
+            _fail(path, f"{value!r} is not an array")
+        if not lo <= len(value) <= hi:
+            _fail(path, f"needs {lo} to {hi} items, got {len(value)}")
+        for i, x in enumerate(value):
+            item(x, (*path, i))
+        if unique and len(set(value)) < len(value):
+            _fail(path, f"{value!r} has repeated items")
+    return check
+
+
+def _object(fields: dict[str, Check], required: tuple = (), closed: bool = True) -> Check:
+    def check(value, path):
+        if not isinstance(value, dict):
+            _fail(path, f"{value!r} is not an object")
+        for key in required:
+            if key not in value:
+                _fail(path, f"required key {key!r} is missing")
+        for key, x in value.items():
+            if key in fields:
+                fields[key](x, (*path, key))
+            elif closed:
+                allowed = sorted(k for k, c in fields.items() if c is not _SUPPLIED)
+                _fail(path, f"unknown key {key!r}; allowed: {allowed}")
+    return check
+
+
+def _tagged(tag: str, variants: dict[str, tuple]) -> Check:
+    """An object whose ``tag`` value names its variant, (fields, required keys)."""
+    checks = {name: _object({tag: _ANY, **fields}, required)
+              for name, (fields, required) in variants.items()}
+
+    def check(value, path):
+        _object({}, (tag,), closed=False)(value, path)
+        _either(*checks)(value[tag], (*path, tag))
+        checks[value[tag]](value, path)
+    return check
+
+
+def _finite(value, path) -> None:
+    """No non-finite float anywhere in the nested objects and arrays."""
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(path, "non-finite number; numbers must be finite")
+    items = value.items() if isinstance(value, Mapping) else (
+        enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        _finite(item, (*path, key))
+
+
+_ANY: Check = lambda value, path: None
+_SUPPLIED: Check = lambda value, path: _fail(path, "is supplied by the runner, not the config")
+# arguments the runner supplies itself; configs may not set them
+_RESERVED_CHECK_PARAMS = frozenset({"stages", "family", "config_hash"})
+
+
+def _check_entry(name: str) -> tuple:
+    """A check entry's fields: the check's keyword parameters, whose values
+    the check itself validates, less those the runner supplies."""
+    params = inspect.signature(CHECKS[name]).parameters
+    return {p: _SUPPLIED if p in _RESERVED_CHECK_PARAMS else _ANY for p in params}, ()
+
+
+_NUMBER = _number()
+_POSITIVE = _number(0.0, exclusive=True)
+_EXPONENT = _number(1.0)
+_BOOLEAN = _either(True, False)
+_COORDS = _array(_NUMBER, 1, 3)
 # JSON has no infinity literal; the string "inf" stands in for it where an
 # infinite secondary exponent is meaningful (weak Lorentz, sup-type Besov).
-_EXT_EXPONENT = {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
+_EXT_EXPONENT = _either("inf", otherwise=_EXPONENT)
 
-_DOMAIN = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "interval"}, "a": _NUMBER, "b": _NUMBER},
-            "required": ["kind", "a", "b"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "box"}, "lo": _COORDS, "hi": _COORDS},
-            "required": ["kind", "lo", "hi"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "ball"},
-                "center": _COORDS,
-                "radius": _POSITIVE,
-            },
-            "required": ["kind", "center", "radius"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_NORM = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "besov"},
-                "s": _NUMBER,
-                "p": {"type": "number", "minimum": 1},
-                "q": _EXT_EXPONENT,
-                "homogeneous": {"type": "boolean"},
-            },
-            "required": ["kind", "s", "p", "q"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "sobolev"},
-                "s": _NUMBER,
-                "variant": {"enum": ["plain", "shifted"]},
-            },
-            "required": ["kind", "s"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "lorentz"},
-                "p": {"type": "number", "minimum": 1},
-                "q": _EXT_EXPONENT,
-            },
-            "required": ["kind", "p", "q"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-# Check entries carry free keyword parameters for the named check, so this
-# subschema stays open; the keywords are validated against the check's
-# signature in _validate_check_entry.
-_CHECK = {
-    "type": "object",
-    "properties": {"name": {"enum": sorted(CHECKS)}},
-    "required": ["name"],
-}
-
-_FAMILY = {
-    "type": "object",
-    "properties": {
-        "tag": {"enum": list(FAMILY_TAGS)},
-        "count": {"type": "integer", "minimum": 1, "maximum": 4096},
+_ROOT = _object(
+    {
+        "domain": _tagged("kind", {
+            "interval": ({"a": _NUMBER, "b": _NUMBER}, ("a", "b")),
+            "box": ({"lo": _COORDS, "hi": _COORDS}, ("lo", "hi")),
+            "ball": ({"center": _COORDS, "radius": _POSITIVE}, ("center", "radius")),
+        }),
+        "h": _array(_POSITIVE, 1, 8, unique=True),
+        "potential": _either(None, otherwise=_string()),
+        "trunc_radius": _either(None, otherwise=_POSITIVE),
+        "profile": _either("smooth", "squared"),
+        "norms": _array(_tagged("kind", {
+            "besov": ({"s": _NUMBER, "p": _EXPONENT, "q": _EXT_EXPONENT,
+                       "homogeneous": _BOOLEAN}, ("s", "p", "q")),
+            "sobolev": ({"s": _NUMBER, "variant": _either("plain", "shifted")}, ("s",)),
+            "lorentz": ({"p": _EXPONENT, "q": _EXT_EXPONENT}, ("p", "q")),
+        })),
+        "checks": _array(_tagged("name", {name: _check_entry(name) for name in CHECKS})),
+        "family": _object({"tag": _either(*FAMILY_TAGS),
+                           "count": _number(1, 4096, integer=True)}),
+        "seed": _number(0, 2**64 - 1, integer=True),
+        "out": _string(1),
+        "dense_cap": _number(1, integer=True),
+        "kernels": _BOOLEAN,
     },
-    "additionalProperties": False,
-}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "domain": _DOMAIN,
-        "h": {
-            "type": "array",
-            "items": _POSITIVE,
-            "minItems": 1,
-            "maxItems": 8,
-            "uniqueItems": True,
-        },
-        "potential": {"type": ["string", "null"]},
-        "trunc_radius": {"oneOf": [_POSITIVE, {"type": "null"}]},
-        "profile": {"enum": ["smooth", "squared"]},
-        "norms": {"type": "array", "items": _NORM},
-        "checks": {"type": "array", "items": _CHECK},
-        "family": _FAMILY,
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "out": {"type": "string", "minLength": 1},
-        "dense_cap": {"type": "integer", "minimum": 1},
-        "kernels": {"type": "boolean"},
-    },
-    "required": ["domain", "h"],
-    "additionalProperties": False,
-}
+    required=("domain", "h"),
+)
 
 _DEFAULTS: dict[str, Any] = {
     "potential": None,
@@ -162,56 +184,9 @@ _DEFAULTS: dict[str, Any] = {
     "kernels": False,
 }
 
-# arguments the runner supplies itself; configs may not set them
-_RESERVED_CHECK_PARAMS = frozenset({"stages", "family", "config_hash"})
-
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-
-
 def as_exponent(value: Any) -> float:
-    """Realize a schema exponent; the string "inf" maps to math.inf."""
+    """Realize a config exponent; the string "inf" maps to math.inf."""
     return math.inf if value == "inf" else float(value)
-
-
-def _json_path(error: jsonschema.ValidationError) -> str:
-    parts = [str(p) for p in error.absolute_path]
-    return "/".join(parts) if parts else "<root>"
-
-
-def _nonfinite_path(value: Any, path: tuple = ()) -> tuple | None:
-    """Path to the first non-finite float in nested mappings and lists."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, Mapping):
-        items = value.items()
-    elif isinstance(value, (list, tuple)):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _nonfinite_path(item, (*path, key))
-        if found is not None:
-            return found
-    return None
-
-
-def _validate_check_entry(index: int, entry: Mapping[str, Any]) -> None:
-    name = entry["name"]
-    sig = inspect.signature(CHECKS[name])
-    allowed = set(sig.parameters) - _RESERVED_CHECK_PARAMS - {"stages"}
-    given = set(entry) - {"name"}
-    reserved = sorted(given & _RESERVED_CHECK_PARAMS)
-    if reserved:
-        raise ConfigInvalid(
-            f"checks/{index} ({name}): parameters {reserved} are supplied by "
-            "the runner and cannot be set in the config"
-        )
-    unknown = sorted(given - allowed)
-    if unknown:
-        raise ConfigInvalid(
-            f"checks/{index} ({name}): unknown parameters {unknown}; "
-            f"allowed: {sorted(allowed)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -273,23 +248,15 @@ class RunConfig:
 def make_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a raw mapping and realize it as a RunConfig.
 
-    Raises ConfigInvalid on any schema violation, unknown key, non-finite
+    Raises ConfigInvalid on any malformed value, unknown key, non-finite
     float, malformed domain, or check entry whose keywords do not match
-    the check.
+    the check.  Integral floats in the integer fields (family count,
+    seed, dense cap) become ints.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
-    bad = _nonfinite_path(data)
-    if bad is not None:
-        where = "/".join(map(str, bad)) or "<root>"
-        raise ConfigInvalid(f"at {where}: non-finite number; numbers must be finite")
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(dict(data)))
-    if error is not None:
-        raise ConfigInvalid(f"at {_json_path(error)}: {error.message}")
-
-    checks = [dict(entry) for entry in data.get("checks", _DEFAULTS["checks"])]
-    for i, entry in enumerate(checks):
-        _validate_check_entry(i, entry)
+    _finite(data, ())
+    _ROOT(dict(data), ())
 
     family = {**_DEFAULTS["family"], **data.get("family", {})}
     cfg = RunConfig(
@@ -299,9 +266,9 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
         trunc_radius=data.get("trunc_radius", _DEFAULTS["trunc_radius"]),
         profile=data.get("profile", _DEFAULTS["profile"]),
         norms=tuple(dict(n) for n in data.get("norms", _DEFAULTS["norms"])),
-        checks=tuple(checks),
+        checks=tuple(dict(entry) for entry in data.get("checks", _DEFAULTS["checks"])),
         family_tag=family["tag"],
-        family_count=family["count"],
+        family_count=int(family["count"]),
         seed=int(data.get("seed", _DEFAULTS["seed"])),
         out=data.get("out", _DEFAULTS["out"]),
         dense_cap=int(data.get("dense_cap", _DEFAULTS["dense_cap"])),

@@ -79,7 +79,7 @@ class AssumptionViolated(BesovLabError):
 
 
 class ConfigInvalid(BesovLabError):
-    """Run configuration failed schema validation."""
+    """Run configuration failed validation."""
 
 
 class CheckFailed(BesovLabError):

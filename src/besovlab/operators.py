@@ -5,13 +5,13 @@ Dirichlet condition enters by mask truncation, i.e. stencil legs that leave
 the interior are simply dropped (their no-flux partner value is zero).
 Potentials act as diagonal multiplication by their node samples.
 
-Eigendecompositions are dense and cached on the operator; a configurable
-cap guards against accidentally decomposing a matrix that is too large.
-The extreme eigenvalues of the free Laplacian, which is all the dyadic
-window needs of it, come from one sparse Lanczos solve instead; scipy's
-sparse eigensolver is imported only when that solve runs.  Operators (with
-grid, CSR matrix, potential, eigendata and the free Laplacian's extremes)
-can be saved to and loaded from a little-endian binary cache file.
+The matrix is held as numpy CSR arrays; scipy.sparse loads only when
+``.matrix`` is first read.  Eigendecompositions are dense and cached on the
+operator; a configurable cap guards against accidentally decomposing a
+matrix that is too large.  The free Laplacian's extreme eigenvalues, all the
+dyadic window needs of it, come from one sparse Lanczos solve instead.
+Operators are saved to and loaded from a little-endian binary cache file,
+whose eigenvector block loads mapped, so its pages are read on touch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DenseCapExceeded,
@@ -53,9 +52,10 @@ __all__ = [
 DEFAULT_DENSE_CAP = 4096
 
 _MAGIC = b"BESOVOP1"
-# format 2 added the free Laplacian's extremes (_FLAG_BOUNDS); a file
-# without that block is a format-1 file byte for byte and is stamped 1
-_FORMAT_VERSION = 2
+# format 2 added the free Laplacian's extremes (_FLAG_BOUNDS); format 3 pads
+# the eigenvectors to an 8-byte offset: numpy copies an unaligned operand on
+# every matmul.  A file is stamped with the oldest format that reads it
+_FORMAT_VERSION = 3
 _HEADER = "<IIQd"  # version, dimension, node count, spacing
 _COUNTS = "<IQ"  # flags, matrix nonzeros
 _FLAG_POTENTIAL = 1
@@ -80,18 +80,35 @@ class SpectralOperator:
     Eigenvalues are fixed once set (read-only after eigendecompose and
     load_operator), so dyadic weights on them are memoized per system.
 
+    ``csr`` is the scipy CSR triple (data, indices, indptr), columns
+    ascending in each row; ``matrix`` is built from it on first read.
+
     ``free_bounds`` holds laplacian_bounds of the potential-free Laplacian
     on the same grid once a stage has computed them (or a cache entry has
     kept them), so a stage rebuilt from the cache needs no Lanczos solve.
     """
 
     grid: Grid
-    matrix: sp.csr_matrix
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     potential: np.ndarray | None = None
     eigvals: np.ndarray | None = field(default=None, repr=False)
     eigvecs: np.ndarray | None = field(default=None, repr=False)
     free_bounds: tuple[float, float] | None = field(default=None, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _matrix: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def matrix(self):
+        """scipy.sparse.csr_matrix of ``csr``, built on first read."""
+        if self._matrix is None:
+            from scipy.sparse import csr_matrix
+
+            self._matrix = csr_matrix(self.csr, shape=(self.num_nodes, self.num_nodes))
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, mat) -> None:
+        self._matrix = mat
 
     @property
     def num_nodes(self) -> int:
@@ -189,6 +206,14 @@ def _neighbor_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, N: int) -> tuple:
+    """CSR triple of distinct (row, col) entries, columns ascending per row."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=N), out=indptr[1:])
+    return vals[order], cols[order], indptr
+
+
 def assemble_laplacian(grid: Grid) -> SpectralOperator:
     """Dirichlet Laplacian: (2n I - adjacency) / h^2 on the interior nodes.
 
@@ -198,31 +223,28 @@ def assemble_laplacian(grid: Grid) -> SpectralOperator:
 
     >>> from .geometry import interval, build_grid
     >>> op = assemble_laplacian(build_grid(interval(0.0, 1.0), 0.5))
-    >>> op.matrix.toarray()
-    array([[8.]])
+    >>> op.csr
+    (array([8.]), array([0]), array([0, 1]))
     """
     N = grid.num_nodes
     inv_h2 = 1.0 / grid.h**2
     rows, cols = _neighbor_entries(grid)
-    all_rows = np.concatenate([np.arange(N), rows, cols])
-    all_cols = np.concatenate([np.arange(N), cols, rows])
-    all_vals = np.concatenate(
-        [
-            np.full(N, 2.0 * grid.n * inv_h2),
-            np.full(rows.size, -inv_h2),
-            np.full(cols.size, -inv_h2),
-        ]
-    )
-    mat = sp.coo_matrix((all_vals, (all_rows, all_cols)), shape=(N, N)).tocsr()
-    return SpectralOperator(grid=grid, matrix=mat, potential=None)
+    nodes = np.arange(N)
+    vals = np.concatenate([np.full(N, 2.0 * grid.n * inv_h2), np.full(2 * rows.size, -inv_h2)])
+    csr = _csr(np.concatenate([nodes, rows, cols]), np.concatenate([nodes, cols, rows]), vals, N)
+    return SpectralOperator(grid=grid, csr=csr, potential=None)
 
 
 def assemble_schrodinger(grid: Grid, V) -> SpectralOperator:
-    """-Delta + V with V given as node samples (GridFunction or array)."""
+    """-Delta + V with V given as node samples (GridFunction or array); a
+    diagonal entry that cancels to zero is dropped, as scipy's sum does."""
     vals = potential_samples(grid, V)
-    base = assemble_laplacian(grid)
-    mat = (base.matrix + sp.diags(vals)).tocsr()
-    return SpectralOperator(grid=grid, matrix=mat, potential=vals)
+    data, indices, indptr = assemble_laplacian(grid).csr
+    rows = np.repeat(np.arange(grid.num_nodes), np.diff(indptr))
+    data[indices == rows] += vals
+    keep = data != 0.0
+    csr = _csr(rows[keep], indices[keep], data[keep], grid.num_nodes)
+    return SpectralOperator(grid=grid, csr=csr, potential=vals)
 
 
 def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralOperator:
@@ -370,18 +392,17 @@ def single_eigenvector(op: SpectralOperator, k: int) -> GridFunction:
 
 
 def save_operator(op: SpectralOperator, path) -> None:
-    """Write grid, CSR matrix, potential, eigendata and the free Laplacian's
+    """Write grid, CSR arrays, potential, eigendata and the free Laplacian's
     extremes as little-endian binary.
 
     The blocks follow one another in that order; the optional ones are
-    flagged.  The header carries the oldest format that reads the file, so
-    a file without the extremes block is stamped format 1.  The file is
-    written under a temporary name and renamed into place, so an
-    interrupted write never leaves a partial file at ``path``.
+    flagged, and zero bytes pad the eigenvectors to an 8-byte offset.  The
+    file is written under a temporary name and renamed into place, so an
+    interrupted write never leaves a partial file at ``path``, and a
+    process that has mapped the previous file keeps reading it unchanged.
     """
     grid = op.grid
-    mat = op.matrix.tocsr()
-    mat.sort_indices()
+    data, indices, indptr = op.csr
     flags = 0
     if op.potential is not None:
         flags |= _FLAG_POTENTIAL
@@ -389,7 +410,7 @@ def save_operator(op: SpectralOperator, path) -> None:
         flags |= _FLAG_EIGEN
     if op.free_bounds is not None:
         flags |= _FLAG_BOUNDS
-    version = _FORMAT_VERSION if flags & _FLAG_BOUNDS else 1
+    version = 3 if flags & _FLAG_EIGEN else 2 if flags & _FLAG_BOUNDS else 1
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -397,15 +418,16 @@ def save_operator(op: SpectralOperator, path) -> None:
             fh.write(struct.pack(_HEADER, version, grid.n, grid.num_nodes, grid.h))
             _write(fh, grid.k_lo, "<i8")
             _write(fh, grid.shape, "<u8")
-            fh.write(struct.pack(_COUNTS, flags, mat.nnz))
+            fh.write(struct.pack(_COUNTS, flags, data.size))
             _write(fh, grid.multi_indices, "<i8")
-            _write(fh, mat.indptr, "<i8")
-            _write(fh, mat.indices, "<i8")
-            _write(fh, mat.data, "<f8")
+            _write(fh, indptr, "<i8")
+            _write(fh, indices, "<i8")
+            _write(fh, data, "<f8")
             if flags & _FLAG_POTENTIAL:
                 _write(fh, op.potential, "<f8")
             if flags & _FLAG_EIGEN:
                 _write(fh, op.eigvals, "<f8")
+                fh.write(bytes(-fh.tell() % 8))
                 _write(fh, op.eigvecs, "<f8")
             if flags & _FLAG_BOUNDS:
                 _write(fh, op.free_bounds, "<f8")
@@ -415,26 +437,22 @@ def save_operator(op: SpectralOperator, path) -> None:
             os.remove(tmp)
 
 
-def _read_exact(fh, size: int) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise SolverFailure("operator cache file is truncated")
-    return buf
-
-
 def _write(fh, values, dtype) -> None:
     """Write values as a contiguous little-endian block, without a bytes copy."""
     fh.write(memoryview(np.ascontiguousarray(values, dtype)).cast("B"))
 
 
-def _read(fh, dtype, count) -> np.ndarray:
-    """Read count items straight into a new array, without a bytes copy.
-
-    A count the rest of the file cannot hold (a cut-short file, or a
-    damaged header) is rejected before anything is allocated."""
-    count = int(count)
-    if np.dtype(dtype).itemsize * count > os.fstat(fh.fileno()).st_size - fh.tell():
+def _check_size(fh, nbytes: int) -> None:
+    """Reject a block the rest of the file cannot hold (a cut-short file,
+    or a damaged header) before anything is allocated or mapped."""
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
         raise SolverFailure("operator cache file is truncated")
+
+
+def _read(fh, dtype, count) -> np.ndarray:
+    """Read count items straight into a new array, without a bytes copy."""
+    count = int(count)
+    _check_size(fh, np.dtype(dtype).itemsize * count)
     arr = np.empty(count, dtype)
     if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
         raise SolverFailure("operator cache file is truncated")
@@ -442,16 +460,20 @@ def _read(fh, dtype, count) -> np.ndarray:
 
 
 def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+    _check_size(fh, struct.calcsize(fmt))
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
 
 def load_operator(path) -> SpectralOperator:
     """Read an operator cache written by save_operator.
 
-    Raises SolverFailure, before any scipy structure is built, for a file
-    that is not such a cache, has a format version this reader does not
-    know or is cut short, and for blocks that no save_operator could have
-    written:
+    Format-3 eigenvectors are mapped read-only (np.memmap) and read on touch;
+    an older file's unaligned ones are read in.  Eigendata is read-only.
+
+    Raises SolverFailure for a file that is not such a cache, has a format
+    version this reader does not know or is cut short (each block's size is
+    checked before it is read or mapped), and for blocks that no
+    save_operator could have written:
 
     - a spacing that is not a positive finite number;
     - a grid block build_grid could not have made (an index box above the
@@ -466,7 +488,7 @@ def load_operator(path) -> SpectralOperator:
         if fh.read(8) != _MAGIC:
             raise SolverFailure("not an operator cache file (bad magic)")
         version, n, N, h = _unpack(fh, _HEADER)
-        if version not in (1, _FORMAT_VERSION):
+        if version not in (1, 2, _FORMAT_VERSION):
             raise SolverFailure(f"unsupported operator cache version {version}")
         if not (math.isfinite(h) and h > 0.0):
             raise SolverFailure(f"operator cache spacing {h} is not a positive finite number")
@@ -482,7 +504,17 @@ def load_operator(path) -> SpectralOperator:
         if flags & _FLAG_EIGEN:
             eigvals = _read(fh, "<f8", N)
             eigvals.flags.writeable = False
-            eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
+            if version < 3:
+                eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
+                eigvecs.flags.writeable = False
+            else:
+                # the mapping holds the open file, so a file renamed into
+                # place later (save_operator) leaves it unchanged
+                offset = fh.seek(-fh.tell() % 8, os.SEEK_CUR)
+                _check_size(fh, 8 * N * N)
+                eigvecs = np.memmap(fh, dtype="<f8", mode="r", offset=offset,
+                                    shape=(int(N), int(N)))
+                fh.seek(offset + 8 * N * N)
         bounds = _read(fh, "<f8", 2) if flags & _FLAG_BOUNDS else None
 
     if not 0 < math.prod(shape) <= _DEFAULT_NODE_BUDGET:
@@ -505,8 +537,5 @@ def load_operator(path) -> SpectralOperator:
     flat_of_cell[tuple(multi.T)] = np.arange(int(N))
     grid = Grid(n=int(n), h=float(h), k_lo=k_lo, shape=shape,
                 flat_of_cell=flat_of_cell, multi_indices=multi)
-    mat = sp.csr_matrix(
-        (data, indices.astype(np.int64), indptr.astype(np.int64)), shape=(int(N), int(N))
-    )
-    return SpectralOperator(grid=grid, matrix=mat, potential=potential,
+    return SpectralOperator(grid=grid, csr=(data, indices, indptr), potential=potential,
                             eigvals=eigvals, eigvecs=eigvecs, free_bounds=bounds)

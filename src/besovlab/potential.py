@@ -32,7 +32,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ComplexPotential,
@@ -225,6 +224,8 @@ def form_bound(op0, vminus, eps: float) -> float:
     vals = potential_samples(op0.grid, vminus)
     if (vals < 0.0).any():
         raise ValueError("form_bound expects the nonnegative part V_-")
+    import scipy.sparse as sp
+
     mat = (sp.diags(vals) - eps * op0.matrix).toarray()
     top = float(np.linalg.eigvalsh(mat)[-1])
     return math.sqrt(max(top, 0.0))
@@ -274,6 +275,10 @@ def potential_from_expression(
     singularities at the cell scale; the number of nodes where the floor
     engaged is returned alongside the samples.
 
+    A chain of operators is evaluated recursively, as deep as it is long:
+    about 1000 chained operators (Python's recursion limit) or 200 nested
+    parentheses (its parser's) are too many, and raise ConfigInvalid.
+
     Examples
     --------
     Unary minus binds looser than a power, so ``-x^2`` is -(x^2):
@@ -304,7 +309,7 @@ def potential_from_expression(
         # integer literal beyond the float range
         raise ConfigInvalid(f"malformed potential expression: {exc}") from None
     except (RecursionError, MemoryError):  # MemoryError: the 3.10-3.12 parser stack
-        raise ConfigInvalid("potential expression nests too deeply") from None
+        raise ConfigInvalid("potential expression is too long or nests too deeply") from None
     values = np.broadcast_to(np.asarray(values, float), (grid.num_nodes,)).copy()
     if not np.all(np.isfinite(values)):
         raise ConfigInvalid("potential expression produced nonfinite samples")

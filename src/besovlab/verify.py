@@ -1008,12 +1008,10 @@ def check_equivalence_AV_A0(
     )
 
 
-def cdist(xa, xb, metric):
-    """scipy.spatial.distance.cdist, imported on first call: the heat check
-    is the only user of scipy.spatial (and of the scipy.linalg it loads)."""
-    from scipy.spatial.distance import cdist as _cdist
-
-    return _cdist(xa, xb, metric)
+def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of xa and xb, summed over the axes
+    in order: cdist(xa, xb, "sqeuclidean") bit for bit, exactly symmetric."""
+    return sum(np.subtract.outer(xa[:, d], xb[:, d]) ** 2 for d in range(xa.shape[1]))
 
 
 def check_heat_gaussian(
@@ -1078,17 +1076,18 @@ def check_heat_gaussian(
             floor = op.num_nodes * np.finfo(float).eps * max(float(K.max()), -float(K.min()))
             shift = 0.5 * n * math.log(t)
             score, gap = -math.inf, math.inf
-            # scores and the domination gap are streamed in row blocks, so
-            # no N x N |K|, mask, distance or difference matrix is formed
+            # scores and the domination gap stream in row blocks (no N x N |K|,
+            # mask, distance or difference matrix); K, K* (see kernel) and the
+            # distances are exactly symmetric, so a block starts at its diagonal
             for lo in range(0, op.num_nodes, _ROW_BLOCK):
-                rows = slice(lo, lo + _ROW_BLOCK)
-                absK = np.abs(K[rows])
+                rows, cols = slice(lo, lo + _ROW_BLOCK), slice(lo, None)
+                absK = np.abs(K[rows, cols])
                 nz = absK > floor
-                d2 = cdist(coords[rows], coords, "sqeuclidean")
+                d2 = _sq_distances(coords[rows], coords[cols])
                 logs = np.log(absK[nz]) + shift + d2[nz] / (cstar * t)
                 score = max(score, float(logs.max(initial=-math.inf)))
                 if K_star is not None:
-                    gap = min(gap, float((K_star[rows] - absK).min()))
+                    gap = min(gap, float((K_star[rows, cols] - absK).min()))
             log_scores.append(score)
             if K_star is not None:
                 scale = max(1.0, float(K_star.max()))

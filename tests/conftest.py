@@ -46,13 +46,11 @@ def diagonal_operator(lams) -> "bl.SpectralOperator":
     Useful for tests that need eigenvalues placed exactly at dyadic centers.
     Lives on an interval grid with matching node count.
     """
-    import scipy.sparse as sp
-
     lams = np.asarray(sorted(lams), float)
     m = len(lams)
     grid = bl.build_grid(bl.interval(0.0, 1.0), 1.0 / (m + 1))
     assert grid.num_nodes == m
-    op = bl.SpectralOperator(grid=grid, matrix=sp.csr_matrix(np.diag(lams)))
+    op = bl.SpectralOperator(grid=grid, csr=(lams, np.arange(m), np.arange(m + 1)))
     op.eigvals = lams
     op.eigvecs = np.eye(m)
     return op

@@ -634,6 +634,8 @@ _DAMAGE = {
     "bounds-nan": lambda raw: raw[:-16] + struct.pack("<dd", math.nan, 1e3),
     "bounds-zero": lambda raw: raw[:-16] + struct.pack("<dd", 0.0, 1e3),
     "bounds-reversed": lambda raw: raw[:-16] + raw[-8:] + raw[-16:-8],
+    # the eigenvector block, mapped rather than read, is still size-checked
+    "eigvecs-cut": lambda raw: raw[:-24],
 }
 
 
@@ -708,29 +710,30 @@ def test_free_operator_entry_on_another_grid_is_rebuilt(tmp_path, capsys):
     assert entry.read_bytes() == raw
 
 
-# scipy submodules that only a cold solve, a check or a fractional Lorentz
-# norm needs; a warm spectrum/norms/bench process must not load them
-_HEAVY_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
-                  "scipy.spatial", "scipy.special", "mpmath")
-
-_LOADED_HEAVY = """
+_LOADED = """
 import json, sys
 {body}
-heavy = {heavy!r}
-print(json.dumps(sorted(m for m in sys.modules if m in heavy or m.startswith(
-    tuple(h + "." for h in heavy)))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in {roots!r})))
 """
 
 
-def _heavy_after(body, cwd):
-    code = _LOADED_HEAVY.format(body=body, heavy=_HEAVY_MODULES)
+def _loaded_after(body, cwd, roots=("scipy", "jsonschema", "mpmath")):
+    """Modules under ``roots`` that a fresh interpreter holds after ``body``."""
+    code = _LOADED.format(body=body, roots=roots)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=cwd, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def _main_calls(cfg, *commands):
+    return "\n".join(["from besovlab.cli import main"]
+                     + [f"assert main([{c!r}, '--config', {str(cfg)!r}]) == 0" for c in commands])
+
+
 def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
+    # a warm spectrum or norms needs numpy and the cache file only; the
+    # bare scipy package is imported for the manifest's version record
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -745,15 +748,35 @@ def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
         out=str(out),
     )
     assert main(["spectrum", "--config", str(cfg)]) == 0  # primes the cache
-    floor = _heavy_after("import numpy, scipy.sparse, jsonschema", tmp_path)
-    assert _heavy_after("import besovlab", tmp_path) <= floor
-    warm = "\n".join(
-        ["from besovlab.cli import main"]
-        + [f"assert main([{c!r}, '--config', {str(cfg)!r}]) == 0"
-           for c in ("spectrum", "norms", "bench")]
-    )
-    assert _heavy_after(warm, tmp_path) <= floor
+    assert _loaded_after("import besovlab", tmp_path) == set()
+    floor = _loaded_after("import numpy, scipy", tmp_path)
+    for command in ("spectrum", "norms"):
+        assert _loaded_after(_main_calls(cfg, command), tmp_path) <= floor
     assert len(read_rows(out / "norms.csv")) == 3 * 8
+    # bench builds the scipy matrix at its first Chebyshev matvec
+    bench = _loaded_after(_main_calls(cfg, "bench"), tmp_path)
+    assert "scipy.sparse" in bench
+    assert bench <= _loaded_after("import numpy, scipy.sparse", tmp_path)
+
+
+def test_heat_gaussian_loads_no_scipy_spatial(tmp_path):
+    cfg = write_config(tmp_path, domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                       h=[0.25], potential="2", checks=[{"name": "heat_gaussian"}],
+                       out=str(tmp_path / "out"))
+    loaded = _loaded_after(_main_calls(cfg, "verify"), tmp_path, roots=("scipy",))
+    assert "scipy.sparse" in loaded and not any(m.startswith("scipy.spatial") for m in loaded)
+
+
+def test_loaded_entry_maps_eigenvectors_read_only(tmp_path):
+    cfg = make_config({"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                       "h": [0.25], "potential": "-0.5/r"})
+    cold = cli._cached_stage(cfg, 0.25, tmp_path)
+    warm = cli._cached_stage(cfg, 0.25, tmp_path)
+    assert isinstance(warm.op.eigvecs, np.memmap)
+    assert warm.op.eigvecs.tobytes() == cold.op.eigvecs.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        warm.op.eigvecs[:, 0] += 1.0
+    assert warm.op._matrix is None and warm._op0._matrix is None
 
 
 def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
@@ -817,6 +840,70 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "spectrum.csv").exists()
+
+
+# (overrides of a valid interval config, accepted); the verdicts are the
+# ones the JSON Schema validator that config.py used to run gave
+_EDGE_CONFIGS = {
+    "bool-for-h": ({"h": [True]}, False),
+    "bool-for-radius": ({"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": True}},
+                        False),
+    "bool-for-center": ({"domain": {"kind": "ball", "center": [False, 0.0], "radius": 1.0}},
+                        False),
+    "bool-for-s": ({"norms": [{"kind": "sobolev", "s": True}]}, False),
+    "bool-for-seed": ({"seed": False}, False),
+    "bool-for-count": ({"family": {"count": True}}, False),
+    "count-2.0": ({"family": {"count": 2.0}}, True),
+    "count-2.5": ({"family": {"count": 2.5}}, False),
+    "seed-1.0": ({"seed": 1.0}, True),
+    "dense-cap-1.0": ({"dense_cap": 1.0}, True),
+    "duplicate-h": ({"h": [0.25, 0.25]}, False),
+    "duplicate-h-int-float": ({"h": [1, 1.0]}, False),
+    "nine-h": ({"h": [1 / k for k in range(2, 11)]}, False),
+    "eight-h": ({"h": [1 / k for k in range(2, 10)]}, True),
+    "q-inf": ({"norms": [{"kind": "besov", "s": 0.5, "p": 2, "q": "inf"}]}, True),
+    "q-Inf-spelling": ({"norms": [{"kind": "lorentz", "p": 2, "q": "Inf"}]}, False),
+    "p-below-1": ({"norms": [{"kind": "lorentz", "p": 0.5, "q": 2}]}, False),
+    "p-1": ({"norms": [{"kind": "besov", "s": 0, "p": 1, "q": 1}]}, True),
+    "unknown-root-key": ({"bogus": 1}, False),
+    "unknown-domain-key": ({"domain": {**_INTERVAL, "c": 2.0}}, False),
+    "unknown-norm-key": ({"norms": [{"kind": "sobolev", "s": 1, "p": 2}]}, False),
+    "unknown-family-key": ({"family": {"tag": "bump", "size": 3}}, False),
+    "unknown-check-key": ({"checks": [{"name": "bernstein", "nope": 1}]}, False),
+    "empty-out": ({"out": ""}, False),
+    "seed-2**64": ({"seed": 2**64}, False),
+    "seed-2**64-1": ({"seed": 2**64 - 1}, True),
+    "negative-seed": ({"seed": -1}, False),
+    "null-potential": ({"potential": None}, True),
+    "null-trunc-radius": ({"trunc_radius": None}, True),
+    "zero-trunc-radius": ({"trunc_radius": 0}, False),
+    "unknown-kind": ({"domain": {"kind": "disk", "a": 0.0, "b": 1.0}}, False),
+    "tuple-h": ({"h": (0.25,)}, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CONFIGS))
+def test_edge_configs_keep_their_verdicts(name):
+    overrides, accepted = _EDGE_CONFIGS[name]
+    data = {"domain": _INTERVAL, "h": [0.25], **overrides}
+    if not accepted:
+        with pytest.raises(ConfigInvalid, match=r"^at [^ ]+: "):
+            make_config(data)
+        return
+    cfg = make_config(data)
+    for value in (cfg.family_count, cfg.seed, cfg.dense_cap):
+        assert type(value) is int
+
+
+def test_integral_float_family_count_runs_norms(tmp_path):
+    # count 2.0 passed validation but stayed a float, and sampling the
+    # family raised TypeError in range(2.0): exit 1 with status error
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, family={"count": 2.0}, out=str(out),
+                       norms=[{"kind": "sobolev", "s": 1.0}])
+    assert main(["norms", "--config", str(cfg)]) == 0
+    assert len(read_rows(out / "norms.csv")) == 2
+    assert json.loads((out / "manifest.json").read_text())["config"]["family"]["count"] == 2
 
 
 def test_make_config_defaults_and_ordering():

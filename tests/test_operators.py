@@ -55,6 +55,37 @@ class TestAssembly:
         av = bl.assemble_schrodinger(g, v).matrix.toarray()
         np.testing.assert_array_equal(av, a0 + np.diag(v.values))
 
+    @pytest.mark.parametrize(
+        "spec,h",
+        [
+            (bl.interval(0.0, 1.0), 1 / 16),
+            (bl.ball([0.0, 0.0], 1.0), 1 / 8),
+            (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 4),
+            (bl.box([0.0, 0.0], [1.0, 2.0]), 1 / 6),
+        ],
+        ids=["interval", "disk", "ball3", "box"],
+    )
+    def test_csr_equals_scipy_sum_bitwise(self, spec, h):
+        # the scipy path the numpy assembly replaces: coo -> csr, then the
+        # sparse sum with diags(V), which drops a diagonal that cancels
+        import scipy.sparse as sp
+
+        g = bl.build_grid(spec, h)
+        N = g.num_nodes
+        lap = bl.assemble_laplacian(g)
+        data, indices, indptr = lap.csr
+        rows = np.repeat(np.arange(N), np.diff(indptr))
+        oracle = sp.coo_matrix((data, (rows, indices)), shape=(N, N)).tocsr()
+        v = np.random.default_rng(N).standard_normal(N)
+        v[::3] = 0.0
+        v[1::5] = -2.0 * g.n / h**2
+        for op, mat in ((lap, oracle), (bl.assemble_schrodinger(g, v), oracle + sp.diags(v))):
+            mat = mat.tocsr()
+            assert mat.has_sorted_indices
+            for ours, theirs in zip(op.csr, (mat.data, mat.indices, mat.indptr)):
+                assert ours.tobytes() == theirs.astype(ours.dtype).tobytes()
+        assert op.csr[0].size == lap.csr[0].size - v[1::5].size
+
     def test_schrodinger_from_sampled_callable(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
         v = bl.GridFunction.from_callable(g, lambda x: x[:, 0])
@@ -394,16 +425,84 @@ class TestSaveLoad:
         with pytest.raises(bl.SolverFailure, match="grid box"):
             bl.load_operator(path)
 
-    def test_free_bounds_roundtrip_as_format_2(self, tmp_path):
+    def test_free_bounds_roundtrip_as_format_3(self, tmp_path):
         g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 64)
         op = bl.eigendecompose(bl.assemble_schrodinger(g, np.ones(g.num_nodes)))
         op.free_bounds = bl.laplacian_bounds(bl.assemble_laplacian(g))
         path = tmp_path / "op.bin"
         bl.save_operator(op, path)
         raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, 8) == (2,)
+        assert struct.unpack_from("<I", raw, 8) == (3,)
         assert raw[-16:] == struct.pack("<dd", *op.free_bounds)
         assert bl.load_operator(path).free_bounds == op.free_bounds
+
+    def test_eigenvector_block_is_padded_to_eight_bytes(self, tmp_path):
+        # interval h = 1/8 without potential: N = 7, nnz = 19; the eigenvalues
+        # end at byte 540, so 4 zero bytes precede the eigenvectors
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        op = bl.eigendecompose(bl.assemble_laplacian(g))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        raw = path.read_bytes()
+        assert len(raw) == 544 + 8 * 49
+        assert struct.unpack_from("<d", raw, 532) == (op.eigvals[-1],)
+        assert raw[540:544] == bytes(4)
+        assert raw[544:] == op.eigvecs.astype("<f8").tobytes()
+
+    def test_loaded_eigenvectors_are_mapped_read_only(self, tmp_path):
+        g = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.25)
+        op = bl.eigendecompose(bl.assemble_schrodinger(g, np.linspace(0.0, 1.0, g.num_nodes)))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        back = bl.load_operator(path)
+        assert isinstance(back.eigvecs, np.memmap) and back.eigvecs.flags.aligned
+        assert back.eigvecs.tobytes() == op.eigvecs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            back.eigvecs[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            back.eigvecs *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            back.eigvals[0] = 1.0
+        # a save renames a new file into place; the mapped one is unchanged
+        other = bl.eigendecompose(bl.assemble_laplacian(g))
+        bl.save_operator(other, path)
+        assert back.eigvecs.tobytes() == op.eigvecs.tobytes()
+
+    def test_format_2_file_still_loads(self, tmp_path):
+        # a format-2 file is a format-3 file without the padding
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        op = bl.eigendecompose(bl.assemble_laplacian(g))
+        op.free_bounds = (op.lam_min, op.lam_max)
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        raw = bytearray(path.read_bytes())
+        del raw[540:544]
+        struct.pack_into("<I", raw, 8, 2)
+        path.write_bytes(raw)
+        back = bl.load_operator(path)
+        assert back.free_bounds == op.free_bounds
+        np.testing.assert_array_equal(back.eigvecs, op.eigvecs)
+        assert not back.eigvecs.flags.writeable
+
+    @pytest.mark.parametrize("cut", [1, 8, 8 * 49 - 1])
+    def test_truncated_eigenvector_block_rejected(self, tmp_path, cut):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        path = tmp_path / "op.bin"
+        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(bl.SolverFailure, match="truncated"):
+            bl.load_operator(path)
+
+    def test_loaded_csr_builds_no_matrix_until_read(self, tmp_path):
+        g = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.25)
+        op = bl.assemble_schrodinger(g, np.linspace(-1.0, 1.0, g.num_nodes))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        back = bl.load_operator(path)
+        assert back._matrix is None
+        for a, b in zip(back.csr, op.csr):
+            np.testing.assert_array_equal(a, b)
+        assert (back.matrix != op.matrix).nnz == 0
 
     # interval h = 1/8, decomposed, with free bounds: N = 7 nodes and
     # nnz = 19; the row pointers start at byte 116, the column indices at

@@ -347,6 +347,30 @@ class TestExpressionPotentials:
             f, _ = bl.potential_from_expression(g, expr)
             np.testing.assert_array_equal(f.values, np.broadcast_to(expected, x.shape))
 
+    @pytest.mark.parametrize("terms", [3000, 10**5])
+    def test_long_flat_sum_reported_as_too_long(self, tmp_path, terms):
+        # a left-associative chain is as deep as it is long: the evaluator
+        # (about 1000 terms) or ast.parse (about 3000) hits the recursion limit
+        import json
+
+        from besovlab.cli import main
+
+        expr = "x+" * terms + "x"
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
+        with pytest.raises(bl.ConfigInvalid, match="too long or nests too deeply"):
+            bl.potential_from_expression(g, expr)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+                                   "h": [0.25], "potential": expr, "out": str(tmp_path)}))
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "too long" in manifest["failure"]
+
+    def test_sum_of_five_hundred_terms_accepted(self):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
+        f, _ = bl.potential_from_expression(g, "x+" * 499 + "x")
+        np.testing.assert_allclose(f.values, 500 * g.coordinates[:, 0], rtol=1e-13)
+
     def test_syntax_errors(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
         for bad in ("1 + ", "(x", "x ) ", "x @ 2", "3..5", "f(x)", "x.real", "x[0]",

@@ -483,21 +483,38 @@ def test_heat_gaussian_streaming_matches_unblocked_oracle(potential):
     np.testing.assert_array_equal(rep.details["omega"], [omega])
 
 
+@pytest.mark.parametrize(
+    "spec,h",
+    [(bl.ball([0.0], 1.0), 1 / 64), (bl.ball([0.0, 0.0], 1.0), 1 / 16),
+     (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 6)],
+    ids=["n1", "n2", "n3"],
+)
+def test_sq_distances_match_cdist_bitwise(spec, h):
+    coords = bl.build_grid(spec, h).coordinates
+    d2 = V._sq_distances(coords, coords)
+    assert d2.tobytes() == cdist(coords, coords, "sqeuclidean").tobytes()
+    assert np.array_equal(d2, d2.T)
+
+
 def test_heat_gaussian_scores_every_row_once(monkeypatch):
-    # the kernel is symmetric, so a skipped row block could hide behind its
-    # transpose in the oracle comparison: the row blocks must tile 0..N
+    # the kernel is symmetric, so each row block scores only the columns
+    # from its first row on; a skipped row block could hide behind its
+    # transpose in the oracle comparison, so the row blocks must tile 0..N
     st = streamed_disk()
-    seen = []
+    seen, distances = [], V._sq_distances
 
-    def spy(xa, xb, metric):
-        seen.append((xa[0].tolist(), len(xa)))
-        return cdist(xa, xb, metric)
+    def spy(xa, xb):
+        seen.append((xa[0].tolist(), len(xa), xb[0].tolist(), len(xb)))
+        d2 = distances(xa, xb)
+        assert d2.tobytes() == cdist(xa, xb, "sqeuclidean").tobytes()
+        return d2
 
-    monkeypatch.setattr(V, "cdist", spy)
+    monkeypatch.setattr(V, "_sq_distances", spy)
     V.check_heat_gaussian([st], t_grid=[0.5])
     coords, B = st.grid.coordinates, V._ROW_BLOCK
-    assert seen == [(coords[lo].tolist(), len(coords[lo:lo + B]))
-                    for lo in range(0, len(coords), B)]
+    N = len(coords)
+    assert seen == [(coords[lo].tolist(), len(coords[lo:lo + B]), coords[lo].tolist(), N - lo)
+                    for lo in range(0, N, B)]
 
 
 @pytest.mark.parametrize("where", [0, 200, -1])
