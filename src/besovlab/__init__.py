@@ -9,6 +9,9 @@ Gaussian bounds, duality and norm-equivalence constants) that are meant
 to stay stable under grid refinement.
 """
 
+# set ahead of the imports: the operator cache keys its entries by it
+__version__ = "0.2.0"
+
 from .errors import (
     AssumptionViolated,
     BesovLabError,
@@ -108,5 +111,3 @@ from .verify import (
     check_resolution_identity,
     check_subspace_characterization,
 )
-
-__version__ = "0.2.0"

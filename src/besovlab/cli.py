@@ -12,8 +12,9 @@ profiles   profiles.csv (dyadic profile functions on a lambda grid)
 ========== =================================================================
 
 Exit codes: 0 all requested work done and every check passed; 1 a check
-failed under --assert; 2 the configuration was rejected (schema, index
-constraints, or violated assumptions); 3 a compute budget was exceeded.
+failed under --assert; 2 the configuration was rejected (a malformed or
+out-of-range value, index constraints, or violated assumptions); 3 a
+compute budget was exceeded.
 
 The manifest is written even when the run fails, with the failure recorded,
 and always carries the process's peak resident set size (peak_rss_kib);
@@ -25,7 +26,6 @@ config and seed produce byte-identical CSVs apart from the timing columns
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
 import platform
@@ -49,19 +49,9 @@ from .errors import (
     ConfigInvalid,
     DenseCapExceeded,
     InvalidCheckParameter,
-    SolverFailure,
 )
-from .geometry import Grid, build_grid
 from .norms import besov_norm, lorentz_norm, sobolev_norm
-from .operators import (
-    _FORMAT_VERSION,
-    SpectralOperator,
-    assemble_laplacian,
-    eigendecompose,
-    load_operator,
-    save_operator,
-)
-from .verify import CHECKS, Stage, build_stage
+from .verify import CHECKS, Stage, build_stages
 
 __all__ = ["main"]
 
@@ -86,81 +76,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-
-def _stage_key(cfg: RunConfig, h: float) -> str:
-    payload = json.dumps(
-        {
-            "domain": cfg.domain,
-            "h": h,
-            "potential": cfg.potential,
-            "trunc_radius": cfg.trunc_radius,
-            "dense_cap": cfg.dense_cap,
-            "format": _FORMAT_VERSION,
-            "version": __version__,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _load_entry(path: Path, grid: Grid) -> SpectralOperator:
-    """load_operator, rejecting an entry whose grid is not ``grid``."""
-    op = load_operator(path)
-    if not op.grid.same_geometry(grid):
-        raise SolverFailure("cached grid differs from the configured grid")
-    return op
-
-
-def _cached_stage(cfg: RunConfig, h: float, cache_dir: Path) -> Stage:
-    """Build one resolution stage, reusing the binary operator cache.
-
-    Cache entries are keyed by the operator-determining part of the config
-    (domain, spacing, potential, truncation, dense cap), the cache format
-    version and the package version, so verify/norms/spectrum runs over the
-    same setup share the eigendecompositions.  ``op-*.bin`` holds A_V and,
-    with a potential, the free Laplacian's extremes, so it is all a stage
-    needs: a hit runs no solve at all.  ``op0-*.bin`` holds the decomposed
-    A_0 and is read, or decomposed and written, only when something reads
-    ``stage.op0``.  An entry that cannot be read, or whose grid is not the
-    one the config builds, is rebuilt.
-    """
-    key = _stage_key(cfg, h)
-    op_path = cache_dir / f"op-{key}.bin"
-    op0_path = cache_dir / f"op0-{key}.bin"
-
-    def resolve_op0(op0: SpectralOperator) -> SpectralOperator:
-        if op0_path.exists():
-            try:
-                return _load_entry(op0_path, op0.grid)
-            except (OSError, SolverFailure) as exc:
-                print(f"warning: rebuilding unreadable operator cache op0-{key}: {exc}",
-                      file=sys.stderr)
-        eigendecompose(op0, cfg.dense_cap)
-        save_operator(op0, op0_path)
-        return op0
-
-    if op_path.exists():
-        try:
-            op = _load_entry(op_path, build_grid(cfg.domain_spec(), h))
-        except (OSError, SolverFailure) as exc:
-            print(f"warning: rebuilding unreadable operator cache {key}: {exc}", file=sys.stderr)
-        else:
-            op0 = op if cfg.potential is None else assemble_laplacian(op.grid)
-            return Stage.from_operators(op, op0, cfg.profile, resolve_op0)
-    stage = build_stage(
-        cfg.domain_spec(),
-        h,
-        potential=cfg.potential,
-        profile=cfg.profile,
-        dense_cap=cfg.dense_cap,
-        trunc_radius=cfg.trunc_radius,
-        resolve_op0=resolve_op0,
-    )
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_operator(stage.op, op_path)
-    return stage
 
 
 def _write_spectrum(stages: Sequence[Stage], out_dir: Path) -> None:
@@ -329,8 +244,9 @@ def _dispatch(
         timings[label] = round((time.perf_counter() - t) * 1e3, 3)
         return out
 
-    # cfg.h is ordered coarse to fine
-    stages = _timed("stages", lambda: [_cached_stage(cfg, h, out_dir / "cache") for h in cfg.h])
+    stages = _timed("stages", lambda: build_stages(
+        cfg.domain_spec(), cfg.h, potential=cfg.potential, profile=cfg.profile,
+        dense_cap=cfg.dense_cap, trunc_radius=cfg.trunc_radius, cache_dir=out_dir / "cache"))
     manifest["num_nodes"] = {repr(st.h): st.grid.num_nodes for st in stages}
 
     failed: list[str] = []

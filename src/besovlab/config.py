@@ -320,6 +320,7 @@ def prevalidate_windows(cfg: RunConfig, assert_mode: bool = True) -> None:
     one-dimensional domain is rejected either way.
     """
     n = cfg.dimension
+    defaults = inspect.signature(CHECKS["equivalence_AV_A0"]).parameters
     for i, entry in enumerate(cfg.checks):
         if entry["name"] != "equivalence_AV_A0":
             continue
@@ -328,11 +329,11 @@ def prevalidate_windows(cfg: RunConfig, assert_mode: bool = True) -> None:
                 f"checks/{i} (equivalence_AV_A0): needs a domain of "
                 f"dimension >= 2, got n={n}"
             )
-        if not assert_mode or not entry.get("assert_window", True):
+        if not assert_mode or not entry.get("assert_window", defaults["assert_window"].default):
             continue
         try:
-            s = float(entry.get("s", 0.5))
-            p = float(entry.get("p", 2.0))
+            s = float(entry.get("s", defaults["s"].default))
+            p = float(entry.get("p", defaults["p"].default))
             lo, hi = equivalence_window(n, p)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigInvalid(

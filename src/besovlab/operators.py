@@ -10,27 +10,35 @@ The matrix is held as numpy CSR arrays; scipy.sparse loads only when
 operator; a configurable cap guards against accidentally decomposing a
 matrix that is too large.  The free Laplacian's extreme eigenvalues, all the
 dyadic window needs of it, come from one sparse Lanczos solve instead.
-Operators are saved to and loaded from a little-endian binary cache file,
-whose eigenvector block loads mapped, so its pages are read on touch.
+
+These two results are the costly ones, and cached_eigendecompose and
+cached_laplacian_bounds memoize them in a cache directory: one
+little-endian file per result, named and checked by a sha256 of the
+matrix's CSR arrays, the cache format and the package version.  The
+eigenvector block loads mapped, so its pages are read on touch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     DenseCapExceeded,
     GridMismatch,
     MissingEigendata,
     SolverFailure,
 )
-from .geometry import _DEFAULT_NODE_BUDGET, Grid, GridFunction
+from .geometry import Grid, GridFunction
 from .potential import potential_samples
 
 if TYPE_CHECKING:
@@ -42,6 +50,8 @@ __all__ = [
     "assemble_schrodinger",
     "eigendecompose",
     "laplacian_bounds",
+    "cached_eigendecompose",
+    "cached_laplacian_bounds",
     "quadratic_form",
     "dirichlet_energy",
     "single_eigenvector",
@@ -52,15 +62,11 @@ __all__ = [
 DEFAULT_DENSE_CAP = 4096
 
 _MAGIC = b"BESOVOP1"
-# format 2 added the free Laplacian's extremes (_FLAG_BOUNDS); format 3 pads
-# the eigenvectors to an 8-byte offset: numpy copies an unaligned operand on
-# every matmul.  A file is stamped with the oldest format that reads it
-_FORMAT_VERSION = 3
-_HEADER = "<IIQd"  # version, dimension, node count, spacing
-_COUNTS = "<IQ"  # flags, matrix nonzeros
-_FLAG_POTENTIAL = 1
-_FLAG_EIGEN = 2
-_FLAG_BOUNDS = 4
+# format 4 keeps only the costly results, keyed by the matrix; the
+# eigenvectors sit at an 8-byte offset, since numpy copies an unaligned
+# operand on every matmul
+_FORMAT_VERSION = 4
+_HEADER = "<I32sQ"  # format version, cache key, value count
 
 # smaller matrices take the dense solve (ARPACK wants k well below N)
 _LANCZOS_MIN_NODES = 16
@@ -82,10 +88,6 @@ class SpectralOperator:
 
     ``csr`` is the scipy CSR triple (data, indices, indptr), columns
     ascending in each row; ``matrix`` is built from it on first read.
-
-    ``free_bounds`` holds laplacian_bounds of the potential-free Laplacian
-    on the same grid once a stage has computed them (or a cache entry has
-    kept them), so a stage rebuilt from the cache needs no Lanczos solve.
     """
 
     grid: Grid
@@ -93,7 +95,6 @@ class SpectralOperator:
     potential: np.ndarray | None = None
     eigvals: np.ndarray | None = field(default=None, repr=False)
     eigvecs: np.ndarray | None = field(default=None, repr=False)
-    free_bounds: tuple[float, float] | None = field(default=None, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _matrix: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -247,6 +248,11 @@ def assemble_schrodinger(grid: Grid, V) -> SpectralOperator:
     return SpectralOperator(grid=grid, csr=csr, potential=vals)
 
 
+def _check_dense_cap(op: SpectralOperator, dense_cap: int) -> None:
+    if op.num_nodes > dense_cap:
+        raise DenseCapExceeded(f"matrix order {op.num_nodes} exceeds dense cap {dense_cap}")
+
+
 def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralOperator:
     """Dense symmetric eigendecomposition, cached on the operator in place.
 
@@ -255,9 +261,8 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     """
     if op.has_eigendata:
         return op
+    _check_dense_cap(op, dense_cap)
     N = op.num_nodes
-    if N > dense_cap:
-        raise DenseCapExceeded(f"matrix order {N} exceeds dense cap {dense_cap}")
     dense = op.matrix.toarray()
     try:
         vals, vecs = np.linalg.eigh(dense)
@@ -387,50 +392,36 @@ def single_eigenvector(op: SpectralOperator, k: int) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# binary persistence
+# the operator cache: eigendata and free-Laplacian bounds, keyed by the matrix
 # ---------------------------------------------------------------------------
 
 
-def save_operator(op: SpectralOperator, path) -> None:
-    """Write grid, CSR arrays, potential, eigendata and the free Laplacian's
-    extremes as little-endian binary.
+def _cache_key(kind: str, op: SpectralOperator) -> bytes:
+    """sha256 of the result kind, the cache format, the package version and
+    op's CSR triple: the name and the check of a cache entry."""
+    digest = hashlib.sha256(f"{kind}/{_FORMAT_VERSION}/{__version__}/{op.num_nodes}".encode())
+    for values, dtype in zip(op.csr, ("<f8", "<i8", "<i8")):
+        digest.update(memoryview(np.ascontiguousarray(values, dtype)).cast("B"))
+    return digest.digest()
 
-    The blocks follow one another in that order; the optional ones are
-    flagged, and zero bytes pad the eigenvectors to an 8-byte offset.  The
-    file is written under a temporary name and renamed into place, so an
-    interrupted write never leaves a partial file at ``path``, and a
-    process that has mapped the previous file keeps reading it unchanged.
+
+def _write_entry(path, key: bytes, values: np.ndarray, vectors: np.ndarray | None = None) -> None:
+    """Write magic, header and the value block, then, zero-padded to an
+    8-byte offset, the vector block.
+
+    The file is written under a temporary name and renamed into place, so an
+    interrupted write never leaves a partial file at ``path``, and a process
+    that has mapped the previous file keeps reading it unchanged.
     """
-    grid = op.grid
-    data, indices, indptr = op.csr
-    flags = 0
-    if op.potential is not None:
-        flags |= _FLAG_POTENTIAL
-    if op.has_eigendata:
-        flags |= _FLAG_EIGEN
-    if op.free_bounds is not None:
-        flags |= _FLAG_BOUNDS
-    version = 3 if flags & _FLAG_EIGEN else 2 if flags & _FLAG_BOUNDS else 1
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack(_HEADER, version, grid.n, grid.num_nodes, grid.h))
-            _write(fh, grid.k_lo, "<i8")
-            _write(fh, grid.shape, "<u8")
-            fh.write(struct.pack(_COUNTS, flags, data.size))
-            _write(fh, grid.multi_indices, "<i8")
-            _write(fh, indptr, "<i8")
-            _write(fh, indices, "<i8")
-            _write(fh, data, "<f8")
-            if flags & _FLAG_POTENTIAL:
-                _write(fh, op.potential, "<f8")
-            if flags & _FLAG_EIGEN:
-                _write(fh, op.eigvals, "<f8")
+            fh.write(struct.pack(_HEADER, _FORMAT_VERSION, key, values.size))
+            _write(fh, values, "<f8")
+            if vectors is not None:
                 fh.write(bytes(-fh.tell() % 8))
-                _write(fh, op.eigvecs, "<f8")
-            if flags & _FLAG_BOUNDS:
-                _write(fh, op.free_bounds, "<f8")
+                _write(fh, vectors, "<f8")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -449,93 +440,103 @@ def _check_size(fh, nbytes: int) -> None:
         raise SolverFailure("operator cache file is truncated")
 
 
-def _read(fh, dtype, count) -> np.ndarray:
-    """Read count items straight into a new array, without a bytes copy."""
-    count = int(count)
-    _check_size(fh, np.dtype(dtype).itemsize * count)
-    arr = np.empty(count, dtype)
-    if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-        raise SolverFailure("operator cache file is truncated")
-    return arr
+def _read_entry(fh, key: bytes, count: int) -> np.ndarray:
+    """The value block of the entry open in ``fh``, once its magic, format
+    version, key and value count are the ones expected."""
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise SolverFailure("not an operator cache file (bad magic)")
+    _check_size(fh, struct.calcsize(_HEADER))
+    version, stored, size = struct.unpack(_HEADER, fh.read(struct.calcsize(_HEADER)))
+    if version != _FORMAT_VERSION:
+        raise SolverFailure(f"unsupported operator cache version {version}")
+    _check_size(fh, 8 * size)
+    if stored != key or size != count:
+        raise SolverFailure("operator cache entry was written for another matrix")
+    values = np.empty(count, "<f8")
+    fh.readinto(memoryview(values).cast("B"))
+    return values
 
 
-def _unpack(fh, fmt: str) -> tuple:
-    _check_size(fh, struct.calcsize(fmt))
-    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+def save_operator(op: SpectralOperator, path) -> None:
+    """Write op's eigendata under op's cache key: the eigenvalues, then the
+    eigenvectors at an 8-byte offset, both little-endian."""
+    op.require_eigendata()
+    _write_entry(path, _cache_key("eig", op), op.eigvals, op.eigvecs)
 
 
-def load_operator(path) -> SpectralOperator:
-    """Read an operator cache written by save_operator.
+def load_operator(path, op: SpectralOperator) -> SpectralOperator:
+    """Give ``op`` the eigendata that save_operator wrote for its matrix.
 
-    Format-3 eigenvectors are mapped read-only (np.memmap) and read on touch;
-    an older file's unaligned ones are read in.  Eigendata is read-only.
-
-    Raises SolverFailure for a file that is not such a cache, has a format
-    version this reader does not know or is cut short (each block's size is
-    checked before it is read or mapped), and for blocks that no
-    save_operator could have written:
-
-    - a spacing that is not a positive finite number;
-    - a grid block build_grid could not have made (an index box above the
-      default node budget, a node outside its box);
-    - a CSR block whose row pointers do not start at 0, decrease or do not
-      end at the nonzero count, or whose column indices leave [0, N);
-    - eigenvalues that are not finite or not ascending;
-    - free-Laplacian extremes that are not finite, not positive or out of
-      order.
+    The eigenvectors are mapped read-only (np.memmap) and read on touch;
+    the mapping holds the open file, so a file renamed into place later
+    leaves them unchanged.  Raises SolverFailure, leaving ``op`` as it was,
+    for a file that is not such an entry, has another format version, was
+    written for another matrix or is cut short, and for eigenvalues that
+    are not finite and ascending.
     """
+    N = op.num_nodes
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise SolverFailure("not an operator cache file (bad magic)")
-        version, n, N, h = _unpack(fh, _HEADER)
-        if version not in (1, 2, _FORMAT_VERSION):
-            raise SolverFailure(f"unsupported operator cache version {version}")
-        if not (math.isfinite(h) and h > 0.0):
-            raise SolverFailure(f"operator cache spacing {h} is not a positive finite number")
-        k_lo = _read(fh, "<i8", n)
-        shape = tuple(int(s) for s in _read(fh, "<u8", n))
-        flags, nnz = _unpack(fh, _COUNTS)
-        multi = _read(fh, "<i8", N * n).reshape(int(N), n)
-        indptr = _read(fh, "<i8", N + 1)
-        indices = _read(fh, "<i8", nnz)
-        data = _read(fh, "<f8", nnz)
-        potential = _read(fh, "<f8", N) if flags & _FLAG_POTENTIAL else None
-        eigvals = eigvecs = None
-        if flags & _FLAG_EIGEN:
-            eigvals = _read(fh, "<f8", N)
-            eigvals.flags.writeable = False
-            if version < 3:
-                eigvecs = _read(fh, "<f8", N * N).reshape(int(N), int(N))
-                eigvecs.flags.writeable = False
-            else:
-                # the mapping holds the open file, so a file renamed into
-                # place later (save_operator) leaves it unchanged
-                offset = fh.seek(-fh.tell() % 8, os.SEEK_CUR)
-                _check_size(fh, 8 * N * N)
-                eigvecs = np.memmap(fh, dtype="<f8", mode="r", offset=offset,
-                                    shape=(int(N), int(N)))
-                fh.seek(offset + 8 * N * N)
-        bounds = _read(fh, "<f8", 2) if flags & _FLAG_BOUNDS else None
-
-    if not 0 < math.prod(shape) <= _DEFAULT_NODE_BUDGET:
-        raise SolverFailure(f"operator cache grid box {shape} is empty or over the node budget")
-    if ((multi < 0) | (multi >= np.asarray(shape, np.int64))).any():
-        raise SolverFailure("operator cache node lies outside its grid box")
-    # scipy checks none of this, and an index past N is read out of bounds
-    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
-        raise SolverFailure("operator cache matrix has malformed row pointers")
-    if ((indices < 0) | (indices >= N)).any():
-        raise SolverFailure("operator cache matrix has a column index outside [0, N)")
-    if eigvals is not None and not (np.isfinite(eigvals).all()
-                                    and (np.diff(eigvals) >= 0.0).all()):
+        eigvals = _read_entry(fh, _cache_key("eig", op), N)
+        offset = fh.seek(-fh.tell() % 8, os.SEEK_CUR)
+        _check_size(fh, 8 * N * N)
+        eigvecs = np.memmap(fh, dtype="<f8", mode="r", offset=offset, shape=(N, N))
+    if not (np.isfinite(eigvals).all() and (np.diff(eigvals) >= 0.0).all()):
         raise SolverFailure("operator cache eigenvalues are not finite and ascending")
-    if bounds is not None:
-        lo, hi = bounds = tuple(bounds.tolist())
-        if not (math.isfinite(hi) and 0.0 < lo <= hi):
-            raise SolverFailure(f"operator cache free Laplacian bounds {bounds} are invalid")
-    flat_of_cell = np.full(shape, -1, dtype=np.int64)
-    flat_of_cell[tuple(multi.T)] = np.arange(int(N))
-    grid = Grid(n=int(n), h=float(h), k_lo=k_lo, shape=shape,
-                flat_of_cell=flat_of_cell, multi_indices=multi)
-    return SpectralOperator(grid=grid, csr=(data, indices, indptr), potential=potential,
-                            eigvals=eigvals, eigvecs=eigvecs, free_bounds=bounds)
+    eigvals.flags.writeable = False
+    op.eigvals, op.eigvecs = eigvals, eigvecs
+    return op
+
+
+def _save_bounds(bounds: tuple[float, float], path, op: SpectralOperator) -> None:
+    _write_entry(path, _cache_key("bounds", op), np.asarray(bounds, float))
+
+
+def _load_bounds(path, op: SpectralOperator) -> tuple[float, float]:
+    """laplacian_bounds of ``op`` as _save_bounds wrote them; SolverFailure
+    as in load_operator, and for bounds that are not finite, positive and
+    in order."""
+    with open(path, "rb") as fh:
+        lo, hi = bounds = tuple(_read_entry(fh, _cache_key("bounds", op), 2).tolist())
+    if not (math.isfinite(hi) and 0.0 < lo <= hi):
+        raise SolverFailure(f"operator cache free Laplacian bounds {bounds} are invalid")
+    return bounds
+
+
+def _memoized(cache_dir, kind: str, op: SpectralOperator, compute, load, save):
+    """``compute()``, or its result kept under ``cache_dir`` by an earlier
+    call for the same matrix; None as ``cache_dir`` keeps nothing.
+
+    ``load(path)`` reads an entry and ``save(result, path)`` writes one.  An
+    entry that ``load`` rejects is rebuilt, with a warning on stderr.
+    """
+    if cache_dir is None:
+        return compute()
+    path = Path(cache_dir) / f"{kind}-{_cache_key(kind, op).hex()[:16]}.bin"
+    if path.exists():
+        try:
+            return load(path)
+        except (OSError, SolverFailure) as exc:
+            print(f"warning: rebuilding unreadable operator cache {path.name}: {exc}",
+                  file=sys.stderr)
+    result = compute()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save(result, path)
+    return result
+
+
+def cached_eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP,
+                          cache_dir=None) -> SpectralOperator:
+    """eigendecompose, memoized under ``cache_dir``.  The cap holds whether
+    or not an entry exists, so a run's outcome never depends on the cache."""
+    if op.has_eigendata:
+        return op
+    _check_dense_cap(op, dense_cap)
+    return _memoized(cache_dir, "eig", op, lambda: eigendecompose(op, dense_cap),
+                     lambda path: load_operator(path, op), save_operator)
+
+
+def cached_laplacian_bounds(op: SpectralOperator, cache_dir=None) -> tuple[float, float]:
+    """laplacian_bounds, memoized under ``cache_dir``."""
+    return _memoized(cache_dir, "bounds", op, lambda: laplacian_bounds(op),
+                     lambda path: _load_bounds(path, op),
+                     lambda bounds, path: _save_bounds(bounds, path, op))

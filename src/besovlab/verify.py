@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,11 +47,13 @@ from .norms import (
     test_seminorms,
 )
 from .operators import (
+    DEFAULT_DENSE_CAP,
     SpectralOperator,
     assemble_laplacian,
     assemble_schrodinger,
+    cached_eigendecompose,
+    cached_laplacian_bounds,
     eigendecompose,
-    laplacian_bounds,
 )
 from .potential import check_smallness, decompose, potential_from_expression
 
@@ -102,10 +103,10 @@ class Stage:
     ``op`` is the operator under test (with potential when one was given),
     eigendecomposed.  ``op0`` is the potential-free operator on the same
     grid; it is the same object as ``op`` when the stage has no potential.
-    Otherwise it is decomposed on first read, by ``resolve_op0(op0)``
-    (default: eigendecompose in place), exactly once per stage, so a run
-    whose checks never read it pays no eigensolve for it.  The dyadic
-    window covers the union of both spectra.
+    Otherwise it is decomposed on first read, under ``dense_cap`` and
+    through the operator cache in ``cache_dir`` (None: no cache), exactly
+    once per stage, so a run whose checks never read it pays no eigensolve
+    for it.  The dyadic window covers the union of both spectra.
     """
 
     def __init__(
@@ -114,19 +115,19 @@ class Stage:
         op: SpectralOperator,
         op0: SpectralOperator,
         sys: DyadicSystem,
-        resolve_op0: Callable[[SpectralOperator], SpectralOperator] = eigendecompose,
+        dense_cap: int = DEFAULT_DENSE_CAP,
+        cache_dir=None,
     ):
         self.grid = grid
         self.op = op
         self.sys = sys
         self._op0 = op0
-        self._resolve_op0 = resolve_op0
+        self._dense_cap = dense_cap
+        self._cache_dir = cache_dir
 
     @property
     def op0(self) -> SpectralOperator:
-        if not self._op0.has_eigendata:
-            self._op0 = self._resolve_op0(self._op0)
-        return self._op0
+        return cached_eigendecompose(self._op0, self._dense_cap, self._cache_dir)
 
     @property
     def h(self) -> float:
@@ -136,38 +137,15 @@ class Stage:
     def has_potential(self) -> bool:
         return self.op.potential is not None and bool(np.any(self.op.potential != 0.0))
 
-    @classmethod
-    def from_operators(
-        cls,
-        op: SpectralOperator,
-        op0: SpectralOperator,
-        profile: str,
-        resolve_op0: Callable[[SpectralOperator], SpectralOperator],
-    ) -> "Stage":
-        """Bundle the eigendecomposed ``op`` and the free operator ``op0``
-        (``op`` itself, or assembled, decomposed or not) with the dyadic
-        system whose window covers both spectra.  The free spectrum enters
-        through ``op.free_bounds``: kept by the operator cache, or else set
-        here from laplacian_bounds, which needs no eigendecomposition."""
-        lo, hi = op.lam_pos_min, op.lam_max
-        if op0 is not op:
-            if op.free_bounds is None:
-                op.free_bounds = laplacian_bounds(op0)
-            lo0, hi0 = op.free_bounds
-            lo, hi = min(lo, lo0), max(hi, hi0)
-        sys = build_system(lo, hi, lam0=op.lam0, profile=profile)
-        return cls(op.grid, op, op0, sys, resolve_op0)
-
 
 def build_stage(
     spec: DomainSpec,
     h: float,
     potential=None,
     profile: str = "smooth",
-    dense_cap: int = 4096,
-    node_budget: int | None = None,
+    dense_cap: int = DEFAULT_DENSE_CAP,
     trunc_radius: float | None = None,
-    resolve_op0: Callable[[SpectralOperator], SpectralOperator] | None = None,
+    cache_dir=None,
 ) -> Stage:
     """Assemble the operator(s) at one spacing and eigendecompose A_V.
 
@@ -175,16 +153,13 @@ def build_stage(
     the (N, n) coordinate array, or an expression string (parsed with the
     truncation radius applied to r).  With a potential, A_0 is only
     assembled: the window takes its extremes from laplacian_bounds, and
-    ``stage.op0`` is decomposed on first read by ``resolve_op0`` (default:
-    eigendecompose under ``dense_cap``).
+    ``stage.op0`` is decomposed on first read.  The eigendata and the
+    bounds go through the operator cache in ``cache_dir`` (None: no cache),
+    so a stage whose results are all cached runs no solve at all.
     """
-    if node_budget is None:
-        grid = build_grid(spec, h)
-    else:
-        grid = build_grid(spec, h, node_budget)
+    grid = build_grid(spec, h)
     if potential is None:
-        op = eigendecompose(assemble_laplacian(grid), dense_cap)
-        op0 = op
+        op = op0 = assemble_laplacian(grid)
     else:
         if isinstance(potential, str):
             vfield, _ = potential_from_expression(grid, potential, trunc_radius)
@@ -192,11 +167,15 @@ def build_stage(
             vfield = GridFunction.from_callable(grid, potential)
         else:
             vfield = potential
-        op = eigendecompose(assemble_schrodinger(grid, vfield), dense_cap)
+        op = assemble_schrodinger(grid, vfield)
         op0 = assemble_laplacian(grid)
-    if resolve_op0 is None:
-        resolve_op0 = partial(eigendecompose, dense_cap=dense_cap)
-    return Stage.from_operators(op, op0, profile, resolve_op0)
+    cached_eigendecompose(op, dense_cap, cache_dir)
+    lo, hi = op.lam_pos_min, op.lam_max
+    if op0 is not op:
+        lo0, hi0 = cached_laplacian_bounds(op0, cache_dir)
+        lo, hi = min(lo, lo0), max(hi, hi0)
+    sys = build_system(lo, hi, lam0=op.lam0, profile=profile)
+    return Stage(grid, op, op0, sys, dense_cap, cache_dir)
 
 
 def build_stages(spec: DomainSpec, hs: Sequence[float], **kwargs) -> list[Stage]:

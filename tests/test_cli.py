@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import besovlab
-from besovlab import cli
+from besovlab import operators
 from besovlab.cli import main
 from besovlab.config import as_exponent, load_config, make_config, prevalidate_windows
 from besovlab.errors import ConfigInvalid
@@ -422,11 +422,14 @@ def test_norms_transform_once_per_request_and_stage(tmp_path, transforms):
 
 
 def test_dense_cap_exits_three(tmp_path):
+    # on a cold and on a primed cache: a cached entry never lifts the cap
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out=str(out))
-    assert main(["run", "--config", str(cfg), "--dense-cap", "4"]) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "DenseCapExceeded" in manifest["failure"]
+    for _ in range(2):
+        assert main(["run", "--config", str(cfg), "--dense-cap", "4"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "DenseCapExceeded" in manifest["failure"]
+        assert main(["spectrum", "--config", str(cfg)]) == 0
 
 
 def test_spectrum_matches_closed_form(tmp_path):
@@ -541,8 +544,8 @@ def test_operator_cache_reused(tmp_path):
     cfg = write_config(tmp_path, potential="-5", out=str(out))
     assert main(["spectrum", "--config", str(cfg)]) == 0
     cache = sorted((out / "cache").glob("*.bin"))
-    # A_V only: spectrum never reads A_0, so its entry is not written
-    assert [p.name[:3] for p in cache] == ["op-"]
+    # A_V's eigendata and A_0's bounds: spectrum never reads A_0's eigendata
+    assert [p.name[:4] for p in cache] == ["boun", "eig-"]
     stamps = [p.stat().st_mtime_ns for p in cache]
     assert main(["spectrum", "--config", str(cfg)]) == 0
     assert [p.stat().st_mtime_ns for p in sorted((out / "cache").glob("*.bin"))] == stamps
@@ -552,6 +555,20 @@ def _without_wall_ms(path):
     rows = [r for r in csv.reader(path.read_text().splitlines())]
     col = rows[0].index("wall_ms")
     return [r[:col] + r[col + 1:] for r in rows]
+
+
+def _entry(cache, kind, op):
+    """The path of the cache entry holding ``kind`` of ``op``'s matrix."""
+    return cache / f"{kind}-{operators._cache_key(kind, op).hex()[:16]}.bin"
+
+
+def _disk_operator(h, potential=None):
+    """A_0, or A_V with a constant potential, of the unit disk at spacing h,
+    as _equivalence_config builds them."""
+    grid = besovlab.build_grid(besovlab.ball([0.0, 0.0], 1.0), h)
+    if potential is None:
+        return besovlab.assemble_laplacian(grid)
+    return besovlab.assemble_schrodinger(grid, np.full(grid.num_nodes, potential))
 
 
 def _equivalence_config(tmp_path, out, h=(0.25, 0.125)):
@@ -572,7 +589,7 @@ def test_free_operator_solved_and_cached_on_first_use(tmp_path, eigensolves):
     cfg, cache = _equivalence_config(tmp_path, "out"), tmp_path / "out" / "cache"
     assert main(["norms", "--config", str(cfg)]) == 0
     assert eigensolves == [False, False]  # A_V per stage
-    assert [p.name[:3] for p in cache.glob("*.bin")] == ["op-", "op-"]
+    assert sorted(p.name[:4] for p in cache.glob("*.bin")) == ["boun", "boun", "eig-", "eig-"]
     norms = (tmp_path / "out" / "norms.csv").read_bytes()
 
     verifies = []
@@ -580,7 +597,7 @@ def test_free_operator_solved_and_cached_on_first_use(tmp_path, eigensolves):
         del eigensolves[:]
         assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
         assert eigensolves == solves
-        assert len(list(cache.glob("op0-*.bin"))) == 2
+        assert all(_entry(cache, "eig", _disk_operator(h)).exists() for h in (0.25, 0.125))
         verifies.append(_without_wall_ms(tmp_path / "out" / "verify.csv"))
 
     fresh = _equivalence_config(tmp_path, "fresh")
@@ -595,7 +612,7 @@ def test_damaged_free_operator_cache_is_rebuilt(tmp_path):
     cfg = _equivalence_config(tmp_path, "out", h=[0.25])
     assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
     expected = _without_wall_ms(tmp_path / "out" / "verify.csv")
-    (entry,) = (tmp_path / "out" / "cache").glob("op0-*.bin")
+    entry = _entry(tmp_path / "out" / "cache", "eig", _disk_operator(0.25))
     raw = entry.read_bytes()
     entry.write_bytes(raw[: len(raw) // 2])
     assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
@@ -603,11 +620,15 @@ def test_damaged_free_operator_cache_is_rebuilt(tmp_path):
     assert entry.read_bytes() == raw
 
 
-def test_stage_key_includes_package_version(monkeypatch):
-    cfg = make_config({"domain": {"kind": "interval", "a": 0.0, "b": 1.0}, "h": [0.5]})
-    key = cli._stage_key(cfg, 0.5)
-    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
-    assert cli._stage_key(cfg, 0.5) != key
+def test_cache_entry_names_change_with_package_version(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, potential="-5", out=str(out))
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    before = {p.name for p in (out / "cache").glob("*.bin")}
+    monkeypatch.setattr(operators, "__version__", operators.__version__ + ".post1")
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    after = {p.name for p in (out / "cache").glob("*.bin")} - before
+    assert len(before) == len(after) == 2
 
 
 def test_version_matches_pyproject():
@@ -617,20 +638,15 @@ def test_version_matches_pyproject():
     assert besovlab.__version__ == version
 
 
+# an entry's format version sits at byte 8, its key at bytes 12-44 and its
+# values from byte 52 on
 _DAMAGE = {
     "truncate": lambda raw: raw[: len(raw) // 2],
     "bad-magic": lambda raw: b"NOTANOP!" + raw[8:],
-    # interval h = 1/16 cache: the shape (19,) sits at byte 40, the first
-    # node's multi-index at byte 60
-    "shape-over-budget": lambda raw: raw[:40] + struct.pack("<Q", 2**40) + raw[48:],
-    "index-past-shape": lambda raw: raw[:60] + struct.pack("<q", 19) + raw[68:],
-    "negative-index": lambda raw: raw[:60] + struct.pack("<q", -1) + raw[68:],
-    # the spacing sits at byte 24 and the box's low corner k_lo at byte 32;
-    # a far k_lo loads, but its grid is not the one the config builds
-    "spacing-nan": lambda raw: raw[:24] + struct.pack("<d", math.nan) + raw[32:],
-    "spacing-negative": lambda raw: raw[:24] + struct.pack("<d", -0.125) + raw[32:],
-    "k_lo-far": lambda raw: raw[:32] + struct.pack("<q", 2**40) + raw[40:],
-    # the free Laplacian's extremes are the last 16 bytes
+    "version": lambda raw: raw[:8] + struct.pack("<I", 3) + raw[12:],
+    "key": lambda raw: raw[:12] + bytes([raw[12] ^ 1]) + raw[13:],
+    "eigval-nan": lambda raw: raw[:52] + struct.pack("<d", math.nan) + raw[60:],
+    # the free Laplacian's extremes are the last 16 bytes of its bounds entry
     "bounds-nan": lambda raw: raw[:-16] + struct.pack("<dd", math.nan, 1e3),
     "bounds-zero": lambda raw: raw[:-16] + struct.pack("<dd", 0.0, 1e3),
     "bounds-reversed": lambda raw: raw[:-16] + raw[-8:] + raw[-16:-8],
@@ -645,7 +661,8 @@ def test_damaged_operator_cache_is_rebuilt(tmp_path, capsys, damage):
     cfg = write_config(tmp_path, potential="-5", out=str(out))
     assert main(["spectrum", "--config", str(cfg)]) == 0
     expected = (out / "spectrum.csv").read_bytes()
-    (entry,) = (out / "cache").glob("op-*.bin")
+    kind = "bounds" if damage.startswith("bounds") else "eig"
+    (entry,) = (out / "cache").glob(f"{kind}-*.bin")
     raw = entry.read_bytes()
     entry.write_bytes(_DAMAGE[damage](raw))
     capsys.readouterr()
@@ -669,25 +686,18 @@ def _without_columns(path, *names):
     return [[r[i] for i in keep] for r in rows]
 
 
-def test_column_index_out_of_range_rebuilds_before_bench(tmp_path):
-    # scipy does not bound-check CSR indices: before load_operator checked
-    # them, bench read past the matrix and died with SIGSEGV
+def test_cut_eigenvector_block_rebuilds_before_bench(tmp_path):
+    # a mapped page past the end of a cut-short file would kill the process
+    # with SIGBUS on first touch, so the size check must come before the map
     out = tmp_path / "out"
     cfg = write_config(tmp_path, h=[1 / 64], potential="4*x", out=str(out))
     cmd = [sys.executable, "-m", "besovlab", "bench", "--config", str(cfg)]
     first = subprocess.run(cmd, capture_output=True, text=True, env=_subprocess_env())
     assert first.returncode == 0, first.stderr
     expected = _without_columns(out / "bench.csv", "dense_ms", "cheb_ms")
-    (entry,) = (out / "cache").glob("op-*.bin")
+    (entry,) = (out / "cache").glob("eig-*.bin")
     raw = entry.read_bytes()
-    # header, k_lo, shape and counts take 60 bytes, then the multi-indices
-    # and the row pointers of the N = 63 nodes precede the column indices
-    N = 63
-    offset = 60 + 8 * N + 8 * (N + 1)
-    assert struct.unpack_from("<q", raw, offset) == (0,)
-    damaged = bytearray(raw)
-    struct.pack_into("<q", damaged, offset, 10**7)
-    entry.write_bytes(damaged)
+    entry.write_bytes(raw[:-8 * 63 * 8])
     second = subprocess.run(cmd, capture_output=True, text=True, env=_subprocess_env())
     assert second.returncode == 0, second.stderr
     assert "warning: rebuilding unreadable operator cache" in second.stderr
@@ -697,17 +707,23 @@ def test_column_index_out_of_range_rebuilds_before_bench(tmp_path):
 
 
 def test_free_operator_entry_on_another_grid_is_rebuilt(tmp_path, capsys):
-    cfg = _equivalence_config(tmp_path, "out", h=[0.25])
+    # copied over A_0's entry on the coarse grid: A_0's entry of the finer
+    # grid, then A_V's entry of the same grid (same size, another matrix);
+    # the key each entry holds tells them apart
+    cfg = _equivalence_config(tmp_path, "out")
     assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
     expected = _without_wall_ms(tmp_path / "out" / "verify.csv")
-    (entry,) = (tmp_path / "out" / "cache").glob("op0-*.bin")
-    raw = entry.read_bytes()
-    entry.write_bytes(raw[:32] + struct.pack("<q", 2**40) + raw[40:])  # k_lo[0]
-    capsys.readouterr()
-    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
-    assert "warning: rebuilding unreadable operator cache op0-" in capsys.readouterr().err
-    assert _without_wall_ms(tmp_path / "out" / "verify.csv") == expected
-    assert entry.read_bytes() == raw
+    cache = tmp_path / "out" / "cache"
+    coarse, fine = (_entry(cache, "eig", _disk_operator(h)) for h in (0.25, 0.125))
+    raw = coarse.read_bytes()
+    for other in (fine, _entry(cache, "eig", _disk_operator(0.25, 2.0))):
+        shutil.copyfile(other, coarse)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+        assert (f"warning: rebuilding unreadable operator cache {coarse.name}"
+                in capsys.readouterr().err)
+        assert _without_wall_ms(tmp_path / "out" / "verify.csv") == expected
+        assert coarse.read_bytes() == raw
 
 
 _LOADED = """
@@ -768,10 +784,9 @@ def test_heat_gaussian_loads_no_scipy_spatial(tmp_path):
 
 
 def test_loaded_entry_maps_eigenvectors_read_only(tmp_path):
-    cfg = make_config({"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-                       "h": [0.25], "potential": "-0.5/r"})
-    cold = cli._cached_stage(cfg, 0.25, tmp_path)
-    warm = cli._cached_stage(cfg, 0.25, tmp_path)
+    spec = besovlab.ball([0.0, 0.0], 1.0)
+    cold = besovlab.build_stage(spec, 0.25, potential="-0.5/r", cache_dir=tmp_path)
+    warm = besovlab.build_stage(spec, 0.25, potential="-0.5/r", cache_dir=tmp_path)
     assert isinstance(warm.op.eigvecs, np.memmap)
     assert warm.op.eigvecs.tobytes() == cold.op.eigvecs.tobytes()
     with pytest.raises(ValueError, match="read-only"):
@@ -780,18 +795,58 @@ def test_loaded_entry_maps_eigenvectors_read_only(tmp_path):
 
 
 def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
-    from besovlab import operators, verify
-
     cfg = _equivalence_config(tmp_path, "out")
     assert main(["norms", "--config", str(cfg)]) == 0
     norms = (tmp_path / "out" / "norms.csv").read_bytes()
     calls = []
-    monkeypatch.setattr(verify, "laplacian_bounds", lambda op: calls.append("bounds"))
+    monkeypatch.setattr(operators, "laplacian_bounds", lambda op: calls.append("bounds"))
     monkeypatch.setattr(operators, "eigsh", lambda *a, **k: calls.append("eigsh"))
     del eigensolves[:]
     assert main(["norms", "--config", str(cfg)]) == 0
     assert calls == [] and eigensolves == []
     assert (tmp_path / "out" / "norms.csv").read_bytes() == norms
+
+
+# (domain, spacings) drawn by the warm-rerun property; small enough for
+# four commands per example
+_WARM_DOMAINS = {
+    "interval": ({"kind": "interval", "a": 0.0, "b": 1.0}, (1 / 8, 1 / 16)),
+    "box": ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, (1 / 4, 1 / 8)),
+    "disk": ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, (1 / 4, 1 / 6)),
+    "ball3": ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, (1 / 3, 1 / 4)),
+}
+
+
+@st.composite
+def _warm_configs(draw):
+    kind = draw(st.sampled_from(sorted(_WARM_DOMAINS)))
+    domain, spacings = _WARM_DOMAINS[kind]
+    hs = draw(st.lists(st.sampled_from(spacings), min_size=1, max_size=2, unique=True))
+    potentials = [None, "-5", "4*x", "-0.5/r"] + (["2+x*y"] if kind != "interval" else [])
+    return {"domain": domain, "h": hs, "potential": draw(st.sampled_from(potentials))}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_warm_configs())
+def test_warm_rerun_writes_identical_csvs_without_solves(config, eigensolves):
+    norms = [{"kind": "besov", "s": 0.5, "p": 2.0, "q": 2.0}, {"kind": "sobolev", "s": 1.0}]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp) / "out"
+        cfg = write_config(Path(tmp), out=str(out), norms=norms, **config)
+
+        def run():
+            for command in ("spectrum", "norms"):
+                assert main([command, "--config", str(cfg)]) == 0
+            return [(out / f).read_bytes() for f in ("spectrum.csv", "norms.csv")]
+
+        cold = run()
+        fresh, bounds = operators.laplacian_bounds, []
+        mp.setattr(operators, "laplacian_bounds", lambda op: bounds.append(op) or fresh(op))
+        del eigensolves[:]
+        warm = run()
+    assert warm == cold
+    assert eigensolves == [] and bounds == []
 
 
 @pytest.mark.parametrize(
@@ -804,14 +859,15 @@ def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
     ids=["interval", "disk", "ball3"],
 )
 def test_cached_free_bounds_give_the_cold_window(tmp_path, domain, h, potential):
-    cfg = make_config({"domain": domain, "h": [h], "potential": potential})
-    cold = cli._cached_stage(cfg, h, tmp_path)
-    warm = cli._cached_stage(cfg, h, tmp_path)
-    assert warm.op is not cold.op and warm.op.free_bounds is not None
+    spec = make_config({"domain": domain, "h": [h]}).domain_spec()
+    cold = besovlab.build_stage(spec, h, potential=potential, cache_dir=tmp_path)
+    warm = besovlab.build_stage(spec, h, potential=potential, cache_dir=tmp_path)
+    assert warm.op is not cold.op
     assert (warm.sys.j_min, warm.sys.j_max) == (cold.sys.j_min, cold.sys.j_max)
     assert warm.sys == cold.sys
-    fresh = besovlab.laplacian_bounds(besovlab.assemble_laplacian(warm.grid))
-    assert struct.pack("<dd", *warm.op.free_bounds) == struct.pack("<dd", *fresh)
+    free = besovlab.assemble_laplacian(warm.grid)
+    fresh = besovlab.laplacian_bounds(free)
+    assert _entry(tmp_path, "bounds", free).read_bytes()[52:] == struct.pack("<dd", *fresh)
 
 
 @pytest.mark.parametrize("installed", [False, True])

@@ -287,7 +287,7 @@ class TestDyadicWeights:
             op.dyadic_weights(sys, "psi")[0] = 0.0
         path = tmp_path / "op.bin"
         bl.save_operator(op, path)
-        assert not bl.load_operator(path).eigvals.flags.writeable
+        assert not bl.load_operator(path, undecomposed(op)).eigvals.flags.writeable
 
     def test_rejects_unknown_kind_and_missing_eigendata(self):
         op, sys = self._fresh()
@@ -346,115 +346,94 @@ class TestSingleEigenvector:
         np.testing.assert_allclose(av, st.op.eigvals[2] * u.values, atol=1e-9)
 
 
+def undecomposed(op):
+    """The matrix of ``op`` in an operator without eigendata, to load into."""
+    return bl.SpectralOperator(grid=op.grid, csr=op.csr, potential=op.potential)
+
+
 class TestSaveLoad:
+    """Cache entries.  An eigendata entry of the interval h = 1/8 Laplacian
+    (N = 7) holds the magic (bytes 0-8), the format version (8-12), the
+    key (12-44), the value count (44-52), the eigenvalues (52-108), four
+    zero bytes and the eigenvectors (112-504); a bounds entry holds the
+    same header and the two bounds (52-68)."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        op = bl.eigendecompose(bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 0.125)))
+        path = tmp_path / "op.bin"
+        bl.save_operator(op, path)
+        return op, path
+
+    @staticmethod
+    def _saved_bounds(tmp_path):
+        op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 0.125))
+        bounds = bl.laplacian_bounds(op)
+        path = tmp_path / "bounds.bin"
+        bl.operators._save_bounds(bounds, path, op)
+        return op, bounds, path
+
     def test_roundtrip_bitwise(self, tmp_path):
         g = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.25)
         vvals = np.linspace(0.0, 1.0, g.num_nodes)
         op = bl.eigendecompose(bl.assemble_schrodinger(g, bl.GridFunction(g, vvals)))
         path = tmp_path / "op.bin"
         bl.save_operator(op, path)
-        back = bl.load_operator(path)
-        assert back.grid.same_geometry(op.grid)
-        np.testing.assert_array_equal(back.matrix.toarray(), op.matrix.toarray())
-        np.testing.assert_array_equal(back.potential, op.potential)
+        target = undecomposed(op)
+        back = bl.load_operator(path, target)
+        assert back is target
         np.testing.assert_array_equal(back.eigvals, op.eigvals)
         np.testing.assert_array_equal(back.eigvecs, op.eigvecs)
 
     def test_roundtrip_without_optional_blocks(self, tmp_path):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.assemble_laplacian(g)
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
-        back = bl.load_operator(path)
-        assert back.potential is None
-        assert not back.has_eigendata
-        np.testing.assert_array_equal(back.matrix.toarray(), op.matrix.toarray())
+        # a bounds entry is the header and the value block, with no eigenvectors
+        op, bounds, path = self._saved_bounds(tmp_path)
+        raw = path.read_bytes()
+        assert len(raw) == 68 and raw[52:] == struct.pack("<dd", *bounds)
+        assert bl.operators._load_bounds(path, op) == bounds
 
     def test_header_layout(self, tmp_path):
-        # Magic, version, dimension, and node count sit at fixed little-endian
-        # offsets so other tooling can sniff the file.
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.assemble_laplacian(g)
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
+        # magic, version, key and value count sit at fixed little-endian
+        # offsets so other tooling can sniff the file
+        op, path = self._saved(tmp_path)
         raw = path.read_bytes()
         assert raw[:8] == b"BESOVOP1"
-        version, n, num, h = struct.unpack_from("<IIQd", raw, 8)
-        assert (version, n, num) == (1, 1, 7)
-        assert h == 0.125
+        version, key, count = struct.unpack_from("<I32sQ", raw, 8)
+        assert (version, count) == (4, 7)
+        assert key == bl.operators._cache_key("eig", op)
 
     def test_truncated_file_rejected(self, tmp_path):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.assemble_laplacian(g)
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
+        op, path = self._saved(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(bl.SolverFailure):
-            bl.load_operator(path)
+            bl.load_operator(path, undecomposed(op))
 
     @pytest.mark.parametrize("num_nodes", [2**40, 2**62])
     def test_header_claiming_more_than_the_file_rejected(self, tmp_path, num_nodes):
-        # a damaged node count must read as a truncated file, not as an
+        # a damaged value count must read as a truncated file, not as an
         # attempt to allocate the array it claims
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        path = tmp_path / "op.bin"
-        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
+        op, path = self._saved(tmp_path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<Q", raw, 16, num_nodes)
+        struct.pack_into("<Q", raw, 44, num_nodes)
         path.write_bytes(raw)
         with pytest.raises(bl.SolverFailure, match="truncated"):
-            bl.load_operator(path)
-
-    @pytest.mark.parametrize(
-        "offset,value",
-        [(40, 2**40), (60, 11), (60, -1)],
-        ids=["shape-over-budget", "index-past-shape", "negative-index"],
-    )
-    def test_damaged_grid_block_rejected(self, tmp_path, offset, value):
-        # interval h = 1/8: the shape (11,) sits at byte 40, the first
-        # node's multi-index at byte 60; neither may reach flat_of_cell
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        path = tmp_path / "op.bin"
-        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
-        raw = bytearray(path.read_bytes())
-        assert struct.unpack_from("<Q", raw, 40) == (11,)
-        assert struct.unpack_from("<q", raw, 60) == (2,)
-        struct.pack_into("<q", raw, offset, value)
-        path.write_bytes(raw)
-        with pytest.raises(bl.SolverFailure, match="grid box"):
-            bl.load_operator(path)
-
-    def test_free_bounds_roundtrip_as_format_3(self, tmp_path):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 64)
-        op = bl.eigendecompose(bl.assemble_schrodinger(g, np.ones(g.num_nodes)))
-        op.free_bounds = bl.laplacian_bounds(bl.assemble_laplacian(g))
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, 8) == (3,)
-        assert raw[-16:] == struct.pack("<dd", *op.free_bounds)
-        assert bl.load_operator(path).free_bounds == op.free_bounds
+            bl.load_operator(path, undecomposed(op))
 
     def test_eigenvector_block_is_padded_to_eight_bytes(self, tmp_path):
-        # interval h = 1/8 without potential: N = 7, nnz = 19; the eigenvalues
-        # end at byte 540, so 4 zero bytes precede the eigenvectors
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.eigendecompose(bl.assemble_laplacian(g))
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
+        op, path = self._saved(tmp_path)
         raw = path.read_bytes()
-        assert len(raw) == 544 + 8 * 49
-        assert struct.unpack_from("<d", raw, 532) == (op.eigvals[-1],)
-        assert raw[540:544] == bytes(4)
-        assert raw[544:] == op.eigvecs.astype("<f8").tobytes()
+        assert len(raw) == 112 + 8 * 49
+        assert struct.unpack_from("<d", raw, 100) == (op.eigvals[-1],)
+        assert raw[108:112] == bytes(4)
+        assert raw[112:] == op.eigvecs.astype("<f8").tobytes()
 
     def test_loaded_eigenvectors_are_mapped_read_only(self, tmp_path):
         g = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.25)
         op = bl.eigendecompose(bl.assemble_schrodinger(g, np.linspace(0.0, 1.0, g.num_nodes)))
         path = tmp_path / "op.bin"
         bl.save_operator(op, path)
-        back = bl.load_operator(path)
+        back = bl.load_operator(path, undecomposed(op))
         assert isinstance(back.eigvecs, np.memmap) and back.eigvecs.flags.aligned
         assert back.eigvecs.tobytes() == op.eigvecs.tobytes()
         with pytest.raises(ValueError, match="read-only"):
@@ -468,108 +447,84 @@ class TestSaveLoad:
         bl.save_operator(other, path)
         assert back.eigvecs.tobytes() == op.eigvecs.tobytes()
 
-    def test_format_2_file_still_loads(self, tmp_path):
-        # a format-2 file is a format-3 file without the padding
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.eigendecompose(bl.assemble_laplacian(g))
-        op.free_bounds = (op.lam_min, op.lam_max)
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
-        raw = bytearray(path.read_bytes())
-        del raw[540:544]
-        struct.pack_into("<I", raw, 8, 2)
-        path.write_bytes(raw)
-        back = bl.load_operator(path)
-        assert back.free_bounds == op.free_bounds
-        np.testing.assert_array_equal(back.eigvecs, op.eigvecs)
-        assert not back.eigvecs.flags.writeable
-
     @pytest.mark.parametrize("cut", [1, 8, 8 * 49 - 1])
     def test_truncated_eigenvector_block_rejected(self, tmp_path, cut):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        path = tmp_path / "op.bin"
-        bl.save_operator(bl.eigendecompose(bl.assemble_laplacian(g)), path)
+        op, path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(bl.SolverFailure, match="truncated"):
-            bl.load_operator(path)
+            bl.load_operator(path, undecomposed(op))
 
     def test_loaded_csr_builds_no_matrix_until_read(self, tmp_path):
+        # the key is taken from the CSR arrays, so a load builds no scipy matrix
         g = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 0.25)
-        op = bl.assemble_schrodinger(g, np.linspace(-1.0, 1.0, g.num_nodes))
+        op = bl.eigendecompose(bl.assemble_schrodinger(g, np.linspace(-1.0, 1.0, g.num_nodes)))
         path = tmp_path / "op.bin"
         bl.save_operator(op, path)
-        back = bl.load_operator(path)
-        assert back._matrix is None
-        for a, b in zip(back.csr, op.csr):
-            np.testing.assert_array_equal(a, b)
+        back = bl.load_operator(path, undecomposed(op))
+        assert back.has_eigendata and back._matrix is None
         assert (back.matrix != op.matrix).nnz == 0
 
-    # interval h = 1/8, decomposed, with free bounds: N = 7 nodes and
-    # nnz = 19; the row pointers start at byte 116, the column indices at
-    # 180, the eigenvalues (no potential block) at 484
     @pytest.mark.parametrize(
-        "offset,fmt,value",
+        "kind,offset,fmt,value",
         [
-            (24, "<d", float("nan")),
-            (24, "<d", -0.125),
-            (24, "<d", 0.0),
-            (116, "<q", 1),
-            (124, "<q", 100),
-            (172, "<q", 18),
-            (180, "<q", 7),
-            (180, "<q", -1),
-            (484, "<d", float("nan")),
-            (484, "<d", 1e9),
-            (-16, "<d", float("nan")),
-            (-16, "<d", -1.0),
-            (-8, "<d", float("inf")),
-            (-8, "<d", 1.0),
+            ("eig", 8, "<I", 3),
+            ("eig", 8, "<I", 5),
+            ("eig", 52, "<d", float("nan")),
+            ("eig", 52, "<d", 1e9),
+            ("bounds", 52, "<d", float("nan")),
+            ("bounds", 52, "<d", -1.0),
+            ("bounds", 60, "<d", float("inf")),
+            ("bounds", 60, "<d", 1.0),
         ],
         ids=[
-            "spacing-nan", "spacing-negative", "spacing-zero",
-            "indptr-start", "indptr-decreasing", "indptr-end",
-            "index-past-N", "index-negative",
+            "version-3", "version-5",
             "eigval-nan", "eigvals-descending",
             "bounds-nan", "bounds-negative", "bounds-inf", "bounds-reversed",
         ],
     )
-    def test_damaged_blocks_rejected(self, tmp_path, offset, fmt, value):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.eigendecompose(bl.assemble_laplacian(g))
-        op.free_bounds = (op.lam_min, op.lam_max)
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
+    def test_damaged_blocks_rejected(self, tmp_path, kind, offset, fmt, value):
+        if kind == "eig":
+            op, path = self._saved(tmp_path)
+            load = lambda: bl.load_operator(path, undecomposed(op))  # noqa: E731
+        else:
+            op, _, path = self._saved_bounds(tmp_path)
+            load = lambda: bl.operators._load_bounds(path, op)  # noqa: E731
+        load()
         raw = bytearray(path.read_bytes())
-        assert struct.unpack_from("<qq", raw, 116) == (0, 2)
-        assert struct.unpack_from("<qq", raw, 172) == (19, 0)
-        assert struct.unpack_from("<d", raw, 484) == (op.eigvals[0],)
-        struct.pack_into(fmt, raw, offset % len(raw), value)
+        struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(raw)
         with pytest.raises(bl.SolverFailure):
-            bl.load_operator(path)
+            load()
+
+    def test_entry_for_another_matrix_rejected(self, tmp_path):
+        op, path = self._saved(tmp_path)
+        shifted = bl.assemble_schrodinger(op.grid, np.ones(op.num_nodes))  # same N
+        finer = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 16))
+        for other in (shifted, finer):
+            with pytest.raises(bl.SolverFailure, match="another matrix"):
+                bl.load_operator(path, other)
+            assert not other.has_eigendata
+        # the key also tells an eigendata entry from a bounds entry
+        with pytest.raises(bl.SolverFailure, match="another matrix"):
+            bl.operators._load_bounds(path, undecomposed(op))
 
     def test_truncated_header_rejected(self, tmp_path):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        path = tmp_path / "op.bin"
-        bl.save_operator(bl.assemble_laplacian(g), path)
+        op, path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes()[:12])
-        with pytest.raises(bl.SolverFailure):
-            bl.load_operator(path)
+        with pytest.raises(bl.SolverFailure, match="truncated"):
+            bl.load_operator(path, undecomposed(op))
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
-        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
-        op = bl.eigendecompose(bl.assemble_laplacian(g))
-        path = tmp_path / "op.bin"
-        bl.save_operator(op, path)
+        op, path = self._saved(tmp_path)
         before = path.read_bytes()
-        op.eigvecs = np.full(op.eigvecs.shape, "x")  # fails after the header is written
+        op.eigvecs = np.full(op.eigvecs.shape, "x")  # fails after the eigenvalues are written
         with pytest.raises(ValueError):
             bl.save_operator(op, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["op.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "op.bin"
-        path.write_bytes(b"NOTANOP!" + b"\x00" * 64)
-        with pytest.raises(bl.SolverFailure):
-            bl.load_operator(path)
+        op, path = self._saved(tmp_path)
+        path.write_bytes(b"NOTANOP!" + path.read_bytes()[8:])
+        with pytest.raises(bl.SolverFailure, match="bad magic"):
+            bl.load_operator(path, undecomposed(op))
