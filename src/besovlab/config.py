@@ -4,9 +4,10 @@ A run is described by one flat JSON object.  Validation happens before any
 grid is built: unknown keys and malformed values are rejected at every
 level (the ``_ROOT`` table below lists each key and the check its value
 must pass), check entries are matched against the actual keyword
-signature of the registered check, and an equivalence check whose
-smoothness index falls outside the admissible window is rejected here
-rather than deep inside the run.  All rejections raise
+signature of the registered check (which validates their values when it
+runs), and a Lorentz request with p = 1 and a finite q or an equivalence
+check whose smoothness index falls outside the admissible window is
+rejected here rather than deep inside the run.  All rejections raise
 :class:`~besovlab.errors.ConfigInvalid` with a message that starts
 ``at <path>:``, the slash-separated path of the offending value.
 """
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigInvalid, EmptyDomain, GridMismatch
+from .errors import ConfigInvalid, EmptyDomain, GridMismatch, InvalidExponent
 from .geometry import DomainSpec, ball, box, interval
+from .norms import check_lorentz_exponents
 from .verify import CHECKS, FAMILY_TAGS, FunctionFamily, equivalence_window
 
 __all__ = ["RunConfig", "load_config", "make_config", "prevalidate_windows"]
@@ -249,14 +251,20 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a raw mapping and realize it as a RunConfig.
 
     Raises ConfigInvalid on any malformed value, unknown key, non-finite
-    float, malformed domain, or check entry whose keywords do not match
-    the check.  Integral floats in the integer fields (family count,
-    seed, dense cap) become ints.
+    float, malformed domain, undefined Lorentz norm, or check entry whose
+    keywords do not match the check.  Integral floats in the integer fields
+    (family count, seed, dense cap) become ints.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
     _finite(data, ())
     _ROOT(dict(data), ())
+    for i, norm in enumerate(data.get("norms", ())):
+        if norm["kind"] == "lorentz":
+            try:
+                check_lorentz_exponents(norm["p"], as_exponent(norm["q"]))
+            except InvalidExponent as exc:
+                _fail(("norms", i, "p"), str(exc))
 
     family = {**_DEFAULTS["family"], **data.get("family", {})}
     cfg = RunConfig(

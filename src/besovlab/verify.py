@@ -53,7 +53,6 @@ from .operators import (
     assemble_schrodinger,
     cached_eigendecompose,
     cached_laplacian_bounds,
-    eigendecompose,
 )
 from .potential import check_smallness, decompose, potential_from_expression
 
@@ -127,7 +126,11 @@ class Stage:
 
     @property
     def op0(self) -> SpectralOperator:
-        return cached_eigendecompose(self._op0, self._dense_cap, self._cache_dir)
+        return self.decompose(self._op0)
+
+    def decompose(self, op: SpectralOperator) -> SpectralOperator:
+        """op eigendecomposed under this stage's dense cap and operator cache."""
+        return cached_eigendecompose(op, self._dense_cap, self._cache_dir)
 
     @property
     def h(self) -> float:
@@ -786,26 +789,6 @@ def check_lifting(
     )
 
 
-def _sigma_max(mat: np.ndarray, iters: int = 80) -> float:
-    """Largest singular value by power iteration on M^T M (deterministic
-    symmetry-breaking start; a tight lower bound, ample for slope fits)."""
-    m = mat.shape[1]
-    v = np.cos(0.7 * np.arange(m) + 0.3)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = mat.T @ (w / nw)
-        sigma = float(np.linalg.norm(v))
-        if sigma == 0.0:
-            return 0.0
-        v /= sigma
-    return sigma
-
-
 def _max_column_l1(left: np.ndarray, basis: np.ndarray, cols: np.ndarray) -> float:
     """Largest column L1 norm of left @ basis[:, cols].T, taken over blocks
     of its output columns so the full product is never formed."""
@@ -846,7 +829,7 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
                 continue
             mid = W[np.ix_(rows, cols)] * g0[cols]
             one_norm = _max_column_l1(left @ mid, op0.eigvecs, cols)
-            two_norm = _sigma_max(gv[rows, None] * mid)
+            two_norm = float(np.linalg.norm(gv[rows, None] * mid, 2))
             pts.append((j - k, one_norm, two_norm))
         if pts:
             out[j] = pts
@@ -1038,9 +1021,8 @@ def check_heat_gaussian(
             if vminus.max() == 0.0:
                 op_star = stage.op0
             else:
-                op_star = eigendecompose(
-                    assemble_schrodinger(grid, GridFunction(grid, -vminus)),
-                    dense_cap=max(op.num_nodes, 1),
+                op_star = stage.decompose(
+                    assemble_schrodinger(grid, GridFunction(grid, -vminus))
                 )
 
         log_scores = []

@@ -775,6 +775,12 @@ def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
     assert bench <= _loaded_after("import numpy, scipy.sparse", tmp_path)
 
 
+def test_fractional_lorentz_loads_no_special_functions(tmp_path):
+    cfg = write_config(tmp_path, norms=[{"kind": "lorentz", "p": 2.0, "q": 2.5}],
+                       out=str(tmp_path / "out"))
+    assert not {"scipy.special", "mpmath"} & _loaded_after(_main_calls(cfg, "norms"), tmp_path)
+
+
 def test_heat_gaussian_loads_no_scipy_spatial(tmp_path):
     cfg = write_config(tmp_path, domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
                        h=[0.25], potential="2", checks=[{"name": "heat_gaussian"}],
@@ -805,6 +811,22 @@ def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
     assert main(["norms", "--config", str(cfg)]) == 0
     assert calls == [] and eigensolves == []
     assert (tmp_path / "out" / "norms.csv").read_bytes() == norms
+
+
+def test_warm_heat_gaussian_runs_no_eigensolve(tmp_path, eigensolves):
+    # a potential of both signs: the check also decomposes A_{-V_-}
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                       h=[0.25], potential="4*x", checks=[{"name": "heat_gaussian"}],
+                       out=str(out))
+    command = ["verify", "--config", str(cfg), "--report-only"]
+    assert main(command) == 0
+    assert eigensolves == [False, False]
+    cold = _without_wall_ms(out / "verify.csv")
+    del eigensolves[:]
+    assert main(command) == 0
+    assert eigensolves == []
+    assert _without_wall_ms(out / "verify.csv") == cold
 
 
 # (domain, spacings) drawn by the warm-rerun property; small enough for
@@ -949,6 +971,15 @@ def test_edge_configs_keep_their_verdicts(name):
     cfg = make_config(data)
     for value in (cfg.family_count, cfg.seed, cfg.dense_cap):
         assert type(value) is int
+
+
+def test_lorentz_p1_with_finite_q_rejected_before_any_grid(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, norms=[{"kind": "lorentz", "p": 1, "q": 2}], out=str(out))
+    assert main(["norms", "--config", str(cfg)]) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("ConfigInvalid: at norms/0/p: ")
+    assert not list(out.glob("cache/eig-*.bin")) and not (out / "norms.csv").exists()
 
 
 def test_integral_float_family_count_runs_norms(tmp_path):

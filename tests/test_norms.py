@@ -308,7 +308,8 @@ class TestRearrangement:
 
 
 def lorentz_quad_oracle(f, p, q):
-    """Piece-by-piece quadrature of the Lorentz integral (slow but independent)."""
+    """Piece-by-piece quadrature of the Lorentz integral to a relative
+    1e-13 on each step (slow but independent)."""
     prof = bl.rearrangement_profile(f)
     knots = prof.knots
     total = 0.0
@@ -318,6 +319,8 @@ def lorentz_quad_oracle(f, p, q):
             knots[i],
             knots[i + 1],
             limit=200,
+            epsabs=0.0,
+            epsrel=1e-13,
         )
         total += val
     # analytic tail: f** = mass / t beyond the support
@@ -376,6 +379,23 @@ class TestLorentzNorm:
                 bl.lorentz_norm(f, p, q), lorentz_quad_oracle(f, p, q), rtol=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (2.0, 2.0 + 5e-10),  # within 1e-9 of an integer, not one
+            (2.0, 3.0 - 4e-10),
+            (1.25, 2.5),  # c = q/p an integer
+            (5.0 / 3.0, 2.5),  # c - q an integer
+        ],
+    )
+    def test_fractional_q_matches_oracle_to_round_off(self, p, q):
+        g = bl.build_grid(bl.interval(0.0, 1.0), 1.0 / 16)
+        rng = np.random.default_rng(15)
+        f = bl.GridFunction(g, rng.standard_normal(g.num_nodes) * 3.0)
+        np.testing.assert_allclose(
+            bl.lorentz_norm(f, p, q), lorentz_quad_oracle(f, p, q), rtol=1e-12
+        )
+
     def test_two_level_step_all_branches(self):
         # two distinct heights exercise pure, binomial, and fractional pieces
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
@@ -394,6 +414,22 @@ class TestLorentzNorm:
             np.testing.assert_allclose(
                 bl.lorentz_norm(fa, p, q), 3.5 * bl.lorentz_norm(f, p, q), rtol=1e-12
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=-300, max_value=300),
+        st.sampled_from([(2.0, 2.0), (2.0, 2.5), (1.5, 7.0), (3.0, np.inf), (1.0, np.inf)]),
+    )
+    def test_homogeneous_at_every_scale(self, k, pq):
+        # ||s f|| = |s| ||f|| to rounding for s = -10^k: the q-th powers
+        # neither overflow nor underflow
+        p, q = pq
+        g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
+        base = np.array([3.0, 1.0, 7.0, 2.0, 6.0, 4.0, 5.0])
+        scaled = bl.lorentz_norm(bl.GridFunction(g, -(10.0**k) * base), p, q)
+        np.testing.assert_allclose(
+            scaled, 10.0**k * bl.lorentz_norm(bl.GridFunction(g, base), p, q), rtol=1e-13
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
