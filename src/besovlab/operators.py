@@ -6,10 +6,11 @@ the interior are simply dropped (their no-flux partner value is zero).
 Potentials act as diagonal multiplication by their node samples.
 
 The matrix is held as numpy CSR arrays; scipy.sparse loads only when
-``.matrix`` is first read.  Eigendecompositions are dense and cached on the
-operator; a configurable cap guards against accidentally decomposing a
-matrix that is too large.  The free Laplacian's extreme eigenvalues, all the
-dyadic window needs of it, come from one sparse Lanczos solve instead.
+``.matrix`` is first read, and building a stage never reads it.
+Eigendecompositions are dense and cached on the operator; a configurable cap
+guards against accidentally decomposing a matrix that is too large.  The
+free Laplacian's extreme eigenvalues, all the dyadic window needs of it,
+come from a short Lanczos run on the CSR arrays instead.
 
 These two results are the costly ones, and cached_eigendecompose and
 cached_laplacian_bounds memoize them in a cache directory: one
@@ -68,8 +69,12 @@ _MAGIC = b"BESOVOP1"
 _FORMAT_VERSION = 4
 _HEADER = "<I32sQ"  # format version, cache key, value count
 
-# smaller matrices take the dense solve (ARPACK wants k well below N)
+# smaller matrices take the dense solve, which is cheaper there
 _LANCZOS_MIN_NODES = 16
+# Lanczos steps before the dense solve takes over: disks and balls need
+# 40-130, 1-D chains of more than about 550 nodes need more
+_LANCZOS_MAX_STEPS = 300
+_LANCZOS_CHECK_EVERY = 10  # steps between tests of the residual bound
 # distance in log4 from a power of 4 below which a Lanczos estimate could
 # land on the other side of a dyadic window edge than the dense eigenvalue
 _WINDOW_EDGE_GUARD = 1e-9
@@ -207,6 +212,20 @@ def _neighbor_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of each stored entry of a CSR triple."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _dense(op: SpectralOperator) -> np.ndarray:
+    """op's matrix as a dense C-ordered array, equal to scipy's toarray()
+    bit for bit (the CSR entries are distinct and none is -0.0)."""
+    data, indices, indptr = op.csr
+    out = np.zeros((op.num_nodes, op.num_nodes))
+    out[_csr_rows(indptr), indices] = data
+    return out
+
+
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, N: int) -> tuple:
     """CSR triple of distinct (row, col) entries, columns ascending per row."""
     order = np.lexsort((cols, rows))
@@ -241,7 +260,7 @@ def assemble_schrodinger(grid: Grid, V) -> SpectralOperator:
     diagonal entry that cancels to zero is dropped, as scipy's sum does."""
     vals = potential_samples(grid, V)
     data, indices, indptr = assemble_laplacian(grid).csr
-    rows = np.repeat(np.arange(grid.num_nodes), np.diff(indptr))
+    rows = _csr_rows(indptr)
     data[indices == rows] += vals
     keep = data != 0.0
     csr = _csr(rows[keep], indices[keep], data[keep], grid.num_nodes)
@@ -263,29 +282,58 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
         return op
     _check_dense_cap(op, dense_cap)
     N = op.num_nodes
-    dense = op.matrix.toarray()
     try:
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(_dense(op))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverFailure(f"dense eigendecomposition failed: {exc}") from exc
     anchor = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[anchor, np.arange(N)])
     signs[signs == 0.0] = 1.0
+    vecs *= signs
     vals.flags.writeable = False
-    op.eigvals = vals
-    op.eigvecs = vecs * signs
+    op.eigvals, op.eigvecs = vals, vecs
     return op
 
 
-def eigsh(*args, **kwargs):
-    """scipy.sparse.linalg.eigsh, imported on first call.
+def _lanczos_bottom(op: SpectralOperator) -> float:
+    """Smallest eigenvalue of op by Lanczos from the all-ones vector; nan
+    when it is not resolved within _LANCZOS_MAX_STEPS steps.
 
-    The Lanczos solve in laplacian_bounds is the only use of
-    scipy.sparse.linalg (and of scipy.linalg, which it loads), so a process
-    that never runs it never imports them."""
-    from scipy.sparse.linalg import eigsh as _eigsh
-
-    return _eigsh(*args, **kwargs)
+    Every new vector is orthogonalized twice against all earlier ones
+    (Kahan's "twice is enough"), so no spurious Ritz copies appear.  The
+    smallest Ritz pair (theta, s) of T_k has the residual
+    ||A y - theta y|| = beta_k |s_k|, and an eigenvalue of A lies within it
+    of theta (Parlett, The Symmetric Eigenvalue Problem, ch. 13; Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., ch. 6).
+    Stopping at beta_k |s_k| <= eps ||T_k|| <= eps ||A|| leaves theta as
+    accurate as a backward-stable dense solve.  That eigenvalue is the
+    bottom one: -A has nonnegative off-diagonals, so the ground state is
+    nonnegative and overlaps the all-ones vector.
+    """
+    data, indices, indptr = op.csr
+    rows = _csr_rows(indptr)
+    N = op.num_nodes
+    steps = min(_LANCZOS_MAX_STEPS, N)
+    basis = np.empty((steps + 1, N))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    basis[0] = 1.0 / math.sqrt(N)
+    eps = np.finfo(float).eps
+    for k in range(steps):
+        w = np.bincount(rows, weights=data * basis[k, indices], minlength=N)
+        alpha[k] = basis[k] @ w
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        beta[k] = math.sqrt(w @ w)
+        # a beta this small means the Krylov space is invariant: T_k is exact
+        exhausted = beta[k] <= eps * np.abs(alpha[: k + 1]).max()
+        if exhausted or (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps:
+            T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(T)
+            if exhausted or beta[k] * abs(s[-1, 0]) <= eps * max(-theta[0], theta[-1]):
+                return float(theta[0])
+        basis[k + 1] = w / beta[k]
+    return math.nan
 
 
 def _near_power_of_4(lam: float) -> bool:
@@ -297,18 +345,17 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a free Dirichlet Laplacian.
 
     Read off the eigendata when ``op`` has it.  Otherwise lam_min comes from
-    one Lanczos solve (ARPACK, smallest algebraic, started from the all-ones
-    vector, which overlaps the positive ground state) and lam_max is
+    a Lanczos run from the all-ones vector (_lanczos_bottom) and lam_max is
     4n/h^2 - lam_min: the masked lattice is bipartite and the diagonal is
     the constant 2n/h^2, so the spectrum is symmetric about 2n/h^2.  The top
     eigenvalue is not solved for directly because the all-ones vector can
     be orthogonal to its eigenvector (an interval with an even node count).
 
     The dyadic window takes floor and ceil of log4 of these bounds.  When
-    an estimate lies within 1e-9 of a power of 4 in log4, when ARPACK
-    fails, or for a tiny matrix, the bounds come from dense eigenvalues
-    instead, so the window is the one the dense spectrum gives.  ``op``
-    itself is left without eigendata.
+    an estimate lies within 1e-9 of a power of 4 in log4, when the Lanczos
+    run reaches its step cap, or for a tiny matrix, the bounds come from
+    dense eigenvalues instead, so the window is the one the dense spectrum
+    gives.  ``op`` itself is left without eigendata.
 
     Examples
     --------
@@ -327,20 +374,12 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
         raise ValueError("laplacian_bounds needs the potential-free operator")
     if op.has_eigendata:
         return op.lam_min, op.lam_max
-    N = op.num_nodes
-    if N >= _LANCZOS_MIN_NODES:
-        from scipy.sparse.linalg import ArpackError
-
-        try:
-            (lo,) = eigsh(op.matrix, k=1, which="SA", tol=0, v0=np.ones(N),
-                          return_eigenvectors=False)
-        except ArpackError:
-            lo = math.nan
-        lo = float(lo)
+    if op.num_nodes >= _LANCZOS_MIN_NODES:
+        lo = _lanczos_bottom(op)
         hi = 4.0 * op.grid.n / op.grid.h**2 - lo
         if 0.0 < lo <= hi and not (_near_power_of_4(lo) or _near_power_of_4(hi)):
             return lo, hi
-    vals = np.linalg.eigvalsh(op.matrix.toarray())
+    vals = np.linalg.eigvalsh(_dense(op))
     return float(vals[0]), float(vals[-1])
 
 

@@ -786,7 +786,37 @@ def test_heat_gaussian_loads_no_scipy_spatial(tmp_path):
                        h=[0.25], potential="2", checks=[{"name": "heat_gaussian"}],
                        out=str(tmp_path / "out"))
     loaded = _loaded_after(_main_calls(cfg, "verify"), tmp_path, roots=("scipy",))
-    assert "scipy.sparse" in loaded and not any(m.startswith("scipy.spatial") for m in loaded)
+    assert loaded <= _loaded_after("import numpy, scipy", tmp_path, roots=("scipy",))
+
+
+def test_cold_commands_import_no_scipy_submodule(tmp_path):
+    # a cold stage densifies the CSR arrays and finds A_0's bottom
+    # eigenvalue by Lanczos, both in numpy
+    floor = _loaded_after("import numpy, scipy", tmp_path)
+    norms = write_config(
+        tmp_path, name="norms.json",
+        domain={"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        h=[0.25], potential="-0.5/r",
+        norms=[{"kind": "besov", "s": 0.5, "p": 2.0, "q": 2.0},
+               {"kind": "besov", "s": -0.5, "p": 4.0, "q": 1.0, "homogeneous": True},
+               {"kind": "sobolev", "s": 1.0, "variant": "shifted"},
+               {"kind": "lorentz", "p": 2.0, "q": "inf"}],
+        out=str(tmp_path / "norms"),
+    )
+    assert _loaded_after(_main_calls(norms, "norms"), tmp_path) <= floor
+    checks = ["resolution_identity", "embeddings", "equivalence_AV_A0", "duality",
+              "bernstein", "heat_gaussian"]
+    verify = write_config(
+        tmp_path, name="verify.json",
+        domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        h=[1 / 4, 1 / 6], potential="0.25/r^2", checks=[{"name": c} for c in checks],
+        family={"tag": "random-eigenmix", "count": 2}, out=str(tmp_path / "verify"),
+    )
+    body = ("from besovlab.cli import main\n"
+            f"assert main(['verify', '--config', {str(verify)!r}, '--report-only']) == 0")
+    assert _loaded_after(body, tmp_path) <= floor
+    rows = read_rows(tmp_path / "verify" / "verify.csv")
+    assert {r["check"].split("[")[0] for r in rows} == set(checks)
 
 
 def test_loaded_entry_maps_eigenvectors_read_only(tmp_path):
@@ -797,7 +827,8 @@ def test_loaded_entry_maps_eigenvectors_read_only(tmp_path):
     assert warm.op.eigvecs.tobytes() == cold.op.eigvecs.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         warm.op.eigvecs[:, 0] += 1.0
-    assert warm.op._matrix is None and warm._op0._matrix is None
+    for stage in (cold, warm):
+        assert stage.op._matrix is None and stage._op0._matrix is None
 
 
 def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
@@ -806,7 +837,7 @@ def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
     norms = (tmp_path / "out" / "norms.csv").read_bytes()
     calls = []
     monkeypatch.setattr(operators, "laplacian_bounds", lambda op: calls.append("bounds"))
-    monkeypatch.setattr(operators, "eigsh", lambda *a, **k: calls.append("eigsh"))
+    monkeypatch.setattr(operators, "_lanczos_bottom", lambda op: calls.append("lanczos"))
     del eigensolves[:]
     assert main(["norms", "--config", str(cfg)]) == 0
     assert calls == [] and eigensolves == []

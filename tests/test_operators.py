@@ -1,10 +1,12 @@
 """Discrete Laplacian assembly, eigendata, quadratic forms, and the cache format."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import besovlab as bl
 
@@ -84,6 +86,7 @@ class TestAssembly:
             assert mat.has_sorted_indices
             for ours, theirs in zip(op.csr, (mat.data, mat.indices, mat.indptr)):
                 assert ours.tobytes() == theirs.astype(ours.dtype).tobytes()
+            assert bl.operators._dense(op).tobytes() == mat.toarray().tobytes()
         assert op.csr[0].size == lap.csr[0].size - v[1::5].size
 
     def test_schrodinger_from_sampled_callable(self):
@@ -201,19 +204,40 @@ class TestLaplacianBounds:
             fake = 4.0**2 * (1.0 + 1e-12)
         else:
             fake = 4.0 / op.grid.h**2 - 4.0**7 * (1.0 + 1e-12)
-        monkeypatch.setattr(bl.operators, "eigsh", lambda *a, **k: np.array([fake]))
+        monkeypatch.setattr(bl.operators, "_lanczos_bottom", lambda op: fake)
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
 
-    def test_arpack_failure_takes_dense_path(self, monkeypatch):
+    def test_lanczos_step_cap_takes_dense_path(self, monkeypatch):
+        # the interval at h = 1/64 needs 40 steps
         op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 64))
-
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(bl.operators, "eigsh", fail)
+        monkeypatch.setattr(bl.operators, "_LANCZOS_MAX_STEPS", 30)
+        assert np.isnan(bl.operators._lanczos_bottom(op))
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_lanczos_matches_dense_on_random_lattices(self, data):
+        kind = data.draw(st.sampled_from(["interval", "box", "ball"]))
+        n = 1 if kind == "interval" else data.draw(st.integers(2, 3))
+        sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        if kind == "ball":
+            center = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+            spec = bl.ball(center, sides[0])
+            measure = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * sides[0] ** n
+        else:
+            spec = bl.box([0.0] * n, sides)
+            measure = math.prod(sides)
+        h = (measure / data.draw(st.integers(30, 1300))) ** (1 / n)
+        grid = bl.build_grid(spec, h)
+        assume(bl.operators._LANCZOS_MIN_NODES <= grid.num_nodes <= 1500)
+        op = bl.assemble_laplacian(grid)
+        lo, hi = bl.laplacian_bounds(op)
+        vals = np.linalg.eigvalsh(op.matrix.toarray())
+        np.testing.assert_allclose([lo, hi], [vals[0], vals[-1]], rtol=1e-10)
+        est, dense = bl.build_system(lo, hi), bl.build_system(vals[0], vals[-1])
+        assert (est.j_min, est.j_max) == (dense.j_min, dense.j_max)
 
     def test_eigendata_read_and_potential_rejected(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 8)
