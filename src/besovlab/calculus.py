@@ -418,6 +418,4 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
 def opnorm(opfun: OperatorFunction, p: float, probes: int = 16, seed: int = 0) -> OpNorm:
     """Operator norm L^p -> L^p; exact for p in {1, 2, inf} via kernel sums
     (column, spectral radius, row), a randomized lower bound otherwise."""
-    if not (p >= 1.0):
-        raise InvalidExponent(f"operator norm needs p >= 1, got {p}")
     return mixed_opnorm(opfun, p, p, probes=probes, seed=seed)

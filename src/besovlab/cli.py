@@ -26,7 +26,6 @@ config and seed produce byte-identical CSVs apart from the timing columns
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import platform
 import resource
@@ -41,17 +40,10 @@ import scipy
 
 from . import __version__
 from .calculus import OperatorFunction, _cheb_apply, apply_symbol, kernel, suite_symbols
-from .config import RunConfig, as_exponent, load_config, prevalidate_windows
-from .errors import (
-    BesovLabError,
-    BudgetExceeded,
-    CheckFailed,
-    ConfigInvalid,
-    DenseCapExceeded,
-    InvalidCheckParameter,
-)
+from .config import RunConfig, as_exponent, load_config
+from .errors import BesovLabError, BudgetExceeded, CheckFailed, ConfigInvalid, DenseCapExceeded
 from .norms import besov_norm, lorentz_norm, sobolev_norm
-from .verify import CHECKS, Stage, build_stages
+from .verify import CHECK_RULES, CHECKS, Stage, build_stages
 
 __all__ = ["main"]
 
@@ -124,38 +116,35 @@ def _write_norms(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> None
     _write_csv(out_dir / "norms.csv", header, _norm_rows(cfg, stages))
 
 
-def _write_verify(
-    cfg: RunConfig,
-    stages: Sequence[Stage],
-    out_dir: Path,
-    manifest: dict,
-    report_only: bool,
-) -> list[str]:
-    """Run the configured checks, write verify.csv, return failing names."""
+def _check_calls(cfg: RunConfig, report_only: bool) -> list[tuple[str, dict]]:
+    """(name, keyword arguments) of each configured check as it runs, judged
+    by the check's own rules before any grid is built; report-only mode
+    reports an out-of-window equivalence index instead of rejecting it."""
+    calls = []
+    for i, entry in enumerate(cfg.checks):
+        name = entry["name"]
+        kwargs = {k: as_exponent(v) for k, v in entry.items() if k != "name"}
+        kwargs["config_hash"] = cfg.config_hash
+        if name == "equivalence_AV_A0" and report_only:
+            kwargs["assert_window"] = False
+        if name != "heat_gaussian":  # the one check that samples no family
+            kwargs["family"] = cfg.family()
+        try:
+            CHECK_RULES.get(name, lambda **_: None)(n=cfg.dimension, **kwargs)
+        except BesovLabError as exc:
+            path = f"checks/{i}" if exc.param is None else f"checks/{i}/{exc.param}"
+            raise ConfigInvalid(f"at {path}: {type(exc).__name__}: {exc}") from exc
+        calls.append((name, kwargs))
+    return calls
+
+
+def _write_verify(calls: list, stages: Sequence[Stage], out_dir: Path, manifest: dict) -> list[str]:
+    """Run the checks, write verify.csv, return failing names."""
     rows: list[tuple] = []
     failed: list[str] = []
     summary: dict[str, bool] = {}
-    for index, entry in enumerate(cfg.checks):
-        name = entry["name"]
-        fn = CHECKS[name]
-        kwargs = {k: v for k, v in entry.items() if k != "name"}
-        given = sorted(kwargs)
-        if name == "equivalence_AV_A0" and report_only:
-            kwargs["assert_window"] = False
-        if "family" in inspect.signature(fn).parameters:
-            kwargs.setdefault("family", cfg.family())
-        try:
-            report = fn(stages, config_hash=cfg.config_hash, **kwargs)
-        except BesovLabError:
-            raise
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            if not given:
-                raise
-            # the defaults are well formed, so the config's values are at fault
-            raise InvalidCheckParameter(
-                f"checks/{index} ({name}): parameters {given} rejected: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+    for name, kwargs in calls:
+        report = CHECKS[name](stages, **kwargs)
         summary[name] = report.passed
         if not report.passed:
             failed.append(name)
@@ -229,13 +218,8 @@ def _write_kernels(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> No
             np.save(kdir / f"{stem}.npy", kernel(OperatorFunction(st.op, symbol, name)).values)
 
 
-def _dispatch(
-    command: str,
-    cfg: RunConfig,
-    out_dir: Path,
-    manifest: dict,
-    report_only: bool,
-) -> list[str]:
+def _dispatch(command: str, cfg: RunConfig, calls: list, out_dir: Path,
+              manifest: dict) -> list[str]:
     timings = manifest["timings_ms"]
 
     def _timed(label: str, fn, *args):
@@ -259,21 +243,14 @@ def _dispatch(
     elif command == "bench":
         _timed("bench", _write_bench, cfg, stages, out_dir)
     elif command == "verify":
-        failed = _timed("verify", _write_verify, cfg, stages, out_dir, manifest, report_only)
+        failed = _timed("verify", _write_verify, calls, stages, out_dir, manifest)
     else:  # run
         _timed("norms", _write_norms, cfg, stages, out_dir)
-        failed = _timed("verify", _write_verify, cfg, stages, out_dir, manifest, report_only)
+        failed = _timed("verify", _write_verify, calls, stages, out_dir, manifest)
         _timed("profiles", _write_profiles, stages, out_dir)
         if cfg.kernels:
             _timed("kernels", _write_kernels, cfg, stages, out_dir)
     return failed
-
-
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -301,11 +278,11 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, metavar="PATH", help="JSON config")
         sp.add_argument("--out", metavar="DIR", help="output directory override")
-        sp.add_argument("--seed", type=_u64, help="seed override (u64)")
+        sp.add_argument("--seed", type=int, help="seed override (u64)")
         sp.add_argument(
             "--dense-cap",
             dest="dense_cap",
-            type=_positive_int,
+            type=int,
             help="max node count for dense eigendecomposition",
         )
         sp.add_argument(
@@ -385,20 +362,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.config,
             overrides={"out": args.out, "seed": args.seed, "dense_cap": args.dense_cap},
         )
-        prevalidate_windows(cfg, assert_mode=not args.report_only)
+        calls = _check_calls(cfg, args.report_only)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest["config_hash"] = cfg.config_hash
         manifest["seed"] = cfg.seed
         manifest["config"] = cfg.canonical()
-        failed = _dispatch(args.command, cfg, out_dir, manifest, args.report_only)
+        failed = _dispatch(args.command, cfg, calls, out_dir, manifest)
         if failed and not args.report_only:
             raise CheckFailed("failing checks: " + ", ".join(failed))
         manifest["status"] = "ok"
-    except ConfigInvalid as exc:
-        manifest["failure"] = f"ConfigInvalid: {exc}"
-        print(f"config error: {exc}", file=sys.stderr)
-        code = 2
     except (BudgetExceeded, DenseCapExceeded) as exc:
         manifest["failure"] = f"{type(exc).__name__}: {exc}"
         print(f"budget error: {exc}", file=sys.stderr)
@@ -409,9 +382,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"check failure: {exc}", file=sys.stderr)
         code = 1
     except BesovLabError as exc:
-        # everything else traces back to what the config asked for
-        # (index constraints, violated assumptions, spectra incompatible
-        # with the requested variant), so it is reported as a config error
+        # everything else traces back to what the config asked for: a
+        # rejected config, or a run-time assumption on the potential or the
+        # spectrum that the requested variant needs, so it is a config error
         manifest["failure"] = f"{type(exc).__name__}: {exc}"
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 2

@@ -1,13 +1,12 @@
 """Run configuration: validation, defaults, canonical hashing.
 
-A run is described by one flat JSON object.  Validation happens before any
-grid is built: unknown keys and malformed values are rejected at every
-level (the ``_ROOT`` table below lists each key and the check its value
-must pass), check entries are matched against the actual keyword
-signature of the registered check (which validates their values when it
-runs), and a Lorentz request with p = 1 and a finite q or an equivalence
-check whose smoothness index falls outside the admissible window is
-rejected here rather than deep inside the run.  All rejections raise
+A run is described by one flat JSON object, validated before any grid is
+built: ``_ROOT`` below types every key, check parameters included, a
+Lorentz request with p = 1 and a finite q is rejected, and the runner
+judges check parameters by each check's own rules (verify.CHECK_RULES).
+Only heat_gaussian's t <= 1 sweep under a flagged potential and
+equivalence_AV_A0's smallness flags wait for the grid, since they read
+the potential's samples.  Rejections here raise
 :class:`~besovlab.errors.ConfigInvalid` with a message that starts
 ``at <path>:``, the slash-separated path of the offending value.
 """
@@ -15,7 +14,6 @@ rejected here rather than deep inside the run.  All rejections raise
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 import numbers
@@ -26,9 +24,9 @@ from typing import Any, Callable, Mapping
 from .errors import ConfigInvalid, EmptyDomain, GridMismatch, InvalidExponent
 from .geometry import DomainSpec, ball, box, interval
 from .norms import check_lorentz_exponents
-from .verify import CHECKS, FAMILY_TAGS, FunctionFamily, equivalence_window
+from .verify import FAMILY_TAGS, FunctionFamily
 
-__all__ = ["RunConfig", "load_config", "make_config", "prevalidate_windows"]
+__all__ = ["RunConfig", "load_config", "make_config"]
 
 # A value check takes (value, path) and raises through _fail.  JSON types
 # map to Python ones as json.loads makes them: an object is a dict, an
@@ -101,6 +99,15 @@ def _object(fields: dict[str, Check], required: tuple = (), closed: bool = True)
     return check
 
 
+def _tuple(*items: Check) -> Check:
+    """An array of len(items) values, the i-th passing items[i]."""
+    def check(value, path):
+        _array(_ANY, len(items), len(items))(value, path)
+        for i, (item, x) in enumerate(zip(items, value)):
+            item(x, (*path, i))
+    return check
+
+
 def _tagged(tag: str, variants: dict[str, tuple]) -> Check:
     """An object whose ``tag`` value names its variant, (fields, required keys)."""
     checks = {name: _object({tag: _ANY, **fields}, required)
@@ -125,25 +132,43 @@ def _finite(value, path) -> None:
 
 _ANY: Check = lambda value, path: None
 _SUPPLIED: Check = lambda value, path: _fail(path, "is supplied by the runner, not the config")
-# arguments the runner supplies itself; configs may not set them
-_RESERVED_CHECK_PARAMS = frozenset({"stages", "family", "config_hash"})
-
-
-def _check_entry(name: str) -> tuple:
-    """A check entry's fields: the check's keyword parameters, whose values
-    the check itself validates, less those the runner supplies."""
-    params = inspect.signature(CHECKS[name]).parameters
-    return {p: _SUPPLIED if p in _RESERVED_CHECK_PARAMS else _ANY for p in params}, ()
-
 
 _NUMBER = _number()
 _POSITIVE = _number(0.0, exclusive=True)
+_NONNEGATIVE = _number(0.0)
 _EXPONENT = _number(1.0)
 _BOOLEAN = _either(True, False)
 _COORDS = _array(_NUMBER, 1, 3)
 # JSON has no infinity literal; the string "inf" stands in for it where an
-# infinite secondary exponent is meaningful (weak Lorentz, sup-type Besov).
+# infinite exponent or radius is meaningful (weak Lorentz, sup-type Besov,
+# the defaults of bernstein's pairs, embeddings' gain and the Kato radius)
 _EXT_EXPONENT = _either("inf", otherwise=_EXPONENT)
+
+# every check's keyword parameters, typed; the rules that tie them to each
+# other and to the dimension are the check's own (verify.CHECK_RULES)
+_STABILITY = _number(1.0)
+_SPQ = {"s": _NUMBER, "p": _EXPONENT, "q": _EXPONENT, "stability": _STABILITY}
+_CHECK_PARAMS: dict[str, dict[str, Check]] = {
+    "resolution_identity": {"tol": _NONNEGATIVE, "homogeneous": _BOOLEAN},
+    "bernstein": {"pairs": _array(_tuple(_EXPONENT, _EXT_EXPONENT), 1),
+                  "alphas": _array(_NUMBER, 1), "stability": _STABILITY},
+    "duality": {**_SPQ, "attain_frac": _number(0.0, 1.0)},
+    "embeddings": {"gain": _tuple(_NUMBER, _NUMBER, _EXPONENT, _EXT_EXPONENT, _EXPONENT),
+                   "hom_gain": _tuple(_NUMBER, *[_EXPONENT] * 4),
+                   "square_p": _tuple(_EXPONENT, _EXPONENT), "stability": _STABILITY,
+                   "chain": _tuple(_NUMBER, _EXPONENT, _EXPONENT, _NUMBER)},
+    "lifting": {**_SPQ, "s0": _NUMBER, "homogeneous": _BOOLEAN},
+    "equivalence_AV_A0": {**_SPQ, "radius": _either("inf", otherwise=_POSITIVE),
+                          "assert_window": _BOOLEAN, "control_tol": _NONNEGATIVE,
+                          "slope_tol": _NONNEGATIVE},
+    "heat_gaussian": {"t_grid": _either(None, otherwise=_array(_NUMBER)), "cstar": _POSITIVE,
+                      "stability": _STABILITY, "dom_slack": _NONNEGATIVE},
+    "partition_independence": {**_SPQ, "pointwise_tol": _NONNEGATIVE},
+    "subspace_characterization": _SPQ,
+    "lorentz_bernstein": {"p0": _EXPONENT, "p": _EXPONENT, "q": _EXPONENT, "stability": _STABILITY},
+}
+# arguments the runner supplies itself; configs may not set them
+_RUNNER = dict.fromkeys(("stages", "family", "config_hash"), _SUPPLIED)
 
 _ROOT = _object(
     {
@@ -162,7 +187,8 @@ _ROOT = _object(
             "sobolev": ({"s": _NUMBER, "variant": _either("plain", "shifted")}, ("s",)),
             "lorentz": ({"p": _EXPONENT, "q": _EXT_EXPONENT}, ("p", "q")),
         })),
-        "checks": _array(_tagged("name", {name: _check_entry(name) for name in CHECKS})),
+        "checks": _array(_tagged("name", {name: ({**_RUNNER, **params}, ())
+                                          for name, params in _CHECK_PARAMS.items()})),
         "family": _object({"tag": _either(*FAMILY_TAGS),
                            "count": _number(1, 4096, integer=True)}),
         "seed": _number(0, 2**64 - 1, integer=True),
@@ -186,9 +212,11 @@ _DEFAULTS: dict[str, Any] = {
     "kernels": False,
 }
 
-def as_exponent(value: Any) -> float:
-    """Realize a config exponent; the string "inf" maps to math.inf."""
-    return math.inf if value == "inf" else float(value)
+def as_exponent(value: Any) -> Any:
+    """Realize a config value: the string "inf" is math.inf, also inside arrays."""
+    if isinstance(value, list):
+        return [as_exponent(v) for v in value]
+    return math.inf if value == "inf" else value
 
 
 @dataclass(frozen=True)
@@ -251,9 +279,9 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a raw mapping and realize it as a RunConfig.
 
     Raises ConfigInvalid on any malformed value, unknown key, non-finite
-    float, malformed domain, undefined Lorentz norm, or check entry whose
-    keywords do not match the check.  Integral floats in the integer fields
-    (family count, seed, dense cap) become ints.
+    float, malformed domain, undefined Lorentz norm, or check parameter
+    the check does not take or of the wrong type.  Integral floats in the
+    integer fields (family count, seed, dense cap) become ints.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
@@ -289,17 +317,14 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     return cfg
 
 
-def _reject_constant(name: str):
-    raise ConfigInvalid(f"non-finite number {name} is not allowed; JSON numbers must be finite")
-
-
 def load_config(path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Read, override, validate.
 
     ``overrides`` maps top-level keys to replacement values (None entries
     are ignored); the overridden dict is what gets validated and hashed,
-    so command-line flags become part of the effective configuration.
-    The non-standard literals NaN, Infinity and -Infinity are rejected.
+    so command-line flags become part of the effective configuration and
+    are judged like the file's values.  The non-standard literals NaN,
+    Infinity and -Infinity parse, and make_config rejects them at their path.
     """
     p = Path(path)
     try:
@@ -307,49 +332,9 @@ def load_config(path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {p}: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            data[key] = value
+    if isinstance(data, dict):  # make_config rejects any other root
+        data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return make_config(data)
-
-
-def prevalidate_windows(cfg: RunConfig, assert_mode: bool = True) -> None:
-    """Reject, before any grid is built, an equivalence check that can
-    only end in an assumption error: dimension below two, or smoothness
-    index outside the admissible window for the requested integrability.
-
-    In report-only mode out-of-window indices are allowed through (the
-    check records itself as out of window and passes vacuously), but a
-    one-dimensional domain is rejected either way.
-    """
-    n = cfg.dimension
-    defaults = inspect.signature(CHECKS["equivalence_AV_A0"]).parameters
-    for i, entry in enumerate(cfg.checks):
-        if entry["name"] != "equivalence_AV_A0":
-            continue
-        if n < 2:
-            raise ConfigInvalid(
-                f"checks/{i} (equivalence_AV_A0): needs a domain of "
-                f"dimension >= 2, got n={n}"
-            )
-        if not assert_mode or not entry.get("assert_window", defaults["assert_window"].default):
-            continue
-        try:
-            s = float(entry.get("s", defaults["s"].default))
-            p = float(entry.get("p", defaults["p"].default))
-            lo, hi = equivalence_window(n, p)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ConfigInvalid(
-                f"checks/{i} (equivalence_AV_A0): s and p must be numbers with p != 0: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        if not (lo < s < hi):
-            raise ConfigInvalid(
-                f"checks/{i} (equivalence_AV_A0): smoothness s={s} outside "
-                f"the admissible window ({lo}, {hi}) for n={n}, p={p}"
-            )

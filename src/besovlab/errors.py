@@ -9,6 +9,10 @@ can map them to exit codes without string matching.
 class BesovLabError(Exception):
     """Base class for all package-specific errors."""
 
+    def __init__(self, *args, param: str | None = None):
+        super().__init__(*args)
+        self.param = param  # the check parameter at fault, if a check's rule raised
+
 
 class EmptyDomain(BesovLabError):
     """No lattice node fell strictly inside the domain at this spacing."""

@@ -68,11 +68,11 @@ __all__ = [
     "check_embeddings",
     "check_lifting",
     "check_equivalence_AV_A0",
-    "equivalence_window",
     "check_heat_gaussian",
     "check_partition_independence",
     "check_subspace_characterization",
     "check_lorentz_bernstein",
+    "CHECK_RULES",
     "CHECKS",
 ]
 
@@ -437,6 +437,83 @@ def _ratio_max(num, den) -> float:
 
 
 # ---------------------------------------------------------------------------
+# admissibility: each check's rules on its parameters, judged before any stage
+# ---------------------------------------------------------------------------
+
+
+def _bernstein_rules(pairs=((1.0, math.inf), (1.0, 2.0), (2.0, 2.0)), **_):
+    for r, p in pairs:
+        if not (1.0 <= r <= p):
+            raise InvalidExponent(f"need 1 <= r <= p, got (r, p) = ({r}, {p})", param="pairs")
+
+
+def _duality_rules(p=2.0, q=2.0, **_):
+    if not (1.0 <= p < math.inf) or not (1.0 <= q < math.inf):
+        raise InvalidExponent(f"duality needs 1 <= p, q < inf, got ({p}, {q})",
+                              param="q" if 1.0 <= p < math.inf else "p")
+
+
+def _embeddings_rules(gain=(0.5, 0.5, 2.0, math.inf, 1.0), hom_gain=(0.0, 1.0, 2.0, 1.0, 2.0),
+                      square_p=(1.5, 3.0), chain=(1.0, 2.0, 2.0, 3), **_):
+    eps, q, q0 = gain[1], gain[3], gain[4]
+    r, p, q_h, q0_h = hom_gain[1:]
+    p_i, p_ii = square_p
+    for param, bad, message in (
+        ("gain", eps < 0.0 or (eps == 0.0 and q > q0),
+         "smoothness-gain embedding needs eps > 0, or eps = 0 with q <= q0"),
+        ("hom_gain", r > p or q_h > q0_h, "exponent-gain embedding needs r <= p and q <= q0"),
+        ("square_p", not 1.0 < p_i <= 2.0, f"L^p -> B^0_(p,2) needs 1 < p <= 2, got p = {p_i}"),
+        ("square_p", not 2.0 <= p_ii < math.inf,
+         f"B^0_(p,2) -> L^p needs 2 <= p < inf, got p = {p_ii}"),
+        ("chain", chain[3] < 1, f"seminorm order M must be >= 1, got {chain[3]}"),
+    ):
+        if bad:
+            raise IndexConstraintViolated(message, param=param)
+
+
+def _equivalence_rules(n, s=0.5, p=2.0, assert_window=True, **_):
+    """The open window (-min(2, n(1-1/p)), min(n/p, 2)) of smoothness
+    indices in which the equivalence is asserted, and whether s is in it."""
+    if n < 2:
+        raise AssumptionViolated(f"operator-norm equivalence needs n >= 2, got n = {n}")
+    lo, hi = -min(2.0, n * (1.0 - 1.0 / p)), min(n / p, 2.0)
+    if assert_window and not lo < s < hi:
+        raise AssumptionViolated(
+            f"smoothness s = {s} outside the admissible window ({lo:g}, {hi:g})", param="s")
+    return lo, hi, lo < s < hi
+
+
+def _heat_gaussian_rules(t_grid=None, **_) -> np.ndarray:
+    ts = np.asarray(2.0 ** np.arange(-10, 1) if t_grid is None else sorted(t_grid), float)
+    if ts.size == 0 or np.any(ts <= 0.0):
+        raise InvalidCheckParameter("heat check needs a nonempty positive t grid", param="t_grid")
+    return ts
+
+
+def _subspace_characterization_rules(n, s=0.25, p=2.0, q=2.0, **_):
+    if not (s < n / p - 1e-12 or abs(s - n / p) <= 1e-12 and q == 1.0):
+        raise IndexConstraintViolated(
+            f"need s < n/p or (s, q) = (n/p, 1); got s = {s}, n/p = {n / p:g}, q = {q}", param="s")
+
+
+def _lorentz_bernstein_rules(p0=1.0, p=2.0, **_):
+    if not (1.0 <= p0 < p < math.inf):
+        raise IndexConstraintViolated(
+            f"need 1 <= p0 < p < inf, got p0 = {p0}, p = {p}", param="p0")
+
+
+# check name -> its rules, called as rules(n=n, **params) with the check's
+# keyword arguments: what the check raises before it measures anything, with
+# the error's ``param`` naming the parameter at fault (None: the domain)
+CHECK_RULES: dict[str, Callable] = {
+    "bernstein": _bernstein_rules, "duality": _duality_rules, "embeddings": _embeddings_rules,
+    "equivalence_AV_A0": _equivalence_rules, "heat_gaussian": _heat_gaussian_rules,
+    "subspace_characterization": _subspace_characterization_rules,
+    "lorentz_bernstein": _lorentz_bernstein_rules,
+}
+
+
+# ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
@@ -503,9 +580,7 @@ def check_bernstein(
     for r=1, p=inf and r=p=2); otherwise the constant is measured over the
     family.  Pass requires each measured constant stable across stages.
     """
-    for r, p in pairs:
-        if not (1.0 <= r <= p):
-            raise InvalidExponent(f"need 1 <= r <= p, got (r, p) = ({r}, {p})")
+    _bernstein_rules(pairs=pairs)
     # the r = 1 and p = inf norms of one block all read one kernel
     needs_kernel = any(r == 1.0 or math.isinf(p) for r, p in pairs)
 
@@ -604,8 +679,7 @@ def check_duality(
     pairs; pass needs C stable across stages and the constructed pairs to
     reach at least attain_frac of the measured constant at every stage.
     """
-    if not (1.0 <= p < math.inf) or not (1.0 <= q < math.inf):
-        raise InvalidExponent(f"duality needs 1 <= p, q < inf, got ({p}, {q})")
+    _duality_rules(p=p, q=q)
     # conjugate exponents; p and q are finite here
     pc, qc = (math.inf if x == 1.0 else x / (x - 1.0) for x in (p, q))
 
@@ -664,24 +738,11 @@ def check_embeddings(
     uniformly in that class, and randomly drawn widths near the grid scale
     leave top-shell content that fakes a refinement drift.
     """
+    _embeddings_rules(gain=gain, hom_gain=hom_gain, square_p=square_p, chain=chain)
     s_g, eps, p_g, q_g, q0_g = gain
-    if eps < 0.0 or (eps == 0.0 and q_g > q0_g):
-        raise IndexConstraintViolated(
-            "smoothness-gain embedding needs eps > 0, or eps = 0 with q <= q0"
-        )
     s_h, r_h, p_h, q_h, q0_h = hom_gain
-    if r_h > p_h or q_h > q0_h:
-        raise IndexConstraintViolated(
-            "exponent-gain embedding needs r <= p and q <= q0"
-        )
     p_i, p_ii = square_p
-    if not (1.0 < p_i <= 2.0):
-        raise IndexConstraintViolated(f"L^p -> B^0_(p,2) needs 1 < p <= 2, got p = {p_i}")
-    if not (2.0 <= p_ii < math.inf):
-        raise IndexConstraintViolated(f"B^0_(p,2) -> L^p needs 2 <= p < inf, got p = {p_ii}")
     s_c, p_c, q_c, M = chain
-    if M < 1:
-        raise IndexConstraintViolated(f"seminorm order M must be >= 1, got {M}")
     count = (family or FunctionFamily()).count
 
     keys = [
@@ -857,12 +918,6 @@ def _tail_slope(
     return float(np.median(slopes))
 
 
-def equivalence_window(n: int, p: float) -> tuple[float, float]:
-    """Open window of smoothness indices s, (-min(2, n(1-1/p)), min(n/p, 2)),
-    in which check_equivalence_AV_A0 asserts the norm equivalence."""
-    return -min(2.0, n * (1.0 - 1.0 / p)), min(n / p, 2.0)
-
-
 def check_equivalence_AV_A0(
     stages,
     family: FunctionFamily | None = None,
@@ -893,14 +948,7 @@ def check_equivalence_AV_A0(
     """
     stages = _as_stages(stages)
     n = stages[0].grid.n
-    if n < 2:
-        raise AssumptionViolated(f"operator-norm equivalence needs n >= 2, got n = {n}")
-    lo, hi = equivalence_window(n, p)
-    in_window = lo < s < hi
-    if not in_window and assert_window:
-        raise AssumptionViolated(
-            f"smoothness s = {s} outside the admissible window ({lo:g}, {hi:g})"
-        )
+    lo, hi, in_window = _equivalence_rules(n, s=s, p=p, assert_window=assert_window)
     kato_info: dict[str, float | bool] = {}
     for stage in stages:
         if stage.has_potential:
@@ -993,11 +1041,7 @@ def check_heat_gaussian(
     reported.  Potentials also get the entrywise domination sub-check
     |e^{-tA_V}| <= e^{-tA_{-V_-}} (slack relative to the kernel scale).
     """
-    ts = np.asarray(
-        2.0 ** np.arange(-10, 1) if t_grid is None else sorted(t_grid), float
-    )
-    if ts.size == 0 or np.any(ts <= 0.0):
-        raise InvalidCheckParameter("heat check needs a nonempty positive t grid")
+    ts = _heat_gaussian_rules(t_grid=t_grid)
 
     def measure(stage, cols):
         op, grid = stage.op, stage.grid
@@ -1130,11 +1174,7 @@ def check_subspace_characterization(
     sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}},
     admissible for s < n/p or (s, q) = (n/p, 1)."""
     n = _as_stages(stages)[0].grid.n
-    boundary = abs(s - n / p) <= 1e-12 and q == 1.0
-    if not (s < n / p - 1e-12 or boundary):
-        raise IndexConstraintViolated(
-            f"need s < n/p or (s, q) = (n/p, 1); got s = {s}, n/p = {n / p:g}, q = {q}"
-        )
+    _subspace_characterization_rules(n, s=s, p=p, q=q)
 
     def measure(stage, cols):
         op, dsys = stage.op, stage.sys
@@ -1168,8 +1208,7 @@ def check_lorentz_bernstein(
     """Lorentz-refined block bounds for the operator pair:
     ||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}}
     <= C 2^{n(1/p0-1/p)j} ||f||_{L^{p0}}, for 1 <= p0 < p < inf."""
-    if not (1.0 <= p0 < p < math.inf):
-        raise IndexConstraintViolated(f"need 1 <= p0 < p < inf, got p0 = {p0}, p = {p}")
+    _lorentz_bernstein_rules(p0=p0, p=p)
 
     def measure(stage, cols):
         opv, op0, dsys, grid = stage.op, stage.op0, stage.sys, stage.grid

@@ -24,9 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import besovlab
-from besovlab import operators
-from besovlab.cli import main
-from besovlab.config import as_exponent, load_config, make_config, prevalidate_windows
+from besovlab import config, operators, verify
+from besovlab.cli import _check_calls, main
+from besovlab.config import as_exponent, load_config, make_config
 from besovlab.errors import ConfigInvalid
 from besovlab.verify import CHECKS, FAMILY_TAGS
 
@@ -207,6 +207,15 @@ def test_failing_check_exit_one_and_report_only_zero(tmp_path):
     assert manifest["checks"] == {"bernstein": False}
 
 
+def _rejected_before_any_grid(out: Path) -> str:
+    """The failure of a run that exited 2 without building a stage."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "stages" not in manifest["timings_ms"]
+    assert not (out / "cache").exists()
+    return manifest["failure"]
+
+
 @pytest.mark.parametrize("t_grid", [[], [-0.5, 1.0]])
 def test_bad_heat_t_grid_exits_two_with_failure(tmp_path, t_grid):
     out = tmp_path / "out"
@@ -216,9 +225,8 @@ def test_bad_heat_t_grid_exits_two_with_failure(tmp_path, t_grid):
         out=str(out),
     )
     assert main(["verify", "--config", str(cfg)]) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert manifest["failure"].startswith("InvalidCheckParameter")
+    failure = _rejected_before_any_grid(out)
+    assert failure.startswith("ConfigInvalid: at checks/0/t_grid: InvalidCheckParameter")
 
 
 @pytest.mark.parametrize(
@@ -233,11 +241,8 @@ def test_malformed_check_kwargs_exit_two_naming_the_parameter(tmp_path, entry, p
     out = tmp_path / "out"
     cfg = write_config(tmp_path, checks=[{"name": "resolution_identity"}, entry], out=str(out))
     assert main(["verify", "--config", str(cfg)]) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert manifest["failure"].startswith("InvalidCheckParameter")
-    assert f"checks/1 ({entry['name']})" in manifest["failure"]
-    assert repr(param) in manifest["failure"]
+    failure = _rejected_before_any_grid(out)
+    assert re.match(rf"ConfigInvalid: at checks/1/{param}[/:]", failure), failure
 
 
 def test_non_numeric_equivalence_index_rejected_at_validation(tmp_path):
@@ -250,12 +255,85 @@ def test_non_numeric_equivalence_index_rejected_at_validation(tmp_path):
         out=str(out),
     )
     assert main(["verify", "--config", str(cfg)]) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failure"].startswith("ConfigInvalid: checks/0 (equivalence_AV_A0)")
+    failure = _rejected_before_any_grid(out)
+    assert failure.startswith("ConfigInvalid: at checks/0/s: ")
+
+
+_DISK = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "domain, entry, prefix",
+    [
+        (_DISK, {"name": "duality", "p": 0.5}, "at checks/1/p: "),
+        (_INTERVAL, {"name": "bernstein", "pairs": [[2, 1]]}, "at checks/1/pairs: InvalidExponent"),
+        (_INTERVAL, {"name": "embeddings", "square_p": [2.5, 3]},
+         "at checks/1/square_p: IndexConstraintViolated"),
+        (_INTERVAL, {"name": "embeddings", "chain": [1, 2, 2, 0]},
+         "at checks/1/chain: IndexConstraintViolated"),
+        (_INTERVAL, {"name": "subspace_characterization", "s": 0.75},
+         "at checks/1/s: IndexConstraintViolated"),
+        (_INTERVAL, {"name": "lorentz_bernstein", "p0": 2, "p": 2},
+         "at checks/1/p0: IndexConstraintViolated"),
+        (_INTERVAL, {"name": "equivalence_AV_A0"}, "at checks/1: AssumptionViolated"),
+        (_DISK, {"name": "equivalence_AV_A0", "p": 4}, "at checks/1/s: AssumptionViolated"),
+    ],
+    ids=["duality-p", "bernstein-r-above-p", "embeddings-square-p", "embeddings-chain-M",
+         "subspace-s", "lorentz-p0", "equivalence-n1", "equivalence-window-from-p"],
+)
+def test_inadmissible_check_parameter_rejected_before_any_grid(tmp_path, domain, entry, prefix):
+    # building the disk stages at h = 1/16 and 1/24 takes about a second of
+    # eigensolves and writes 30 MB of cache; a rejection must come first
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, domain=domain, h=[1 / 16, 1 / 24], potential="0.25/r^2",
+                       checks=[{"name": "resolution_identity"}, entry], out=str(out))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert _rejected_before_any_grid(out).startswith("ConfigInvalid: " + prefix)
+
+
+def test_written_out_infinite_defaults_match_omitted_ones(tmp_path):
+    # JSON spells the infinite defaults as "inf"; the check sees math.inf
+    spelled = [
+        {"name": "bernstein", "pairs": [[1, "inf"], [1, 2], [2, 2]]},
+        {"name": "embeddings", "gain": [0.5, 0.5, 2, "inf", 1]},
+        {"name": "equivalence_AV_A0", "radius": "inf"},
+    ]
+    tables = []
+    for name, checks in (("spelled", spelled), ("omitted", [{"name": c["name"]} for c in spelled])):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.json", checks=checks, out=str(out),
+                           domain={"kind": "box", "lo": [0, 0, 0], "hi": [1, 1, 1]},
+                           h=[0.25, 0.2], potential="4*x - 1.2")  # V_- != 0: radius is read
+        assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+        rows = read_rows(out / "verify.csv")
+        tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
+        manifest = json.loads((out / "manifest.json").read_text())
+    assert tables[0] == tables[1] and len(tables[0]) > 10
+    # the canonical config keeps the spelling it was given
+    checks = load_config(tmp_path / "spelled.json").canonical()["checks"]
+    assert checks[0]["pairs"][0] == [1, "inf"] and checks[2]["radius"] == "inf"
+    assert manifest["config"]["checks"] == [{"name": c["name"]} for c in spelled]
+
+
+def test_every_check_parameter_is_typed():
+    # a keyword added to a check without a type in the config table fails here
+    for name, fn in CHECKS.items():
+        params = set(inspect.signature(fn).parameters) - {"stages", "family", "config_hash"}
+        assert set(config._CHECK_PARAMS[name]) == params, name
+    assert set(config._CHECK_PARAMS) == set(CHECKS)
+
+
+def test_admissibility_rules_default_to_their_checks_defaults():
+    for name, rules in verify.CHECK_RULES.items():
+        check = inspect.signature(CHECKS[name]).parameters
+        for param in inspect.signature(rules).parameters.values():
+            if param.default is not inspect.Parameter.empty:
+                assert check[param.name].default == param.default, (name, param.name)
 
 
 _SCALARS = st.one_of(
     st.none(),
+    st.booleans(),
     st.integers(-2, 4),
     st.floats(-10.0, 10.0),
     st.sampled_from(["two", "inf", ""]),
@@ -285,11 +363,16 @@ def test_exit_codes_total_over_check_kwargs(entry):
         cfg = write_config(Path(tmp), checks=[entry], out=str(out))
         code = main(["verify", "--config", str(cfg)])
         manifest = json.loads((out / "manifest.json").read_text())
+        cache_made = (out / "cache").exists()
     assert code in (0, 1, 2, 3)
     if manifest["status"] == "error":
         assert manifest["failure"] is not None
         assert code in (2, 3)
     assert (code == 1) == (manifest["status"] == "checks-failed")
+    if code == 2:
+        # every check parameter is judged before any grid
+        assert "stages" not in manifest["timings_ms"] and not cache_made
+        assert manifest["failure"].startswith("ConfigInvalid: at checks/0"), manifest["failure"]
 
 
 _EXTENTS = st.one_of(
@@ -524,6 +607,17 @@ def test_seed_flag_overrides_config(tmp_path):
     va = [r["value"] for r in read_rows(tmp_path / "a" / "norms.csv")]
     vb = [r["value"] for r in read_rows(tmp_path / "b" / "norms.csv")]
     assert va != vb
+
+
+@pytest.mark.parametrize("flag, value, key", [("--seed", str(2**64), "seed"),
+                                              ("--seed", "-1", "seed"),
+                                              ("--dense-cap", "0", "dense_cap")])
+def test_out_of_range_flag_rejected_by_the_config_table(tmp_path, flag, value, key):
+    # the overridden config is judged like a file, so the manifest is written
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out=str(out))
+    assert main(["spectrum", "--config", str(cfg), flag, value]) == 2
+    assert _rejected_before_any_grid(out).startswith(f"ConfigInvalid: at {key}: ")
 
 
 def test_kernels_written_on_request(tmp_path):
@@ -988,6 +1082,13 @@ _EDGE_CONFIGS = {
     "zero-trunc-radius": ({"trunc_radius": 0}, False),
     "unknown-kind": ({"domain": {"kind": "disk", "a": 0.0, "b": 1.0}}, False),
     "tuple-h": ({"h": (0.25,)}, False),
+    "cstar-true": ({"checks": [{"name": "heat_gaussian", "cstar": True}]}, False),
+    "homogeneous-no": ({"checks": [{"name": "lifting", "homogeneous": "no"}]}, False),
+    "homogeneous-1": ({"checks": [{"name": "resolution_identity", "homogeneous": 1}]}, False),
+    "pairs-inf": ({"checks": [{"name": "bernstein", "pairs": [[1, "inf"]]}]}, True),
+    "pairs-r-inf": ({"checks": [{"name": "bernstein", "pairs": [["inf", "inf"]]}]}, False),
+    "gain-q0-inf": ({"checks": [{"name": "embeddings", "gain": [0, 1, 2, 2, "inf"]}]}, False),
+    "radius-inf": ({"checks": [{"name": "equivalence_AV_A0", "radius": "inf"}]}, True),
 }
 
 
@@ -1002,6 +1103,15 @@ def test_edge_configs_keep_their_verdicts(name):
     cfg = make_config(data)
     for value in (cfg.family_count, cfg.seed, cfg.dense_cap):
         assert type(value) is int
+
+
+@pytest.mark.parametrize("name, param", [("cstar-true", "cstar"),
+                                         ("homogeneous-no", "homogeneous"),
+                                         ("homogeneous-1", "homogeneous")])
+def test_mistyped_check_parameter_rejected_at_its_path(name, param):
+    overrides, _ = _EDGE_CONFIGS[name]
+    with pytest.raises(ConfigInvalid, match=rf"^at checks/0/{param}: "):
+        make_config({"domain": _INTERVAL, "h": [0.25], **overrides})
 
 
 def test_lorentz_p1_with_finite_q_rejected_before_any_grid(tmp_path):
@@ -1074,23 +1184,20 @@ def test_reserved_check_parameter_rejected():
         )
 
 
-def test_prevalidate_windows_boundaries():
-    def cfg_for(s):
-        return make_config(
-            {
-                "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-                "h": [0.25],
-                "checks": [{"name": "equivalence_AV_A0", "s": s}],
-            }
-        )
+def test_equivalence_window_admission_boundaries():
+    def admit(s, report_only=False, domain=_DISK):
+        checks = [{"name": "equivalence_AV_A0", "s": s}]
+        _check_calls(make_config({"domain": domain, "h": [0.25], "checks": checks}), report_only)
 
-    prevalidate_windows(cfg_for(0.5))  # inside (-1, 1) for n=2, p=2
-    with pytest.raises(ConfigInvalid):
-        prevalidate_windows(cfg_for(1.0))
-    with pytest.raises(ConfigInvalid):
-        prevalidate_windows(cfg_for(-1.0))
-    # report-only lets out-of-window through but keeps the dimension guard
-    prevalidate_windows(cfg_for(1.0), assert_mode=False)
+    admit(0.5)  # inside (-1, 1) for n=2, p=2
+    for s in (1.0, -1.0):
+        with pytest.raises(ConfigInvalid, match=r"^at checks/0/s: AssumptionViolated"):
+            admit(s)
+    # report-only lets out-of-window through but keeps the dimension rule
+    admit(1.0, report_only=True)
+    for report_only in (False, True):
+        with pytest.raises(ConfigInvalid, match=r"^at checks/0: AssumptionViolated"):
+            admit(0.5, report_only, domain=_INTERVAL)
 
 
 def test_as_exponent():
