@@ -105,6 +105,14 @@ def _support(g: np.ndarray) -> np.ndarray:
     return ~(mag <= _SUPPORT_DROP * mag.max(initial=0.0))
 
 
+def _contiguous(idx: np.ndarray) -> slice | np.ndarray:
+    """Ascending indices as a slice when they are one contiguous range, so
+    U[:, _contiguous(idx)] is a view of U instead of a gathered copy."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
 def spectral_coefficients(op: SpectralOperator, vals: np.ndarray) -> np.ndarray:
     """U^T f: the eigenbasis coefficients of f ((N,) or (N, m) columns)."""
     op.require_eigendata()
@@ -349,19 +357,20 @@ def kernel(opfun: OperatorFunction) -> KernelMatrix:
     the rule of spectral_synthesis).  With B = U_S sqrt(g_S) over the
     positive part (and likewise over the negative part, subtracted),
     K = B B^T goes to a symmetric rank-k update, which also makes the
-    result exactly symmetric.
+    result exactly symmetric.  A support that is one index range (any
+    decreasing symbol, such as the heat kernel's) is sliced from U, not
+    gathered.
     """
     op = opfun.op
     g = opfun.on_spectrum()
     keep = _support(g)
     neg = keep & (g < 0.0)
-    pos = keep & ~neg
-    half = op.eigvecs[:, pos]
-    half *= np.sqrt(g[pos])
+    pos = _contiguous(np.flatnonzero(keep & ~neg))
+    half = op.eigvecs[:, pos] * np.sqrt(g[pos])
     mat = half @ half.T
     if neg.any():
-        half = op.eigvecs[:, neg]
-        half *= np.sqrt(-g[neg])
+        neg = _contiguous(np.flatnonzero(neg))
+        half = op.eigvecs[:, neg] * np.sqrt(-g[neg])
         mat -= half @ half.T
     mat /= op.grid.cell_measure
     return KernelMatrix(op=op, name=opfun.name, values=mat)

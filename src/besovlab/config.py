@@ -4,9 +4,10 @@ A run is described by one flat JSON object, validated before any grid is
 built: ``_ROOT`` below types every key, check parameters included, a
 Lorentz request with p = 1 and a finite q is rejected, and the runner
 judges check parameters by each check's own rules (verify.CHECK_RULES).
-Only heat_gaussian's t <= 1 sweep under a flagged potential and
-equivalence_AV_A0's smallness flags wait for the grid, since they read
-the potential's samples.  Rejections here raise
+The potential expression is parsed and checked here, without samples.
+Only nonfinite potential samples, heat_gaussian's t <= 1 sweep under a
+flagged potential and equivalence_AV_A0's smallness flags wait for the
+grid, since they read the potential's samples.  Rejections here raise
 :class:`~besovlab.errors.ConfigInvalid` with a message that starts
 ``at <path>:``, the slash-separated path of the offending value.
 """
@@ -24,6 +25,7 @@ from typing import Any, Callable, Mapping
 from .errors import ConfigInvalid, EmptyDomain, GridMismatch, InvalidExponent
 from .geometry import DomainSpec, ball, box, interval
 from .norms import check_lorentz_exponents
+from .potential import parse_potential
 from .verify import FAMILY_TAGS, FunctionFamily
 
 __all__ = ["RunConfig", "load_config", "make_config"]
@@ -279,9 +281,10 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a raw mapping and realize it as a RunConfig.
 
     Raises ConfigInvalid on any malformed value, unknown key, non-finite
-    float, malformed domain, undefined Lorentz norm, or check parameter
-    the check does not take or of the wrong type.  Integral floats in the
-    integer fields (family count, seed, dense cap) become ints.
+    float, malformed domain, undefined Lorentz norm, potential expression
+    outside the whitelist, or check parameter the check does not take or
+    of the wrong type.  Integral floats in the integer fields (family
+    count, seed, dense cap) become ints.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
@@ -314,6 +317,11 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
         cfg.domain_spec()
     except (EmptyDomain, GridMismatch, ValueError) as exc:
         raise ConfigInvalid(f"at domain: {exc}") from exc
+    if cfg.potential is not None:
+        try:
+            parse_potential(cfg.potential, cfg.dimension)
+        except ConfigInvalid as exc:
+            _fail(("potential",), str(exc))
     return cfg
 
 

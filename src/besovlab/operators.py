@@ -78,6 +78,8 @@ _LANCZOS_CHECK_EVERY = 10  # steps between tests of the residual bound
 # distance in log4 from a power of 4 below which a Lanczos estimate could
 # land on the other side of a dyadic window edge than the dense eigenvalue
 _WINDOW_EDGE_GUARD = 1e-9
+# rows of |U| held at once while each eigenvector's sign anchor is found
+_ANCHOR_BLOCK = 128
 
 
 @dataclass
@@ -286,13 +288,29 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
         vals, vecs = np.linalg.eigh(_dense(op))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverFailure(f"dense eigendecomposition failed: {exc}") from exc
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(N)])
+    signs = np.sign(vecs[_sign_anchors(vecs), np.arange(N)])
     signs[signs == 0.0] = 1.0
     vecs *= signs
     vals.flags.writeable = False
     op.eigvals, op.eigvecs = vals, vecs
     return op
+
+
+def _sign_anchors(vecs: np.ndarray) -> np.ndarray:
+    """Row of each column's largest-magnitude entry, the lowest on ties:
+    np.argmax(np.abs(vecs), axis=0), found with a running max over blocks
+    of _ANCHOR_BLOCK rows so neither |U| nor a transposed copy is formed."""
+    best = np.full(vecs.shape[1], -1.0)
+    anchor = np.zeros(vecs.shape[1], dtype=np.intp)
+    mag = np.empty((min(_ANCHOR_BLOCK, vecs.shape[0]), vecs.shape[1]))
+    for lo in range(0, vecs.shape[0], _ANCHOR_BLOCK):
+        block = np.abs(vecs[lo:lo + _ANCHOR_BLOCK], out=mag[:vecs.shape[0] - lo])
+        top = block.max(axis=0)
+        # strict: a tie with an earlier block keeps the earlier row
+        better = np.flatnonzero(top > best)
+        anchor[better] = (block[:, better] == top[better]).argmax(axis=0) + lo
+        best[better] = top[better]
+    return anchor
 
 
 def _lanczos_bottom(op: SpectralOperator) -> float:

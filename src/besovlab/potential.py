@@ -48,6 +48,7 @@ __all__ = [
     "check_smallness",
     "hardy_certificate",
     "form_bound",
+    "parse_potential",
     "potential_from_expression",
     "potential_samples",
 ]
@@ -242,24 +243,62 @@ _BINARY = {
     ast.Div: operator.truediv,
     ast.Pow: operator.pow,
 }
+_AXES = ("x", "y", "z")
+_TOO_DEEP = "potential expression is too long or nests too deeply"
+
+
+def _names(n: int) -> set[str]:
+    """The names an expression may read on an n-dimensional lattice."""
+    return {"pi", "r", *_AXES[:n], *(f"x{d + 1}" for d in range(n))}
+
+
+def _check(node: ast.AST, names: set[str]) -> None:
+    """Reject any node outside the whitelist that _evaluate reads."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _check(node.left, names)
+        _check(node.right, names)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, names)
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        float(node.value)  # OverflowError: an integer literal beyond the float range
+    elif isinstance(node, ast.Name):
+        if node.id not in names:
+            raise ConfigInvalid(f"unknown name {node.id!r} in potential expression")
+    else:
+        raise ConfigInvalid(f"unsupported {type(node).__name__} in potential expression")
+
+
+def parse_potential(expr: str, n: int) -> ast.expr:
+    """Parse a potential expression for an n-dimensional lattice and check
+    every node against the whitelist, without sampling it.
+
+    make_config runs this before any grid is built, and
+    potential_from_expression runs it again on the expression it samples.
+    Raises ConfigInvalid.
+    """
+    try:
+        body = ast.parse(expr.strip().replace("^", "**"), mode="eval").body
+        _check(body, _names(n))
+    except (SyntaxError, ValueError, OverflowError) as exc:
+        # ValueError: a null byte before Python 3.12
+        raise ConfigInvalid(f"malformed potential expression: {exc}") from None
+    except (RecursionError, MemoryError):  # MemoryError: the 3.10-3.12 parser stack
+        raise ConfigInvalid(_TOO_DEEP) from None
+    return body
 
 
 def _evaluate(node: ast.AST, env: dict[str, np.ndarray]):
-    """Evaluate a parsed expression over the whitelisted nodes only."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+    """Evaluate an expression that parse_potential has checked."""
+    if isinstance(node, ast.BinOp):
         return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+    if isinstance(node, ast.UnaryOp):
         return -_evaluate(node.operand, env)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+    if isinstance(node, ast.Constant):
         # a numpy scalar, so 1/0, overflow and negative bases with
         # fractional powers give inf or nan instead of raising, and an
         # integer power tower never becomes big-integer work
         return np.float64(node.value)
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise ConfigInvalid(f"unknown name {node.id!r} in potential expression")
-        return env[node.id]
-    raise ConfigInvalid(f"unsupported {type(node).__name__} in potential expression")
+    return env[node.id]
 
 
 def potential_from_expression(
@@ -275,9 +314,10 @@ def potential_from_expression(
     singularities at the cell scale; the number of nodes where the floor
     engaged is returned alongside the samples.
 
-    A chain of operators is evaluated recursively, as deep as it is long:
-    about 1000 chained operators (Python's recursion limit) or 200 nested
-    parentheses (its parser's) are too many, and raise ConfigInvalid.
+    A chain of operators is checked and evaluated recursively, as deep as
+    it is long: about 1000 chained operators (Python's recursion limit) or
+    200 nested parentheses (its parser's) are too many, and raise
+    ConfigInvalid.
 
     Examples
     --------
@@ -290,26 +330,20 @@ def potential_from_expression(
     >>> potential_from_expression(g, "2^-1^2")[0].values  # 2^(-(1^2))
     array([0.5])
     """
+    body = parse_potential(expr, grid.n)
     coords = grid.coordinates
     trunc = grid.h if trunc_radius is None else float(trunc_radius)
     r_raw = np.sqrt(np.sum(coords**2, axis=1))
     n_trunc = int(np.count_nonzero(r_raw < trunc))
-    env: dict[str, np.ndarray] = {"pi": np.full(grid.num_nodes, math.pi)}
-    names = ["x", "y", "z"]
+    env: dict[str, np.ndarray] = {"pi": np.full(grid.num_nodes, math.pi),
+                                  "r": np.maximum(r_raw, trunc)}
     for d in range(grid.n):
-        env[names[d]] = coords[:, d]
-        env[f"x{d + 1}"] = coords[:, d]
-    env["r"] = np.maximum(r_raw, trunc)
+        env[_AXES[d]] = env[f"x{d + 1}"] = coords[:, d]
     try:
-        tree = ast.parse(expr.strip().replace("^", "**"), mode="eval")
         with np.errstate(all="ignore"):  # nonfinite samples are rejected below
-            values = _evaluate(tree.body, env)
-    except (SyntaxError, ValueError, OverflowError) as exc:
-        # ValueError: a null byte before Python 3.12; OverflowError: an
-        # integer literal beyond the float range
-        raise ConfigInvalid(f"malformed potential expression: {exc}") from None
-    except (RecursionError, MemoryError):  # MemoryError: the 3.10-3.12 parser stack
-        raise ConfigInvalid("potential expression is too long or nests too deeply") from None
+            values = _evaluate(body, env)
+    except RecursionError:  # the check passed a little higher up the stack
+        raise ConfigInvalid(_TOO_DEEP) from None
     values = np.broadcast_to(np.asarray(values, float), (grid.num_nodes,)).copy()
     if not np.all(np.isfinite(values)):
         raise ConfigInvalid("potential expression produced nonfinite samples")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .calculus import (
     OperatorFunction,
+    _contiguous,
     apply_symbol,
     heat_kernel,
     kernel,
@@ -850,13 +851,20 @@ def check_lifting(
     )
 
 
-def _max_column_l1(left: np.ndarray, basis: np.ndarray, cols: np.ndarray) -> float:
-    """Largest column L1 norm of left @ basis[:, cols].T, taken over blocks
-    of its output columns so the full product is never formed."""
-    return max(
-        float(np.abs(left @ basis[lo:lo + _ROW_BLOCK, cols].T).sum(axis=0).max())
-        for lo in range(0, basis.shape[0], _ROW_BLOCK)
-    )
+def _max_column_l1(left: np.ndarray, basis: np.ndarray, cols: np.ndarray,
+                   mid: np.ndarray | None = None) -> float:
+    """Largest column L1 norm of left @ basis[:, cols].T, or with ``mid`` of
+    left @ (mid @ basis[:, cols].T), taken over blocks of its output
+    columns so the full product is never formed.  The factor
+    mid @ basis[:, cols].T is formed whole: it has no more entries than
+    ``left`` when mid has fewer rows than columns, the case it is for."""
+    starts = range(0, basis.shape[0], _ROW_BLOCK)
+    if mid is None:
+        blocks = (left @ basis[lo:lo + _ROW_BLOCK, cols].T for lo in starts)
+    else:
+        right = mid @ basis[:, _contiguous(cols)].T
+        blocks = (left @ right[:, lo:lo + _ROW_BLOCK] for lo in starts)
+    return max(float(np.abs(block).sum(axis=0).max()) for block in blocks)
 
 
 def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]]:
@@ -870,7 +878,14 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
     norm) over m = j - k >= 3.  The L1 norm is the exact max column sum of
     the kernel (streamed, so the N x N kernel is never formed); the
     reference decay rate 2^{-2m} is attached to this norm, while the L2
-    norm decays at a strictly smaller interpolated rate."""
+    norm decays at a strictly smaller interpolated rate.
+
+    The kernel is L M R^T with L = U_V[:, rows] (N x r), M the r x c
+    coupling block and R = U_0[:, cols] (N x c).  It is formed as
+    (L M) R^T when c <= r and as L (M R^T) when r < c (matrix-chain
+    order), so its N^2 term costs 2 N^2 min(r, c) flops, not 2 N^2 c.
+    Either way the kernel is streamed over blocks of its columns, and no
+    factor formed has more entries than L."""
     opv, op0, dsys = stage.op, stage.op0, stage.sys
     W = opv.eigvecs.T @ op0.eigvecs
     out: dict[int, list[tuple[int, float, float]]] = {}
@@ -879,7 +894,10 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
         rows = np.flatnonzero(gv)
         if rows.size == 0:
             continue
-        left = opv.eigvecs[:, rows] * gv[rows]
+        # Fortran order, the layout a column gather U_V[:, rows] gives, so
+        # contiguous and scattered rows feed BLAS the same operand
+        sel = _contiguous(rows)
+        left = np.multiply(opv.eigvecs[:, sel], gv[sel], order="F")
         pts: list[tuple[int, float, float]] = []
         for k in dsys.window:
             if k > j - 3:
@@ -889,7 +907,10 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
             if cols.size == 0:
                 continue
             mid = W[np.ix_(rows, cols)] * g0[cols]
-            one_norm = _max_column_l1(left @ mid, op0.eigvecs, cols)
+            if cols.size <= rows.size:
+                one_norm = _max_column_l1(left @ mid, op0.eigvecs, cols)
+            else:
+                one_norm = _max_column_l1(left, op0.eigvecs, cols, mid=mid)
             two_norm = float(np.linalg.norm(gv[rows, None] * mid, 2))
             pts.append((j - k, one_norm, two_norm))
         if pts:
@@ -939,8 +960,10 @@ def check_equivalence_AV_A0(
     2^{-2(j-k)} within slope_tol on the log2 scale (per-row fits over the
     separated offsets j - k >= 3, median across rows; the L2 -> L2 tail
     exponent is reported in details without a gate since only a strictly
-    smaller interpolated rate holds for it).  V = 0 stages are the control:
-    every ratio must equal 1 to control_tol.
+    smaller interpolated rate holds for it).  Each tail kernel is formed
+    in the cheaper product order and streamed in column blocks (see
+    _cross_block_tails).  V = 0 stages are the control: every ratio must
+    equal 1 to control_tol.
 
     Needs n >= 2 and passing smallness flags for the negative part; s
     outside (-min(2, n(1-1/p)), min(n/p, 2)) either raises (assert mode)

@@ -7,12 +7,14 @@ tests must not mutate them.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import besovlab as bl
 
@@ -54,6 +56,23 @@ def diagonal_operator(lams) -> "bl.SpectralOperator":
     op.eigvals = lams
     op.eigvecs = np.eye(m)
     return op
+
+
+def draw_lattice(data, min_cells: int, max_cells: int) -> tuple["bl.DomainSpec", float]:
+    """A hypothesis draw of an interval, a box or a ball (n = 2 or 3) with
+    sides in [0.5, 2], and a spacing that gives it min_cells to max_cells
+    cells of the domain's measure."""
+    kind = data.draw(st.sampled_from(["interval", "box", "ball"]))
+    n = 1 if kind == "interval" else data.draw(st.integers(2, 3))
+    sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    if kind == "ball":
+        center = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+        spec = bl.ball(center, sides[0])
+        measure = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * sides[0] ** n
+    else:
+        spec = bl.box([0.0] * n, sides)
+        measure = math.prod(sides)
+    return spec, (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
 
 
 def random_function(grid, seed=0, complex_values=False) -> "bl.GridFunction":

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import besovlab as bl
 from besovlab import calculus
 
-from conftest import diagonal_operator, interval_stage, random_function
+from conftest import diagonal_operator, draw_lattice, interval_stage, random_function
 
 
 class TestDenseApply:
@@ -375,6 +375,23 @@ class TestSpectralProductProperties:
             got = bl.spectral_synthesis(op, g, bl.spectral_coefficients(op, x))
             assert got.shape == ref.shape
             assert np.abs(got - ref).max(initial=0.0) <= bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_parseval_on_random_lattices_with_potential(self, data):
+        # U is orthogonal, so the coefficient transform keeps the 2-norm and
+        # synthesis with symbol 1 gives f back, to round-off in N
+        grid = bl.build_grid(*draw_lattice(data, 16, 400))
+        potential = data.draw(st.sampled_from(["-5", "4*x - 1.2", "0.25/r^2", "-0.5/r"]))
+        op = bl.eigendecompose(bl.assemble_schrodinger(
+            grid, bl.potential_from_expression(grid, potential)[0]))
+        f = random_function(grid, seed=data.draw(st.integers(0, 2**32 - 1))).values
+        N, norm = grid.num_nodes, np.linalg.norm(f)
+        bound = 10 * N * np.finfo(float).eps * norm
+        coeffs = bl.spectral_coefficients(op, f)
+        assert abs(np.linalg.norm(coeffs) - norm) <= bound
+        rebuilt = bl.spectral_synthesis(op, np.ones(N), coeffs)
+        assert np.linalg.norm(rebuilt - f) <= bound
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -216,6 +216,14 @@ def _rejected_before_any_grid(out: Path) -> str:
     return manifest["failure"]
 
 
+@pytest.mark.parametrize("potential", ["foo(x)", "x +", "__import__('os')"])
+def test_malformed_potential_rejected_before_any_grid(tmp_path, potential):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, potential=potential, out=str(out))
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert _rejected_before_any_grid(out).startswith("ConfigInvalid: at potential: ")
+
+
 @pytest.mark.parametrize("t_grid", [[], [-0.5, 1.0]])
 def test_bad_heat_t_grid_exits_two_with_failure(tmp_path, t_grid):
     out = tmp_path / "out"
@@ -1089,6 +1097,11 @@ _EDGE_CONFIGS = {
     "pairs-r-inf": ({"checks": [{"name": "bernstein", "pairs": [["inf", "inf"]]}]}, False),
     "gain-q0-inf": ({"checks": [{"name": "embeddings", "gain": [0, 1, 2, 2, "inf"]}]}, False),
     "radius-inf": ({"checks": [{"name": "equivalence_AV_A0", "radius": "inf"}]}, True),
+    "potential-call": ({"potential": "foo(x)"}, False),
+    "potential-dangling-op": ({"potential": "x +"}, False),
+    "potential-import": ({"potential": "__import__('os')"}, False),
+    "potential-y-on-interval": ({"potential": "y"}, False),
+    "potential-x1-on-interval": ({"potential": "x1 - 2*r + pi"}, True),
 }
 
 

@@ -1,6 +1,5 @@
 """Discrete Laplacian assembly, eigendata, quadratic forms, and the cache format."""
 
-import math
 import struct
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import besovlab as bl
 
-from conftest import interval_stage, random_function
+from conftest import draw_lattice, interval_stage, random_function
 
 
 def interval_eigenvalues(length: float, h: float) -> np.ndarray:
@@ -149,6 +148,33 @@ class TestEigendata:
         op2 = bl.eigendecompose(bl.assemble_laplacian(g))
         np.testing.assert_array_equal(op1.eigvecs, op2.eigvecs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sign_anchors_equal_argmax(self, data):
+        # N < 128, N a multiple of 128 and N not a multiple; column 0 is
+        # zero, column 1 has equal magnitudes of opposite sign on both
+        # sides of a 128-row boundary (when N has one), column 2 anywhere
+        block = bl.operators._ANCHOR_BLOCK
+        rows = data.draw(st.one_of(st.integers(1, block - 1), st.sampled_from([block, 2 * block]),
+                                   st.integers(block + 1, 3 * block + 7)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vecs = rng.standard_normal((rows, 4))
+        vecs[:, 0] = 0.0
+        top = np.abs(vecs).max() + 1.0
+        for col in (1, 2):
+            if col == 1 and rows > block:
+                pair = [data.draw(st.integers(0, block - 1)),
+                        data.draw(st.integers(block, rows - 1))]
+            else:
+                pair = data.draw(st.lists(st.integers(0, rows - 1), min_size=min(rows, 2),
+                                          max_size=2, unique=True))
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            vecs[pair[0], col] = sign * top
+            vecs[pair[-1], col] = -sign * top
+        expected = np.argmax(np.abs(vecs), axis=0)
+        np.testing.assert_array_equal(bl.operators._sign_anchors(vecs), expected)
+        assert expected[0] == 0
+
     def test_dense_cap(self):
         st = interval_stage(8)
         with pytest.raises(bl.DenseCapExceeded):
@@ -219,18 +245,7 @@ class TestLaplacianBounds:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_lanczos_matches_dense_on_random_lattices(self, data):
-        kind = data.draw(st.sampled_from(["interval", "box", "ball"]))
-        n = 1 if kind == "interval" else data.draw(st.integers(2, 3))
-        sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-        if kind == "ball":
-            center = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
-            spec = bl.ball(center, sides[0])
-            measure = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * sides[0] ** n
-        else:
-            spec = bl.box([0.0] * n, sides)
-            measure = math.prod(sides)
-        h = (measure / data.draw(st.integers(30, 1300))) ** (1 / n)
-        grid = bl.build_grid(spec, h)
+        grid = bl.build_grid(*draw_lattice(data, 30, 1300))
         assume(bl.operators._LANCZOS_MIN_NODES <= grid.num_nodes <= 1500)
         op = bl.assemble_laplacian(grid)
         lo, hi = bl.laplacian_bounds(op)

@@ -372,12 +372,20 @@ class TestExpressionPotentials:
         np.testing.assert_allclose(f.values, 500 * g.coordinates[:, 0], rtol=1e-13)
 
     def test_syntax_errors(self):
+        # the config parses without samples and rejects with the message
+        # sampling gives
+        from besovlab.potential import parse_potential
+
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.25)
         for bad in ("1 + ", "(x", "x ) ", "x @ 2", "3..5", "f(x)", "x.real", "x[0]",
                     "x < 1", "True", "1j", "'a'", "+x", "x % 2", "x // 2", "lambda: 1",
-                    "(x := 1)", "x, y", "x\x00", "1" * 5000):
-            with pytest.raises(bl.ConfigInvalid):
+                    "(x := 1)", "x, y", "x\x00", "1" * 5000, "y", "x4",
+                    "__import__('os')"):
+            with pytest.raises(bl.ConfigInvalid) as sampled:
                 bl.potential_from_expression(g, bad)
+            with pytest.raises(bl.ConfigInvalid) as parsed:
+                parse_potential(bad, 1)
+            assert str(parsed.value) == str(sampled.value)
 
     def test_nonfinite_rejected(self):
         g = bl.build_grid(bl.interval(-1.0, 1.0), 0.25)

@@ -437,8 +437,10 @@ def heat_oracle(st, ts, cstar=8.0):
     return float(np.exp(max(log_scores))), defect, omega
 
 
-def tails_oracle(st):
-    """The unblocked cross-block tails: the full N x N kernel per (j, k)."""
+def tails_oracle(st, cheaper=True):
+    """The unblocked cross-block tails: the full N x N kernel L M R^T per
+    (j, k), formed in the cheaper order of _cross_block_tails, or with
+    cheaper=False always as (L M) R^T."""
     opv, op0, dsys = st.op, st.op0, st.sys
     W = opv.eigvecs.T @ op0.eigvecs
     out = {}
@@ -455,7 +457,11 @@ def tails_oracle(st):
             if k > j - 3 or cols.size == 0:
                 continue
             mid = W[np.ix_(rows, cols)] * g0[cols]
-            tail = (left @ mid) @ op0.eigvecs[:, cols].T
+            right = op0.eigvecs[:, cols].T
+            if cheaper and rows.size < cols.size:
+                tail = left @ (mid @ right)
+            else:
+                tail = (left @ mid) @ right
             pts.append((j - k, float(np.abs(tail).sum(axis=0).max()),
                         float(np.linalg.norm(gv[rows, None] * mid, 2))))
         if pts:
@@ -514,15 +520,20 @@ def test_heat_gaussian_scores_every_row_once(monkeypatch):
 @pytest.mark.parametrize("where", [0, 200, -1])
 def test_max_column_l1_matches_unblocked_product(where):
     # 300 columns span three blocks, the last one partial; the largest
-    # column is planted in the first, a middle and the last block
+    # column is planted in the first, a middle and the last block, for
+    # left @ basis[:, cols].T and for left @ (mid @ basis[:, cols].T)
     rng = np.random.default_rng(4)
     left, basis = rng.standard_normal((40, 7)), rng.standard_normal((300, 12))
     cols = np.array([0, 2, 3, 7, 8, 9, 11])
     basis[where, cols] *= 50.0
-    expected = float(np.abs(left @ basis[:, cols].T).sum(axis=0).max())
-    assert V._max_column_l1(left, basis, cols) == expected
-    column = np.abs(left @ basis[:, cols].T).sum(axis=0)
-    assert column.argmax() == np.arange(300)[where]
+    short, mid = rng.standard_normal((40, 3)), rng.standard_normal((3, 7))
+    for got, product in [
+        (V._max_column_l1(left, basis, cols), left @ basis[:, cols].T),
+        (V._max_column_l1(short, basis, cols, mid=mid), short @ (mid @ basis[:, cols].T)),
+    ]:
+        column = np.abs(product).sum(axis=0)
+        assert got == float(column.max())
+        assert column.argmax() == np.arange(300)[where]
 
 
 def test_cross_block_tails_streaming_matches_unblocked_oracle():
@@ -530,6 +541,27 @@ def test_cross_block_tails_streaming_matches_unblocked_oracle():
     tails = V._cross_block_tails(st)
     assert tails
     assert tails == tails_oracle(st)
+
+
+@pytest.mark.parametrize("denom", [16, 24])
+def test_cross_block_tails_product_order_moves_only_round_off(denom, monkeypatch):
+    # (L M) R^T at every pair, the one order before the cheaper-order
+    # rule, is an independent oracle for the pairs formed as L (M R^T)
+    (st,) = disk_stages((denom,), potential="0.25/r^2")
+    orders, streamed = [], V._max_column_l1
+
+    def spy(left, basis, cols, mid=None):
+        orders.append(mid is not None)
+        return streamed(left, basis, cols, mid=mid)
+
+    monkeypatch.setattr(V, "_max_column_l1", spy)
+    tails, parent = V._cross_block_tails(st), tails_oracle(st, cheaper=False)
+    assert any(orders) and not all(orders)
+    assert tails.keys() == parent.keys()
+    for j, pts in tails.items():
+        assert [(m, two) for m, _, two in pts] == [(m, two) for m, _, two in parent[j]]
+        np.testing.assert_allclose([p[1] for p in pts], [p[1] for p in parent[j]],
+                                   rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["heat_gaussian", "cross_block_tails"])
