@@ -43,41 +43,32 @@ from .geometry import (
     box,
     build_grid,
     interval,
-    lp_norm,
-    pairing,
 )
 from .dyadic import DyadicSystem, build_system, bump_primitive, chi, second_system
 from .operators import (
     SpectralOperator,
     assemble_laplacian,
     assemble_schrodinger,
-    dirichlet_energy,
     eigendecompose,
     laplacian_bounds,
     load_operator,
-    quadratic_form,
     save_operator,
-    single_eigenvector,
 )
 from .potential import (
     KatoReport,
     check_smallness,
     decompose,
-    form_bound,
     hardy_certificate,
     kato_norm,
     potential_from_expression,
 )
 from .calculus import (
-    KernelMatrix,
     OperatorFunction,
     apply_symbol,
     chebyshev_coefficients,
-    heat,
     heat_kernel,
     kernel,
     mixed_opnorm,
-    opnorm,
     power,
     spectral_coefficients,
     spectral_synthesis,

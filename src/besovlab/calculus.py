@@ -41,17 +41,14 @@ from .operators import SpectralOperator
 
 __all__ = [
     "OperatorFunction",
-    "KernelMatrix",
     "apply_symbol",
     "chebyshev_coefficients",
     "spectral_coefficients",
     "spectral_synthesis",
     "suite_symbols",
-    "heat",
     "heat_kernel",
     "power",
     "kernel",
-    "opnorm",
     "mixed_opnorm",
 ]
 
@@ -244,7 +241,7 @@ def apply_symbol(
 
 @dataclass
 class OperatorFunction:
-    """A named symbol bound to an operator: the argument of kernel and the
+    """A symbol bound to an operator: the argument of kernel and the
     operator norms.
 
     ``weights`` optionally holds the symbol's values on op.eigvals (for
@@ -254,7 +251,6 @@ class OperatorFunction:
 
     op: SpectralOperator
     symbol: Callable
-    name: str
     weights: np.ndarray | None = field(default=None, repr=False)
 
     def on_spectrum(self) -> np.ndarray:
@@ -286,13 +282,6 @@ def suite_symbols(
         ("root", lambda lam: np.sqrt(shift + np.asarray(lam, float))),
         ("invroot", lambda lam: (shift + np.asarray(lam, float)) ** -0.5),
     ]
-
-
-def heat(op: SpectralOperator, t: float, f, path: str = "dense"):
-    """Heat semigroup e^(-tA) f, computed spectrally."""
-    if not (t >= 0.0):
-        raise ValueError(f"heat time must be nonnegative, got {t}")
-    return apply_symbol(op, lambda lam: np.exp(-t * lam), f, path=path)
 
 
 def power(
@@ -333,25 +322,9 @@ def power(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelMatrix:
-    """Integral kernel of g(A): values K(x, y) = matrix entries / h^n."""
-
-    op: SpectralOperator = field(repr=False)
-    name: str
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
-
-    @property
-    def min_entry(self) -> float:
-        return float(self.values.min())
-
-
-def kernel(opfun: OperatorFunction) -> KernelMatrix:
-    """Kernel of g(A) on the spectral support of g, as a symmetric product.
+def kernel(opfun: OperatorFunction) -> np.ndarray:
+    """Integral kernel of g(A): the N x N array K(x, y) = g(A)_xy / h^n,
+    formed on the spectral support of g as a symmetric product.
 
     Only the eigencolumns in the support of g enter (|g| > eps^2 max|g|,
     the rule of spectral_synthesis).  With B = U_S sqrt(g_S) over the
@@ -373,13 +346,13 @@ def kernel(opfun: OperatorFunction) -> KernelMatrix:
         half = op.eigvecs[:, neg] * np.sqrt(-g[neg])
         mat -= half @ half.T
     mat /= op.grid.cell_measure
-    return KernelMatrix(op=op, name=opfun.name, values=mat)
+    return mat
 
 
-def heat_kernel(op: SpectralOperator, t: float) -> KernelMatrix:
+def heat_kernel(op: SpectralOperator, t: float) -> np.ndarray:
     if not (t >= 0.0):
         raise ValueError(f"heat time must be nonnegative, got {t}")
-    return kernel(OperatorFunction(op, lambda lam: np.exp(-t * lam), f"heat[{t}]"))
+    return kernel(OperatorFunction(op, lambda lam: np.exp(-t * lam)))
 
 
 @dataclass(frozen=True)
@@ -392,7 +365,7 @@ class OpNorm:
 
 def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
                  probes: int = 16, seed: int = 0,
-                 kern: KernelMatrix | None = None) -> OpNorm:
+                 kern: np.ndarray | None = None) -> OpNorm:
     """Operator norm L^r -> L^p of g(A).
 
     Exact branches: r = 1 (kernel column L^p norms), p = inf (kernel row
@@ -410,11 +383,11 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
     if r == 1.0 or math.isinf(p):
         kern = kernel(opfun) if kern is None else kern
     if r == 1.0:
-        return OpNorm(float(lp_columns(kern.values, meas, p).max()), True, r, p)
+        return OpNorm(float(lp_columns(kern, meas, p).max()), True, r, p)
     if math.isinf(p):
         # dual of the r=1 case: rows in L^r'
         rr = 1.0 if math.isinf(r) else r / (r - 1.0)
-        return OpNorm(float(lp_columns(kern.values.T, meas, rr).max()), True, r, p)
+        return OpNorm(float(lp_columns(kern.T, meas, rr).max()), True, r, p)
 
     # probe k is z[k, 0] + i z[k, 1], one column per probe
     z = np.random.default_rng(seed).standard_normal((probes, 2, op.num_nodes))
@@ -422,9 +395,3 @@ def mixed_opnorm(opfun: OperatorFunction, r: float, p: float,
     out = spectral_synthesis(op, opfun.on_spectrum(), spectral_coefficients(op, vs))
     ratios = lp_columns(out, meas, p) / lp_columns(vs, meas, r)
     return OpNorm(float(ratios.max(initial=0.0)), False, r, p)
-
-
-def opnorm(opfun: OperatorFunction, p: float, probes: int = 16, seed: int = 0) -> OpNorm:
-    """Operator norm L^p -> L^p; exact for p in {1, 2, inf} via kernel sums
-    (column, spectral radius, row), a randomized lower bound otherwise."""
-    return mixed_opnorm(opfun, p, p, probes=probes, seed=seed)

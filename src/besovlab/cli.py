@@ -124,7 +124,6 @@ def _check_calls(cfg: RunConfig, report_only: bool) -> list[tuple[str, dict]]:
     for i, entry in enumerate(cfg.checks):
         name = entry["name"]
         kwargs = {k: as_exponent(v) for k, v in entry.items() if k != "name"}
-        kwargs["config_hash"] = cfg.config_hash
         if name == "equivalence_AV_A0" and report_only:
             kwargs["assert_window"] = False
         if name != "heat_gaussian":  # the one check that samples no family
@@ -215,7 +214,7 @@ def _write_kernels(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> No
     for name, symbol in suite_symbols(st.op, st.sys):
         stem = name.replace("[", "_").rstrip("]")
         if stem.startswith(("psi", "phi_", "heat")):
-            np.save(kdir / f"{stem}.npy", kernel(OperatorFunction(st.op, symbol, name)).values)
+            np.save(kdir / f"{stem}.npy", kernel(OperatorFunction(st.op, symbol)))
 
 
 def _dispatch(command: str, cfg: RunConfig, calls: list, out_dir: Path,
@@ -321,13 +320,13 @@ def _apply_jobs(jobs: int) -> bool:
 
 def _fallback_out(config_path: str, out_flag: str | None) -> Path:
     """Where the manifest goes when the config itself is rejected: the
-    --out flag if given, else the config's own out key if readable, else
-    the default output directory."""
+    --out flag if given, else the config's own out key if it is a nonempty
+    string, else the default output directory."""
     if out_flag:
         return Path(out_flag)
     try:
         data = json.loads(Path(config_path).read_text())
-        if isinstance(data, dict) and isinstance(data.get("out"), str):
+        if isinstance(data, dict) and isinstance(data.get("out"), str) and data["out"]:
             return Path(data["out"])
     except (OSError, json.JSONDecodeError):
         pass

@@ -170,7 +170,7 @@ _CHECK_PARAMS: dict[str, dict[str, Check]] = {
     "lorentz_bernstein": {"p0": _EXPONENT, "p": _EXPONENT, "q": _EXPONENT, "stability": _STABILITY},
 }
 # arguments the runner supplies itself; configs may not set them
-_RUNNER = dict.fromkeys(("stages", "family", "config_hash"), _SUPPLIED)
+_RUNNER = dict.fromkeys(("stages", "family"), _SUPPLIED)
 
 _ROOT = _object(
     {

@@ -123,10 +123,6 @@ class DyadicSystem:
         x = np.asarray(x, float)
         return self.chi(x * 2.0 ** (-j)) - self.chi(x * 2.0 ** (-j + 1))
 
-    def fat_phi(self, j: int, x):
-        """Fattened block phi_(j-1) + phi_j + phi_(j+1); equals 1 on supp phi_j."""
-        return self.phi(j - 1, x) + self.phi(j, x) + self.phi(j + 1, x)
-
     def psi(self, mu):
         """Low-spectrum cap psi(mu) = chi(sqrt(max(mu, 0))); equals 1 on mu <= 1."""
         mu = np.asarray(mu, float)
@@ -141,9 +137,6 @@ class DyadicSystem:
             out[pos] = self.phi(j, np.sqrt(mu[pos]))
         return out
 
-    def fat_phi_sqrt(self, j: int, mu):
-        return self.phi_sqrt(j - 1, mu) + self.phi_sqrt(j, mu) + self.phi_sqrt(j + 1, mu)
-
     @property
     def window(self) -> range:
         return range(self.j_min, self.j_max + 1)
@@ -152,14 +145,6 @@ class DyadicSystem:
     def inhom_window(self) -> range:
         """Block indices used by inhomogeneous decompositions (j >= 1)."""
         return range(max(1, self.j_min), self.j_max + 1)
-
-    def window_sum(self, x):
-        """Sum of phi_j over the window; exactly 1 on [2^j_min, 2^j_max]."""
-        x = np.asarray(x, float)
-        out = np.zeros_like(x)
-        for j in self.window:
-            out = out + self.phi(j, x)
-        return out
 
     def covers(self, lam_max: float) -> bool:
         return math.sqrt(max(lam_max, 0.0)) <= 2.0**self.j_max

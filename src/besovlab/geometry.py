@@ -16,13 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    EmptyDomain,
-    GridMismatch,
-    InvalidExponent,
-    UnsupportedDimension,
-)
+from .errors import BudgetExceeded, EmptyDomain, GridMismatch, UnsupportedDimension
 
 __all__ = [
     "Box",
@@ -31,9 +25,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "build_grid",
-    "lp_norm",
     "lp_columns",
-    "pairing",
     "interval",
     "box",
     "ball",
@@ -177,10 +169,6 @@ class Grid:
             self._coords = (self.multi_indices + self.k_lo) * self.h
         return self._coords
 
-    def lattice_keys(self) -> np.ndarray:
-        """Absolute integer lattice indices (N, n); grid-independent node identity."""
-        return self.multi_indices + self.k_lo
-
     def same_geometry(self, other: "Grid") -> bool:
         return (
             self.n == other.n
@@ -288,20 +276,3 @@ def lp_columns(values: np.ndarray, cell_measure: float, p: float) -> np.ndarray:
         # sqrt, not ** 0.5: numpy scalar powers are not correctly rounded
         return np.sqrt(cell_measure * np.sum(a * a, axis=0))
     return (cell_measure * np.sum(a**p, axis=0)) ** (1.0 / p)
-
-
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Discrete L^p norm, (h^n sum |f_i|^p)^(1/p); p = inf gives max |f_i|.
-
-    Raises InvalidExponent for p < 1 or NaN.
-    """
-    if not (p >= 1):  # also rejects NaN
-        raise InvalidExponent(f"L^p norm needs p >= 1, got {p}")
-    return float(lp_columns(f.values, f.grid.cell_measure, p))
-
-
-def pairing(f: GridFunction, g: GridFunction) -> complex:
-    """Sesquilinear pairing h^n sum f_i conj(g_i); conjugation on the right slot."""
-    if not f.grid.same_geometry(g.grid):
-        raise GridMismatch("pairing requires both functions on the same grid")
-    return complex(f.grid.cell_measure * np.sum(f.values * np.conj(g.values)))

@@ -219,29 +219,6 @@ class RearrangementProfile:
         """S_i = int_0^(i*cell) f*, i = 0..len."""
         return np.concatenate([[0.0], np.cumsum(self.values) * self.cell])
 
-    def f_star(self, t) -> np.ndarray:
-        """Right-continuous step evaluation of f*."""
-        t = np.asarray(t, float)
-        idx = np.floor_divide(t, self.cell).astype(int)
-        out = np.zeros_like(t)
-        ok = (idx >= 0) & (idx < len(self.values))
-        out[ok] = self.values[idx[ok]]
-        return out
-
-    def f_star_star(self, t) -> np.ndarray:
-        """Running average t^-1 int_0^t f*."""
-        t = np.asarray(t, float)
-        S = self.cumulative
-        idx = np.clip(np.floor_divide(t, self.cell).astype(int), 0, len(self.values))
-        partial = np.where(
-            idx < len(self.values),
-            S[idx] + self.f_star(t) * (t - idx * self.cell),
-            S[-1],
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(t > 0.0, partial / t, self.values[0] if len(self.values) else 0.0)
-        return out
-
 
 def rearrangement_profile(f: GridFunction) -> RearrangementProfile:
     vals = np.sort(np.abs(f.values))[::-1]

@@ -33,13 +33,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DenseCapExceeded,
-    GridMismatch,
-    MissingEigendata,
-    SolverFailure,
-)
-from .geometry import Grid, GridFunction
+from .errors import DenseCapExceeded, MissingEigendata, SolverFailure
+from .geometry import Grid
 from .potential import potential_samples
 
 if TYPE_CHECKING:
@@ -53,9 +48,6 @@ __all__ = [
     "laplacian_bounds",
     "cached_eigendecompose",
     "cached_laplacian_bounds",
-    "quadratic_form",
-    "dirichlet_energy",
-    "single_eigenvector",
     "save_operator",
     "load_operator",
 ]
@@ -169,9 +161,9 @@ class SpectralOperator:
         """A dyadic symbol of ``sys`` on the eigenvalues, evaluated once.
 
         kind 'psi' is psi(lam) (no j), 'phi' is phi_j(sqrt(lam)) and 'fat' is
-        Phi_j(sqrt(lam)), summed from the memoized phi_(j-1), phi_j, phi_(j+1)
-        in the order sys.fat_phi_sqrt uses, so every value equals the direct
-        evaluation bit for bit.  Memoized per (sys, kind, j); read-only.
+        Phi_j(sqrt(lam)) = (phi_(j-1) + phi_j) + phi_(j+1), summed left to
+        right from the memoized phi weights.  Memoized per (sys, kind, j);
+        read-only.
         """
         self.require_eigendata()
         key = (sys, kind, j)
@@ -399,53 +391,6 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
             return lo, hi
     vals = np.linalg.eigvalsh(_dense(op))
     return float(vals[0]), float(vals[-1])
-
-
-def quadratic_form(op: SpectralOperator, f: GridFunction) -> float:
-    """(f, A f) in the h^n-weighted inner product; real for symmetric A."""
-    if not f.grid.same_geometry(op.grid):
-        raise GridMismatch("function lives on a different grid than the operator")
-    v = f.values
-    return float(np.real(np.vdot(v, op.matrix @ v)) * op.grid.cell_measure)
-
-
-def dirichlet_energy(grid: Grid, f: GridFunction) -> float:
-    """h^n sum over lattice edges of |df|^2 / h^2, with zero exterior values.
-
-    Every lattice edge with at least one interior endpoint counts once; for
-    truncated edges the exterior value is 0.  By summation by parts this
-    equals (f, A_0 f) for the stencil Laplacian, which is the identity the
-    tests pin down.
-    """
-    if not f.grid.same_geometry(grid):
-        raise GridMismatch("function lives on a different grid")
-    v = f.values
-    shape = np.asarray(grid.shape)
-    total = 0.0
-    for d in range(grid.n):
-        step = np.zeros(grid.n, dtype=np.int64)
-        step[d] = 1
-        for sgn in (+1, -1):
-            nb = grid.multi_indices + sgn * step
-            ok = (nb[:, d] >= 0) & (nb[:, d] < shape[d])
-            target = np.full(grid.num_nodes, -1, dtype=np.int64)
-            target[ok] = grid.flat_of_cell[tuple(nb[ok].T)]
-            interior_nb = target >= 0
-            if sgn == +1:
-                # interior-interior edges counted on the +1 sweep only
-                diff = v[interior_nb] - v[target[interior_nb]]
-                total += float(np.sum(np.abs(diff) ** 2))
-            # truncated edges: neighbor cell is exterior (or off the box)
-            cut = ~interior_nb
-            total += float(np.sum(np.abs(v[cut]) ** 2))
-    return total * grid.cell_measure / grid.h**2
-
-
-def single_eigenvector(op: SpectralOperator, k: int) -> GridFunction:
-    """k-th eigenfunction, L2-normalized (unit h^n-weighted norm)."""
-    op.require_eigendata()
-    vec = op.eigvecs[:, k] / op.grid.h ** (op.grid.n / 2.0)
-    return GridFunction(op.grid, vec)
 
 
 # ---------------------------------------------------------------------------

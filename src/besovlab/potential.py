@@ -47,7 +47,6 @@ __all__ = [
     "kato_norm",
     "check_smallness",
     "hardy_certificate",
-    "form_bound",
     "parse_potential",
     "potential_from_expression",
     "potential_samples",
@@ -212,24 +211,6 @@ def check_smallness(grid: Grid, V, radius: float = math.inf) -> KatoReport:
         vminus_is_zero=zero,
         certificate=1.0 if zero else math.nan,
     )
-
-
-def form_bound(op0, vminus, eps: float) -> float:
-    """Smallest lam0 >= 0 with sum V_- |f|^2 <= eps (f, A_0 f) + lam0^2 ||f||^2.
-
-    Discretely this is sqrt(clip(lam_max(diag(V_-) - eps A_0), 0)).  When
-    eps >= max(V_-) / lam_min(A_0) the bound needs no shift and lam0 = 0.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"form bound needs eps > 0, got {eps}")
-    vals = potential_samples(op0.grid, vminus)
-    if (vals < 0.0).any():
-        raise ValueError("form_bound expects the nonnegative part V_-")
-    import scipy.sparse as sp
-
-    mat = (sp.diags(vals) - eps * op0.matrix).toarray()
-    top = float(np.linalg.eigvalsh(mat)[-1])
-    return math.sqrt(max(top, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ agree within a configurable factor (default 2).
 Every check plugs its per-stage measurement into one driver, which samples
 the test family, stacks the constants, applies the stability gate and
 builds the report: neutral formula anchors, the measured constants per
-stage, the sweep metadata, and the hash of the configuration.
+stage and the sweep metadata.
 """
 
 from __future__ import annotations
@@ -339,7 +339,6 @@ class VerifyReport:
     family: str
     window: tuple[int, int]
     wall_ms: float
-    config_hash: str
     details: dict = field(default_factory=dict)
 
     @property
@@ -384,7 +383,6 @@ def _drive(
     stages,
     family: FunctionFamily | str | None,
     measure: Callable[[Stage, np.ndarray | None], dict],
-    config_hash: str,
     stability: float | None = None,
     gated: Sequence[str] | None = None,
     details: dict | None = None,
@@ -425,7 +423,6 @@ def _drive(
         family=family.tag if sampled else family,
         window=(stages[0].sys.j_min, stages[0].sys.j_max),
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        config_hash=config_hash,
         details={**(details or {}), **extra},
     )
 
@@ -524,7 +521,6 @@ def check_resolution_identity(
     family: FunctionFamily | None = None,
     tol: float = 1e-10,
     homogeneous: bool = False,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Relative L2 residual of f minus its dyadic resolution.
 
@@ -551,7 +547,7 @@ def check_resolution_identity(
         else "f = psi(A) f + sum_{j>=1} phi_j(sqrt A) f"
     )
     return _drive(
-        "resolution_identity", anchor, stages, family, measure, config_hash,
+        "resolution_identity", anchor, stages, family, measure,
         details={"tol": tol, "variant": variant},
         finish=lambda values, _: (all(r <= tol for r in values["residual"]), {}),
     )
@@ -573,7 +569,6 @@ def check_bernstein(
     pairs: Sequence[tuple[float, float]] = ((1.0, math.inf), (1.0, 2.0), (2.0, 2.0)),
     alphas: Sequence[float] = (0, 1),
     stability: float = DEFAULT_STABILITY,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Block smoothing bounds ||A^a phi_j(sqrt A) f||_p <= C 2^{(n(1/r-1/p)+2a)j} ||f||_r.
 
@@ -601,7 +596,7 @@ def check_bernstein(
                     def sym(lam, j=j, a=a, dsys=dsys):
                         return _lifted(dsys.phi_sqrt(j, lam), lam, a)
 
-                    opfun = OperatorFunction(op, sym, f"bern[j={j},a={a:g}]", weights=g)
+                    opfun = OperatorFunction(op, sym, weights=g)
                     kern = kernel(opfun) if needs_kernel else None
                 else:
                     block = spectral_synthesis(op, g, coeff)
@@ -622,8 +617,7 @@ def check_bernstein(
     return _drive(
         "bernstein",
         "||A^a phi_j(sqrt A) f||_p <= C 2^{(n(1/r-1/p)+2a)j} ||f||_r",
-        stages, "opnorm" if family is None else family, measure, config_hash,
-        stability, finish=finish,
+        stages, "opnorm" if family is None else family, measure, stability, finish=finish,
     )
 
 
@@ -672,7 +666,6 @@ def check_duality(
     q: float = 2.0,
     stability: float = DEFAULT_STABILITY,
     attain_frac: float = 0.1,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Pairing bound |<f,g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}}.
 
@@ -709,7 +702,7 @@ def check_duality(
     return _drive(
         "duality",
         "|<f,g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}}",
-        stages, family, measure, config_hash, stability, gated=("C",),
+        stages, family, measure, stability, gated=("C",),
         details={"s": s, "p": p, "q": q, "attain_frac": attain_frac},
         finish=lambda v, _: (all(a >= attain_frac * c for a, c in zip(v["attained"], v["C"])), {}),
     )
@@ -723,7 +716,6 @@ def check_embeddings(
     square_p: tuple[float, float] = (1.5, 3.0),
     chain: tuple[float, float, float, int] = (1.0, 2.0, 2.0, 3),
     stability: float = DEFAULT_STABILITY,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Inclusion constants for the standard embedding battery.
 
@@ -788,8 +780,7 @@ def check_embeddings(
         return out
 
     return _drive(
-        "embeddings", "||f||_target <= C ||f||_source", stages, family, measure,
-        config_hash, stability,
+        "embeddings", "||f||_target <= C ||f||_source", stages, family, measure, stability,
         details={"gain": gain, "hom_gain": hom_gain, "square_p": square_p, "chain": chain},
     )
 
@@ -803,7 +794,6 @@ def check_lifting(
     q: float = 2.0,
     homogeneous: bool = True,
     stability: float = DEFAULT_STABILITY,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Lifting: A^{s0/2} maps hom B^s_{p,q} to hom B^{s-s0}_{p,q} with
     comparable norms; inhomogeneous variant uses (lam0^2 + 1 + A)^{s0/2}.
@@ -846,7 +836,7 @@ def check_lifting(
         else "||(lam0^2+1+A)^{s0/2} f||_{B^{s-s0}_{p,q}} ~ ||f||_{B^s_{p,q}}"
     )
     return _drive(
-        "lifting", anchor, stages, family, measure, config_hash, stability,
+        "lifting", anchor, stages, family, measure, stability,
         details={"s": s, "s0": s0, "p": p, "q": q}, finish=finish,
     )
 
@@ -950,7 +940,6 @@ def check_equivalence_AV_A0(
     assert_window: bool = True,
     control_tol: float = 1e-12,
     slope_tol: float = 0.5,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Norm equivalence between the potential and free operators.
 
@@ -1032,7 +1021,7 @@ def check_equivalence_AV_A0(
         "equivalence_AV_A0",
         "||f||_{B^s_{p,q}(A_V)} ~ ||f||_{B^s_{p,q}(A_0)}; "
         "||phi_j(sqrt A_V) Phi_k(sqrt A_0)||_{1->1} <= C 2^{-2(j-k)}",
-        stages, family, measure, config_hash, stability if in_window else None,
+        stages, family, measure, stability if in_window else None,
         gated=("spread",), finish=finish,
         details={
             "s": s, "p": p, "q": q,
@@ -1053,7 +1042,6 @@ def check_heat_gaussian(
     cstar: float = 8.0,
     stability: float = DEFAULT_STABILITY,
     dom_slack: float = 1e-12,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Gaussian kernel envelope sup_{t, x, y} |K_t(x,y)| t^{n/2} e^{|x-y|^2/(C* t)}
     with the exponent constant C* frozen at 8.
@@ -1095,8 +1083,8 @@ def check_heat_gaussian(
         log_scores = []
         defect = 0.0
         for t in t_used:
-            K = heat_kernel(op, t).values
-            K_star = None if op_star is None else heat_kernel(op_star, t).values
+            K = heat_kernel(op, t)
+            K_star = None if op_star is None else heat_kernel(op_star, t)
             # entries at eigen-roundoff scale are numerically zero; scoring
             # them would amplify noise by e^(d^2/(C* t)) at small t, where
             # the true kernel tail is far below machine precision;
@@ -1137,7 +1125,7 @@ def check_heat_gaussian(
     return _drive(
         "heat_gaussian",
         "|K_t(x,y)| <= C t^{-n/2} exp(-|x-y|^2/(8t)); |e^{-tA_V}| <= e^{-tA_{-V_-}}",
-        stages, "kernel", measure, config_hash, stability, gated=("C",),
+        stages, "kernel", measure, stability, gated=("C",),
         details={"t_grid": [float(t) for t in ts], "cstar": cstar}, finish=finish,
     )
 
@@ -1150,7 +1138,6 @@ def check_partition_independence(
     q: float = 2.0,
     stability: float = DEFAULT_STABILITY,
     pointwise_tol: float = 1e-12,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Besov norms under the two built-in transition profiles agree up to a
     stable constant; the overlap identity phi_j = phi_j (phi'_{j-1} +
@@ -1179,7 +1166,7 @@ def check_partition_independence(
     return _drive(
         "partition_independence",
         "||f||_{B(sys1)} ~ ||f||_{B(sys2)}; phi_j = phi_j (phi'_{j-1}+phi'_j+phi'_{j+1})",
-        stages, family, measure, config_hash, stability,
+        stages, family, measure, stability,
         details={"s": s, "p": p, "q": q}, finish=finish,
     )
 
@@ -1191,7 +1178,6 @@ def check_subspace_characterization(
     p: float = 2.0,
     q: float = 2.0,
     stability: float = DEFAULT_STABILITY,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Low-frequency summability behind the subspace characterization:
     sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}},
@@ -1214,7 +1200,7 @@ def check_subspace_characterization(
     return _drive(
         "subspace_characterization",
         "sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}}",
-        stages, family, measure, config_hash, stability,
+        stages, family, measure, stability,
         details={"s": s, "p": p, "q": q},
     )
 
@@ -1226,7 +1212,6 @@ def check_lorentz_bernstein(
     p: float = 2.0,
     q: float = 2.0,
     stability: float = DEFAULT_STABILITY,
-    config_hash: str = "",
 ) -> VerifyReport:
     """Lorentz-refined block bounds for the operator pair:
     ||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}}
@@ -1259,7 +1244,7 @@ def check_lorentz_bernstein(
         "lorentz_bernstein",
         "||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}} "
         "<= C 2^{n(1/p0-1/p)j} ||f||_{L^{p0}}",
-        stages, family, measure, config_hash, stability,
+        stages, family, measure, stability,
         details={"p0": p0, "p": p, "q": q},
     )
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 import besovlab as bl
+from besovlab.geometry import lp_columns
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,16 @@ def draw_lattice(data, min_cells: int, max_cells: int) -> tuple["bl.DomainSpec",
         spec = bl.box([0.0] * n, sides)
         measure = math.prod(sides)
     return spec, (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
+
+
+def lp_norm(f: "bl.GridFunction", p: float) -> float:
+    """Discrete L^p norm of one grid function."""
+    return float(lp_columns(f.values, f.grid.cell_measure, p))
+
+
+def eigenfunction(op: "bl.SpectralOperator", k: int) -> "bl.GridFunction":
+    """The k-th eigenvector as a grid function of unit L^2 norm."""
+    return bl.GridFunction(op.grid, op.eigvecs[:, k] / op.grid.h ** (op.grid.n / 2.0))
 
 
 def random_function(grid, seed=0, complex_values=False) -> "bl.GridFunction":

@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 import besovlab as bl
 from besovlab import calculus
 
-from conftest import diagonal_operator, draw_lattice, interval_stage, random_function
+from conftest import (
+    diagonal_operator,
+    draw_lattice,
+    eigenfunction,
+    interval_stage,
+    lp_norm,
+    random_function,
+)
+
+
+def heat(op, t, f, path="dense"):
+    """e^(-tA) f, through apply_symbol."""
+    return bl.apply_symbol(op, lambda lam: np.exp(-t * lam), f, path=path)
 
 
 class TestDenseApply:
@@ -65,25 +77,25 @@ class TestHeat:
         dense = st.op.matrix.toarray()
         for t in (1e-3, 0.05, 1.0):
             expected = scipy.linalg.expm(-t * dense) @ f.values
-            got = bl.heat(st.op, t, f)
+            got = heat(st.op, t, f)
             np.testing.assert_allclose(got.values, expected, rtol=1e-10, atol=1e-13)
 
     def test_semigroup_property(self):
         st = interval_stage(16)
         f = random_function(st.grid, seed=6)
-        one = bl.heat(st.op, 0.3, bl.heat(st.op, 0.2, f))
-        two = bl.heat(st.op, 0.5, f)
+        one = heat(st.op, 0.3, heat(st.op, 0.2, f))
+        two = heat(st.op, 0.5, f)
         np.testing.assert_allclose(one.values, two.values, rtol=1e-11, atol=1e-15)
 
     def test_time_zero_is_identity(self):
         st = interval_stage(16)
         f = random_function(st.grid, seed=7)
-        np.testing.assert_allclose(bl.heat(st.op, 0.0, f).values, f.values, rtol=1e-12)
+        np.testing.assert_allclose(heat(st.op, 0.0, f).values, f.values, rtol=1e-12)
 
     def test_negative_time_rejected(self):
         st = interval_stage(16)
         with pytest.raises(ValueError):
-            bl.heat(st.op, -0.1, random_function(st.grid))
+            bl.heat_kernel(st.op, -0.1)
 
     def test_single_node_kernel_closed_form(self):
         # One interior node at h=1/2: A = [[8]], kernel = exp(-8t)/h.
@@ -91,20 +103,20 @@ class TestHeat:
         op = bl.eigendecompose(bl.assemble_laplacian(g))
         for t in (0.1, 0.3):
             K = bl.heat_kernel(op, t)
-            np.testing.assert_allclose(K.values, [[2.0 * math.exp(-8.0 * t)]], rtol=1e-14)
+            np.testing.assert_allclose(K, [[2.0 * math.exp(-8.0 * t)]], rtol=1e-14)
 
     def test_positivity_and_substochastic_without_potential(self):
         st = interval_stage(32)
         for t in (0.001, 0.01, 0.1):
             K = bl.heat_kernel(st.op, t)
-            assert K.min_entry >= -1e-13
-            col_mass = st.grid.cell_measure * K.values.sum(axis=0)
+            assert K.min() >= -1e-13
+            col_mass = st.grid.cell_measure * K.sum(axis=0)
             assert col_mass.max() <= 1.0 + 1e-12
 
     def test_kernel_symmetry(self):
         st = interval_stage(32)
         K = bl.heat_kernel(st.op, 0.05)
-        assert K.symmetry_defect <= 1e-12 * np.abs(K.values).max()
+        assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
 
 class TestKernel:
@@ -122,11 +134,11 @@ class TestKernel:
         g = symbol(op.eigvals)
         if shift is not None:
             assert g.min() < 0.0 < g.max()
-        K = bl.kernel(bl.OperatorFunction(op, symbol, "g"))
+        K = bl.kernel(bl.OperatorFunction(op, symbol))
         full = (op.eigvecs * g) @ op.eigvecs.T
         bound = op.num_nodes * np.finfo(float).eps * np.abs(g).max()
-        assert np.abs(K.values * op.grid.cell_measure - full).max() <= bound
-        assert K.symmetry_defect == 0.0
+        assert np.abs(K * op.grid.cell_measure - full).max() <= bound
+        assert np.array_equal(K, K.T)
 
     def test_drops_only_negligible_columns(self):
         # at large t most heat weights fall below eps^2 max|g|; the kernel
@@ -139,12 +151,12 @@ class TestKernel:
         full = (op.eigvecs * np.exp(-0.5 * op.eigvals)) @ op.eigvecs.T
         scale = np.exp(-0.5 * op.eigvals[0])
         bound = op.num_nodes * np.finfo(float).eps * scale
-        assert np.abs(K.values * op.grid.cell_measure - full).max() <= bound
+        assert np.abs(K * op.grid.cell_measure - full).max() <= bound
 
     def test_zero_symbol_gives_zero_kernel(self):
         st = interval_stage(16)
-        K = bl.kernel(bl.OperatorFunction(st.op, np.zeros_like, "zero"))
-        assert not K.values.any()
+        K = bl.kernel(bl.OperatorFunction(st.op, np.zeros_like))
+        assert not K.any()
 
 
 class TestChebyshevRoute:
@@ -152,8 +164,8 @@ class TestChebyshevRoute:
         st = interval_stage(32)
         f = random_function(st.grid, seed=8)
         t = 0.37
-        dense = bl.heat(st.op, t, f, path="dense")
-        cheb = bl.heat(st.op, t, f, path="cheb")
+        dense = heat(st.op, t, f, path="dense")
+        cheb = heat(st.op, t, f, path="cheb")
         scale = np.abs(dense.values).max()
         np.testing.assert_allclose(cheb.values, dense.values, atol=1e-8 * scale)
 
@@ -174,7 +186,7 @@ class TestChebyshevRoute:
         op = bl.assemble_laplacian(g)
         assert not op.has_eigendata
         f = random_function(g, seed=10)
-        got = bl.heat(op, 0.05, f, path="cheb")
+        got = heat(op, 0.05, f, path="cheb")
         expected = scipy.linalg.expm(-0.05 * op.matrix.toarray()) @ f.values
         np.testing.assert_allclose(got.values, expected, atol=1e-8)
 
@@ -229,11 +241,11 @@ class TestPower:
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
         op = bl.eigendecompose(bl.assemble_schrodinger(g, np.full(7, -200.0)))
         assert op.lam_min < 0.0
-        ground = bl.single_eigenvector(op, 0)
+        ground = eigenfunction(op, 0)
         with pytest.raises(bl.NegativeSpectrumComponent):
             bl.power(op, 0.5, ground)
         projected = bl.power(op, 0.5, ground, positive_part_only=True)
-        assert bl.lp_norm(projected, 2.0) <= 1e-10
+        assert lp_norm(projected, 2.0) <= 1e-10
 
     def test_integer_power_tolerates_negative_spectrum(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 0.125)
@@ -247,33 +259,32 @@ class TestPower:
 class TestOpNorm:
     @staticmethod
     def _heat_fun(st, t=0.05):
-        return bl.OperatorFunction(st.op, lambda lam: np.exp(-t * lam), "heat")
+        return bl.OperatorFunction(st.op, lambda lam: np.exp(-t * lam))
 
     def test_l1_exact_vs_basis_probe(self):
         st = interval_stage(16)
         fun = self._heat_fun(st)
-        res = bl.opnorm(fun, 1.0)
+        res = bl.mixed_opnorm(fun, 1.0, 1.0)
         assert res.exact
         best = 0.0
         for y in range(st.grid.num_nodes):
             e = np.zeros(st.grid.num_nodes)
             e[y] = 1.0
             ef = bl.GridFunction(st.grid, e)
-            best = max(best, bl.lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), 1.0) / bl.lp_norm(ef, 1.0))
+            best = max(best, lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), 1.0) / lp_norm(ef, 1.0))
         np.testing.assert_allclose(res.value, best, rtol=1e-12)
 
     def test_linf_is_transpose_of_l1(self):
         st = interval_stage(16)
         fun = self._heat_fun(st)
         # self-adjoint kernel: L1 and Linf norms agree
-        np.testing.assert_allclose(
-            bl.opnorm(fun, 1.0).value, bl.opnorm(fun, np.inf).value, rtol=1e-12
-        )
+        l1 = bl.mixed_opnorm(fun, 1.0, 1.0).value
+        np.testing.assert_allclose(l1, bl.mixed_opnorm(fun, np.inf, np.inf).value, rtol=1e-12)
 
     def test_l2_is_spectral_sup(self):
         st = interval_stage(16)
         fun = self._heat_fun(st, t=0.02)
-        res = bl.opnorm(fun, 2.0)
+        res = bl.mixed_opnorm(fun, 2.0, 2.0)
         assert res.exact
         np.testing.assert_allclose(res.value, np.exp(-0.02 * st.op.eigvals[0]), rtol=1e-13)
 
@@ -288,17 +299,17 @@ class TestOpNorm:
                 e = np.zeros(st.grid.num_nodes)
                 e[y] = 1.0
                 ef = bl.GridFunction(st.grid, e)
-                best = max(best, bl.lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), p) / bl.lp_norm(ef, 1.0))
+                best = max(best, lp_norm(bl.apply_symbol(st.op, fun.symbol, ef), p) / lp_norm(ef, 1.0))
             np.testing.assert_allclose(res.value, best, rtol=1e-12)
 
     def test_probed_norm_is_lower_bound(self):
         st = interval_stage(16)
         fun = self._heat_fun(st)
-        probed = bl.opnorm(fun, 1.7)
+        probed = bl.mixed_opnorm(fun, 1.7, 1.7)
         assert not probed.exact
         # Interpolation: for self-adjoint kernels the Lp norm sits below
         # max(L1, Linf) for every p.
-        cap = max(bl.opnorm(fun, 1.0).value, bl.opnorm(fun, np.inf).value)
+        cap = max(bl.mixed_opnorm(fun, p, p).value for p in (1.0, np.inf))
         assert 0.0 < probed.value <= cap * (1 + 1e-12)
 
     def test_probing_deterministic_in_seed(self):
@@ -311,7 +322,7 @@ class TestOpNorm:
     def test_exponent_guard(self):
         st = interval_stage(16)
         with pytest.raises(bl.InvalidExponent):
-            bl.opnorm(self._heat_fun(st), 0.5)
+            bl.mixed_opnorm(self._heat_fun(st), 0.5, 0.5)
 
 
 def _block(op, sys, kind, coeff, j=None):
@@ -336,7 +347,7 @@ class TestBlockFactories:
         op = bl.eigendecompose(bl.assemble_laplacian(g))
         assert op.eigvals[0] < 1.0
         sys = bl.build_system(op.lam_pos_min, op.lam_max)
-        u = bl.single_eigenvector(op, 0)
+        u = eigenfunction(op, 0)
         out = _block(op, sys, "psi", bl.spectral_coefficients(op, u.values))
         np.testing.assert_allclose(out, u.values, rtol=1e-12)
 
@@ -347,7 +358,7 @@ class TestBlockFactories:
         acc = _block(st.op, st.sys, "psi", coeff)
         for j in st.sys.inhom_window:
             acc += _block(st.op, st.sys, "phi", coeff, j)
-        np.testing.assert_allclose(acc, f.values, atol=1e-10 * bl.lp_norm(f, np.inf))
+        np.testing.assert_allclose(acc, f.values, atol=1e-10 * lp_norm(f, np.inf))
 
 
 class TestSpectralProductProperties:

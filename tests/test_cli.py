@@ -95,6 +95,18 @@ def test_malformed_json_exits_two_and_writes_manifest(tmp_path):
     assert manifest["failure"].startswith("ConfigInvalid")
 
 
+@pytest.mark.parametrize("out", ["", 3])
+def test_rejected_out_key_puts_the_manifest_in_results(tmp_path, monkeypatch, out):
+    # an out key that is no usable directory name falls back to ./results,
+    # never to the working directory itself
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, out=out)
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+    assert manifest["failure"].startswith("ConfigInvalid: at out: ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def _finite_only(name):
     raise ValueError(f"non-finite constant {name}")
 
@@ -326,7 +338,7 @@ def test_written_out_infinite_defaults_match_omitted_ones(tmp_path):
 def test_every_check_parameter_is_typed():
     # a keyword added to a check without a type in the config table fails here
     for name, fn in CHECKS.items():
-        params = set(inspect.signature(fn).parameters) - {"stages", "family", "config_hash"}
+        params = set(inspect.signature(fn).parameters) - {"stages", "family"}
         assert set(config._CHECK_PARAMS[name]) == params, name
     assert set(config._CHECK_PARAMS) == set(CHECKS)
 
@@ -356,9 +368,7 @@ _VALUES = st.one_of(
 @st.composite
 def _check_entries(draw):
     name = draw(st.sampled_from(sorted(CHECKS)))
-    params = sorted(
-        set(inspect.signature(CHECKS[name]).parameters) - {"stages", "family", "config_hash"}
-    )
+    params = sorted(set(inspect.signature(CHECKS[name]).parameters) - {"stages", "family"})
     keys = draw(st.lists(st.sampled_from(params), max_size=3, unique=True))
     return {"name": name, **{k: draw(_VALUES) for k in keys}}
 
@@ -1192,7 +1202,7 @@ def test_reserved_check_parameter_rejected():
             {
                 "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
                 "h": [0.5],
-                "checks": [{"name": "bernstein", "config_hash": "zz"}],
+                "checks": [{"name": "bernstein", "family": "zz"}],
             }
         )
 

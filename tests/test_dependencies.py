@@ -1,4 +1,6 @@
-"""The declared runtime dependencies are exactly the packages the code imports."""
+"""Import hygiene under src/besovlab: the declared runtime dependencies are
+exactly the packages the code imports, every name in a module's __all__ is
+bound there, and no module imports a name it never uses."""
 
 import ast
 import re
@@ -52,3 +54,62 @@ def test_optional_import_is_left_out():
     # the CLI imports threadpoolctl under ``except ImportError``
     assert "from threadpoolctl import" in (ROOT / "src" / "besovlab" / "cli.py").read_text()
     assert "threadpoolctl" not in third_party_imports()
+
+
+def _modules():
+    for path in sorted((ROOT / "src" / "besovlab").rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """Names bound by import statements anywhere in the module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out |= {alias.asname or alias.name for alias in node.names}
+    return out
+
+
+def _module_level(stmts) -> set[str]:
+    """Names bound by module-level statements (``if``/``try`` bodies included)."""
+    out = set()
+    for node in stmts:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= _imported(node)
+        elif isinstance(node, (ast.If, ast.Try)):
+            out |= _module_level(node.body + node.orelse + getattr(node, "finalbody", []))
+            out |= _module_level([s for h in getattr(node, "handlers", []) for s in h.body])
+    return out
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_exported_name_is_bound():
+    unbound = {path.name: sorted(set(_exports(tree)) - _module_level(tree.body))
+               for path, tree in _modules()}
+    assert {k: v for k, v in unbound.items() if v} == {}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports only to re-export
+    unused = {}
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused[path.name] = sorted(_imported(tree) - used)
+    assert {k: v for k, v in unused.items() if v} == {}

@@ -88,26 +88,26 @@ class TestDyadicSystem:
         assert sys.phi(j, 2.0 ** (j + 1) * 0.8) > 0.0
 
     def test_telescoping_partition_exact(self):
-        # window_sum lives in the frequency variable x ~ sqrt(lambda); the
-        # guaranteed plateau is [2^j_min, 2^j_max].
+        # the window sum lives in the frequency variable x ~ sqrt(lambda);
+        # the guaranteed plateau is [2^j_min, 2^j_max].
         sys = make_system(lam_pos_min=1.0, lam_max=2.0**20)
         xs = np.concatenate([
             np.array([3.0, 7.5, 100.0, 1999.0]),
             np.geomspace(2.0**sys.j_min, 2.0**sys.j_max, 137),
         ])
-        np.testing.assert_allclose(sys.window_sum(xs), 1.0, atol=1e-14)
+        np.testing.assert_allclose(sum(sys.phi(j, xs) for j in sys.window), 1.0, atol=1e-14)
 
     def test_window_sum_at_three_literal(self):
         sys = make_system()
-        assert abs(sys.window_sum(np.array([3.0]))[0] - 1.0) <= 1e-14
+        assert abs(sum(sys.phi(j, 3.0) for j in sys.window) - 1.0) <= 1e-14
 
     def test_fat_phi_covers_phi(self):
         sys = make_system()
         lams = np.geomspace(0.5, 5000.0, 400)
         for j in sys.window:
             phi = sys.phi(j, lams)
-            fat = sys.fat_phi(j, lams)
-            # fat_phi equals 1 on the support of phi_j, so the product is phi_j.
+            fat = sys.phi(j - 1, lams) + phi + sys.phi(j + 1, lams)
+            # the fat block equals 1 on the support of phi_j, so the product is phi_j.
             np.testing.assert_allclose(fat * phi, phi, atol=1e-15)
 
     def test_psi_values(self):
@@ -146,7 +146,7 @@ class TestDyadicSystem:
         assert sys.phi(0, 1.5) != other.phi(0, 1.5)
         # Both are exact partitions on the shared plateau.
         xs = np.geomspace(2.0**other.j_min, 2.0**other.j_max, 97)
-        np.testing.assert_allclose(other.window_sum(xs), 1.0, atol=1e-14)
+        np.testing.assert_allclose(sum(other.phi(j, xs) for j in other.window), 1.0, atol=1e-14)
 
     def test_cross_profile_fat_block_identity(self):
         # The fat block of either profile is 1 on supp phi_j of the other,
@@ -156,7 +156,8 @@ class TestDyadicSystem:
         lams = np.geomspace(1.0, 4096.0, 200)
         for j in sys.window:
             phi = sys.phi(j, lams)
-            np.testing.assert_allclose(other.fat_phi(j, lams) * phi, phi, atol=1e-15)
+            fat = other.phi(j - 1, lams) + other.phi(j, lams) + other.phi(j + 1, lams)
+            np.testing.assert_allclose(fat * phi, phi, atol=1e-15)
 
     def test_invalid_bounds(self):
         with pytest.raises(bl.InvalidSpectrumBounds):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import besovlab as bl
 
-from conftest import draw_lattice, interval_stage, random_function
+from conftest import draw_lattice, eigenfunction, interval_stage, lp_norm, random_function
 
 
 def interval_eigenvalues(length: float, h: float) -> np.ndarray:
@@ -307,7 +307,8 @@ class TestDyadicWeights:
         assert np.array_equal(op.dyadic_weights(sys, "psi"), sys.psi(lam))
         for j in sys.window:
             assert np.array_equal(op.dyadic_weights(sys, "phi", j), sys.phi_sqrt(j, lam))
-            assert np.array_equal(op.dyadic_weights(sys, "fat", j), sys.fat_phi_sqrt(j, lam))
+            fat = sys.phi_sqrt(j - 1, lam) + sys.phi_sqrt(j, lam) + sys.phi_sqrt(j + 1, lam)
+            assert np.array_equal(op.dyadic_weights(sys, "fat", j), fat)
 
     def test_keyed_by_system(self):
         op, sys = self._fresh()
@@ -336,14 +337,50 @@ class TestDyadicWeights:
             bl.assemble_laplacian(op.grid).dyadic_weights(sys, "psi")
 
 
+def quadratic_form(op, f) -> float:
+    """(f, A f) in the h^n-weighted inner product."""
+    v = f.values
+    return float(np.real(np.vdot(v, op.matrix @ v)) * op.grid.cell_measure)
+
+
+def dirichlet_energy(grid, f) -> float:
+    """h^n sum over lattice edges of |df|^2 / h^2, with zero exterior values.
+
+    Every lattice edge with at least one interior endpoint counts once; for
+    truncated edges the exterior value is 0.  By summation by parts this
+    equals (f, A_0 f) for the stencil Laplacian, an identity that pins the
+    assembly down independently of it.
+    """
+    v = f.values
+    shape = np.asarray(grid.shape)
+    total = 0.0
+    for d in range(grid.n):
+        step = np.zeros(grid.n, dtype=np.int64)
+        step[d] = 1
+        for sgn in (+1, -1):
+            nb = grid.multi_indices + sgn * step
+            ok = (nb[:, d] >= 0) & (nb[:, d] < shape[d])
+            target = np.full(grid.num_nodes, -1, dtype=np.int64)
+            target[ok] = grid.flat_of_cell[tuple(nb[ok].T)]
+            interior_nb = target >= 0
+            if sgn == +1:
+                # interior-interior edges counted on the +1 sweep only
+                diff = v[interior_nb] - v[target[interior_nb]]
+                total += float(np.sum(np.abs(diff) ** 2))
+            # truncated edges: neighbor cell is exterior (or off the box)
+            cut = ~interior_nb
+            total += float(np.sum(np.abs(v[cut]) ** 2))
+    return total * grid.cell_measure / grid.h**2
+
+
 class TestForms:
     def test_quadratic_form_equals_dirichlet_energy(self):
         for denom in (8, 16):
             st = interval_stage(denom)
             f = random_function(st.grid, seed=denom)
             np.testing.assert_allclose(
-                bl.quadratic_form(st.op, f),
-                bl.dirichlet_energy(st.grid, f),
+                quadratic_form(st.op, f),
+                dirichlet_energy(st.grid, f),
                 rtol=1e-12,
             )
 
@@ -352,8 +389,8 @@ class TestForms:
         vvals = np.linspace(-1.0, 2.0, g.num_nodes)
         op = bl.assemble_schrodinger(g, bl.GridFunction(g, vvals))
         f = random_function(g, seed=3)
-        expected = bl.dirichlet_energy(g, f) + g.cell_measure * np.sum(vvals * f.values**2)
-        np.testing.assert_allclose(bl.quadratic_form(op, f), expected, rtol=1e-12)
+        expected = dirichlet_energy(g, f) + g.cell_measure * np.sum(vvals * f.values**2)
+        np.testing.assert_allclose(quadratic_form(op, f), expected, rtol=1e-12)
 
     def test_dirichlet_energy_linear_ramp(self):
         # f(x) = x on the 1D grid: every lattice edge sees slope 1, and the two
@@ -363,24 +400,24 @@ class TestForms:
         # Interior edges: 6 of slope 1; left edge slope 1; right edge slope 7.
         h = 0.125
         expected = h * (6 * 1.0 + 1.0 + (0.875 / h) ** 2)
-        np.testing.assert_allclose(bl.dirichlet_energy(g, f), expected, rtol=1e-12)
+        np.testing.assert_allclose(dirichlet_energy(g, f), expected, rtol=1e-12)
 
     def test_energy_positive_definite(self):
         st = interval_stage(16)
         f = random_function(st.grid, seed=9)
-        assert bl.dirichlet_energy(st.grid, f) > 0.0
+        assert dirichlet_energy(st.grid, f) > 0.0
 
 
 class TestSingleEigenvector:
     def test_normalized_in_l2(self):
         st = interval_stage(16)
         for k in (0, 3, 7):
-            u = bl.single_eigenvector(st.op, k)
-            np.testing.assert_allclose(bl.lp_norm(u, 2.0), 1.0, rtol=1e-13)
+            u = eigenfunction(st.op, k)
+            np.testing.assert_allclose(lp_norm(u, 2.0), 1.0, rtol=1e-13)
 
     def test_is_eigenvector(self):
         st = interval_stage(16)
-        u = bl.single_eigenvector(st.op, 2)
+        u = eigenfunction(st.op, 2)
         av = st.op.matrix @ u.values
         np.testing.assert_allclose(av, st.op.eigvals[2] * u.values, atol=1e-9)
 

@@ -1,4 +1,4 @@
-"""Potential splitting, Kato norms, smallness thresholds, and form bounds."""
+"""Potential splitting, Kato norms, smallness thresholds, and expression potentials."""
 
 import math
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 import besovlab as bl
 from besovlab.potential import _kernel, _self_cell_weight
-
-from conftest import interval_stage
 
 
 def brute_force_kato(grid, vminus, radius=math.inf):
@@ -225,63 +223,6 @@ class TestCheckSmallness:
     def test_certificate_dimension_guard(self):
         with pytest.raises(bl.UnsupportedDimension):
             bl.hardy_certificate(2, 1.0)
-
-
-class TestFormBound:
-    def test_zero_part_gives_zero(self):
-        st_ = interval_stage(16)
-        for eps in (0.1, 1.0):
-            assert bl.form_bound(st_.op, np.zeros(st_.grid.num_nodes), eps) == 0.0
-
-    def test_large_eps_gives_zero(self):
-        st_ = interval_stage(16)
-        v = np.full(st_.grid.num_nodes, 3.0)
-        eps = 3.0 / st_.op.eigvals[0] * 1.0001
-        assert bl.form_bound(st_.op, v, eps) == 0.0
-
-    def test_matches_dense_eigensolve(self):
-        st_ = interval_stage(16)
-        rng = np.random.default_rng(8)
-        v = rng.uniform(0.0, 50.0, st_.grid.num_nodes)
-        eps = 0.05
-        mat = np.diag(v) - eps * st_.op.matrix.toarray()
-        expected = math.sqrt(max(np.linalg.eigvalsh(mat)[-1], 0.0))
-        np.testing.assert_allclose(bl.form_bound(st_.op, v, eps), expected, rtol=1e-12)
-
-    def test_nonincreasing_in_eps(self):
-        st_ = interval_stage(16)
-        rng = np.random.default_rng(9)
-        v = rng.uniform(0.0, 100.0, st_.grid.num_nodes)
-        lams = [bl.form_bound(st_.op, v, eps) for eps in (0.01, 0.1, 1.0, 10.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
-
-    def test_certificate_inequality(self):
-        # eps*A_0 + lam0^2 I - diag(V_-) must be (nearly) positive semidefinite.
-        st_ = interval_stage(16)
-        rng = np.random.default_rng(10)
-        v = rng.uniform(0.0, 80.0, st_.grid.num_nodes)
-        eps = 0.03
-        lam0 = bl.form_bound(st_.op, v, eps)
-        mat = eps * st_.op.matrix.toarray() + lam0**2 * np.eye(len(v)) - np.diag(v)
-        assert np.linalg.eigvalsh(mat)[0] >= -1e-10
-
-    def test_form_inequality_on_random_functions(self):
-        st_ = interval_stage(16)
-        rng = np.random.default_rng(12)
-        v = rng.uniform(0.0, 40.0, st_.grid.num_nodes)
-        eps = 0.07
-        lam0 = bl.form_bound(st_.op, v, eps)
-        meas = st_.grid.cell_measure
-        for _ in range(20):
-            f = bl.GridFunction(st_.grid, rng.standard_normal(st_.grid.num_nodes))
-            lhs = meas * np.sum(v * f.values**2)
-            rhs = eps * bl.quadratic_form(st_.op, f) + lam0**2 * bl.lp_norm(f, 2.0) ** 2
-            assert lhs <= rhs * (1 + 1e-10) + 1e-12
-
-    def test_eps_guard(self):
-        st_ = interval_stage(16)
-        with pytest.raises(ValueError):
-            bl.form_bound(st_.op, np.zeros(st_.grid.num_nodes), 0.0)
 
 
 class TestExpressionPotentials:

@@ -373,8 +373,8 @@ def test_heat_gaussian_reuses_free_operator_for_nonnegative_potential(eigensolve
         )
         defect = 0.0
         for t in T_GRID:
-            absK = np.abs(bl.heat_kernel(st.op, t).values)
-            K_star = bl.heat_kernel(op_star, t).values
+            absK = np.abs(bl.heat_kernel(st.op, t))
+            K_star = bl.heat_kernel(op_star, t)
             scale = max(1.0, float(K_star.max()))
             defect = min(defect, float((K_star - absK).min()) / scale)
         expected.append(defect)
@@ -422,13 +422,13 @@ def heat_oracle(st, ts, cstar=8.0):
         )
     log_scores, defect = [], 0.0
     for t in t_used:
-        absK = np.abs(bl.heat_kernel(op, t).values)
+        absK = np.abs(bl.heat_kernel(op, t))
         floor = op.num_nodes * np.finfo(float).eps * float(absK.max())
         nz = absK > floor
         logs = np.log(absK[nz]) + 0.5 * n * math.log(t) + d2[nz] / (cstar * t)
         log_scores.append(float(logs.max(initial=-math.inf)))
         if op_star is not None:
-            K_star = bl.heat_kernel(op_star, t).values
+            K_star = bl.heat_kernel(op_star, t)
             scale = max(1.0, float(K_star.max()))
             defect = min(defect, float((K_star - absK).min()) / scale)
     omega = math.nan
@@ -538,9 +538,15 @@ def test_max_column_l1_matches_unblocked_product(where):
 
 def test_cross_block_tails_streaming_matches_unblocked_oracle():
     st = streamed_disk()
-    tails = V._cross_block_tails(st)
-    assert tails
-    assert tails == tails_oracle(st)
+    tails, oracle = V._cross_block_tails(st), tails_oracle(st)
+    assert tails and tails.keys() == oracle.keys()
+    for j, pts in tails.items():
+        assert [(m, two) for m, _, two in pts] == [(m, two) for m, _, two in oracle[j]]
+        # BLAS may round the columns of the last, partial 128-column block
+        # differently from the same columns of the unblocked product, so a
+        # column sum that lands there can differ in the last bit
+        np.testing.assert_allclose([p[1] for p in pts], [p[1] for p in oracle[j]],
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.mark.parametrize("denom", [16, 24])
@@ -661,17 +667,17 @@ def test_bernstein_opnorm_forms_each_kernel_once(monkeypatch):
 
     stages = line_stages((64,))
     orig = calculus.kernel
-    names: list = []
+    opfuns: list = []  # held, so their ids stay distinct
 
     def counted(opfun):
-        names.append(opfun.name)
+        opfuns.append(opfun)
         return orig(opfun)
 
     monkeypatch.setattr(calculus, "kernel", counted)
     monkeypatch.setattr(V, "kernel", counted)
     rep = V.check_bernstein(stages, family=None)
     # nine shells times two lifts, each kernel read by (1, inf) and (1, 2)
-    assert len(names) == len(set(names)) == 18
+    assert len(opfuns) == len({id(f) for f in opfuns}) == 18
     # against each pair forming its own kernel: not a bit moves
     single = calculus.mixed_opnorm
     monkeypatch.setattr(V, "mixed_opnorm", lambda opfun, r, p, kern=None: single(opfun, r, p))
@@ -692,11 +698,10 @@ def test_lorentz_bernstein_transforms_once_per_operator(transforms):
 
 
 def test_report_rows_single_constant():
-    rep = V.check_resolution_identity(line_stages((64, 128)), FAM, config_hash="deadbeef")
+    rep = V.check_resolution_identity(line_stages((64, 128)), FAM)
     rows = list(rep.iter_rows())
     assert len(rows) == 2
     assert {r["check"] for r in rows} == {"resolution_identity"}
-    assert rep.config_hash == "deadbeef"
     expected = {"check", "anchor", "constant", "pass", "h", "N", "seed", "wall_ms"}
     assert all(set(r) == expected for r in rows)
 
