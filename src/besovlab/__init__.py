@@ -43,6 +43,7 @@ from .geometry import (
     box,
     build_grid,
     interval,
+    lattice_symmetries,
 )
 from .dyadic import DyadicSystem, build_system, bump_primitive, chi, second_system
 from .operators import (

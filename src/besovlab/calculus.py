@@ -322,21 +322,30 @@ def power(
 # ---------------------------------------------------------------------------
 
 
-def kernel(opfun: OperatorFunction) -> np.ndarray:
-    """Integral kernel of g(A): the N x N array K(x, y) = g(A)_xy / h^n,
-    formed on the spectral support of g as a symmetric product.
+def kernel(opfun: OperatorFunction, cols: np.ndarray | None = None) -> np.ndarray:
+    """Integral kernel of g(A): K(x, y) = g(A)_xy / h^n, formed on the
+    spectral support of g.  Returns the N x N array, or with ``cols`` only
+    its columns K[:, cols] (N x len(cols)).
 
-    Only the eigencolumns in the support of g enter (|g| > eps^2 max|g|,
-    the rule of spectral_synthesis).  With B = U_S sqrt(g_S) over the
-    positive part (and likewise over the negative part, subtracted),
-    K = B B^T goes to a symmetric rank-k update, which also makes the
-    result exactly symmetric.  A support that is one index range (any
+    Only the eigencolumns in the support S of g enter (|g| > eps^2 max|g|,
+    the rule of spectral_synthesis).  The whole kernel is a symmetric
+    product: with B = U_S sqrt(g_S) over the positive part (and likewise
+    over the negative part, subtracted), K = B B^T goes to a symmetric
+    rank-k update, which also makes the result exactly symmetric.  The
+    columns are U_S (g_S U_S[cols]^T), 2 N len(cols) |S| flops against the
+    N^2 |S| of the whole kernel.  A support that is one index range (any
     decreasing symbol, such as the heat kernel's) is sliced from U, not
     gathered.
     """
     op = opfun.op
     g = opfun.on_spectrum()
     keep = _support(g)
+    if cols is not None:
+        span = _contiguous(np.flatnonzero(keep))
+        basis = op.eigvecs[:, span]
+        mat = basis @ (basis[cols] * g[span]).T
+        mat /= op.grid.cell_measure
+        return mat
     neg = keep & (g < 0.0)
     pos = _contiguous(np.flatnonzero(keep & ~neg))
     half = op.eigvecs[:, pos] * np.sqrt(g[pos])
@@ -349,10 +358,12 @@ def kernel(opfun: OperatorFunction) -> np.ndarray:
     return mat
 
 
-def heat_kernel(op: SpectralOperator, t: float) -> np.ndarray:
+def heat_kernel(op: SpectralOperator, t: float, cols: np.ndarray | None = None) -> np.ndarray:
+    """The heat kernel e^{-tA}(x, y) / h^n; with ``cols``, its columns only
+    (see kernel)."""
     if not (t >= 0.0):
         raise ValueError(f"heat time must be nonnegative, got {t}")
-    return kernel(OperatorFunction(op, lambda lam: np.exp(-t * lam)))
+    return kernel(OperatorFunction(op, lambda lam: np.exp(-t * lam)), cols)
 
 
 @dataclass(frozen=True)

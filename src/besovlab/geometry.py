@@ -10,6 +10,7 @@ behind every discrete integral in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,6 +26,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "build_grid",
+    "lattice_symmetries",
     "lp_columns",
     "interval",
     "box",
@@ -263,6 +265,51 @@ class GridFunction:
     def from_callable(cls, grid: Grid, func: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
         """Sample a vectorized callable of the (N, n) coordinate array."""
         return cls(grid, np.asarray(func(grid.coordinates)))
+
+
+def lattice_symmetries(
+    grid: Grid, potential: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact lattice symmetries of a grid and its potential samples, and
+    one node per orbit of their group.
+
+    The candidates are the signed axis permutations of the centred doubled
+    lattice coordinates c = 2k - (k_min + k_max) (per axis, over the nodes),
+    at most 2^n n! = 48 of them.  One is kept when it maps the node set onto
+    itself and leaves the potential samples (None: no potential) bitwise
+    equal.  Such a map sends lattice neighbours to lattice neighbours and
+    each diagonal entry -Delta + V to an equal one, so it permutes the
+    operator's matrix into itself bit for bit; it is also an isometry of the
+    node coordinates.  Each candidate costs O(N).
+
+    Returns (maps, reps): row g of the (G, N) array ``maps`` sends node x to
+    node maps[g, x] (row 0 is the identity, G the group order), and ``reps``
+    holds the smallest node of each orbit, ascending.  A trivial group
+    gives every node.
+    """
+    idx = grid.multi_indices
+    ends = idx.min(axis=0) + idx.max(axis=0)
+    centred = 2 * idx - ends
+    shape = np.asarray(grid.shape)
+    vals = None if potential is None else np.asarray(potential, float)
+    maps = []
+    for axes in itertools.permutations(range(grid.n)):
+        for signs in itertools.product((1, -1), repeat=grid.n):
+            doubled = centred[:, axes] * np.asarray(signs) + ends
+            if np.any(doubled % 2):
+                continue
+            image = doubled // 2
+            if np.any(image < 0) or np.any(image >= shape):
+                continue
+            nodes = grid.flat_of_cell[tuple(image.T)]
+            if np.any(nodes < 0):
+                continue
+            if vals is not None and vals[nodes].tobytes() != vals.tobytes():
+                continue
+            maps.append(nodes)
+    maps = np.stack(maps)
+    reps = np.flatnonzero(maps.min(axis=0) == np.arange(grid.num_nodes))
+    return maps, reps
 
 
 def lp_columns(values: np.ndarray, cell_measure: float, p: float) -> np.ndarray:

@@ -39,7 +39,14 @@ from .errors import (
     InvalidCheckParameter,
     InvalidExponent,
 )
-from .geometry import DomainSpec, Grid, GridFunction, build_grid, lp_columns
+from .geometry import (
+    DomainSpec,
+    Grid,
+    GridFunction,
+    build_grid,
+    lattice_symmetries,
+    lp_columns,
+)
 from .norms import (
     besov_norm,
     block_lp_norms,
@@ -107,6 +114,13 @@ class Stage:
     through the operator cache in ``cache_dir`` (None: no cache), exactly
     once per stage, so a run whose checks never read it pays no eigensolve
     for it.  The dyadic window covers the union of both spectra.
+
+    ``symmetry`` is the group order and the orbit representatives of the
+    exact lattice symmetries of the grid and op's potential samples (see
+    lattice_symmetries), found on first read.  Their maps permute op's
+    matrix into itself whenever op was assembled from those samples, as
+    build_stage assembles it, and then commute with A_V, A_0 and every
+    operator assembled from a pointwise function of V.
     """
 
     def __init__(
@@ -124,6 +138,7 @@ class Stage:
         self._op0 = op0
         self._dense_cap = dense_cap
         self._cache_dir = cache_dir
+        self._symmetry: tuple[int, np.ndarray] | None = None
 
     @property
     def op0(self) -> SpectralOperator:
@@ -132,6 +147,14 @@ class Stage:
     def decompose(self, op: SpectralOperator) -> SpectralOperator:
         """op eigendecomposed under this stage's dense cap and operator cache."""
         return cached_eigendecompose(op, self._dense_cap, self._cache_dir)
+
+    @property
+    def symmetry(self) -> tuple[int, np.ndarray]:
+        """(group order, ascending orbit representatives), memoized."""
+        if self._symmetry is None:
+            maps, reps = lattice_symmetries(self.grid, self.op.potential)
+            self._symmetry = (len(maps), reps)
+        return self._symmetry
 
     @property
     def h(self) -> float:
@@ -841,13 +864,21 @@ def check_lifting(
     )
 
 
+def _symmetry_details(stages: Sequence[Stage]) -> dict[str, list[int]]:
+    """The lattice symmetry group order and orbit count of each stage."""
+    return {"symmetry_order": [st.symmetry[0] for st in stages],
+            "orbits": [int(st.symmetry[1].size) for st in stages]}
+
+
 def _max_column_l1(left: np.ndarray, basis: np.ndarray, cols: np.ndarray,
                    mid: np.ndarray | None = None) -> float:
     """Largest column L1 norm of left @ basis[:, cols].T, or with ``mid`` of
     left @ (mid @ basis[:, cols].T), taken over blocks of its output
-    columns so the full product is never formed.  The factor
-    mid @ basis[:, cols].T is formed whole: it has no more entries than
-    ``left`` when mid has fewer rows than columns, the case it is for."""
+    columns so the full product is never formed.  The output has one column
+    per row of ``basis``, so rows gathered from an eigenbasis give the
+    maximum over those columns only.  The factor mid @ basis[:, cols].T is
+    formed whole: it has no more entries than ``left`` when mid has fewer
+    rows than columns, the case it is for."""
     starts = range(0, basis.shape[0], _ROW_BLOCK)
     if mid is None:
         blocks = (left @ basis[lo:lo + _ROW_BLOCK, cols].T for lo in starts)
@@ -875,9 +906,17 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
     (L M) R^T when c <= r and as L (M R^T) when r < c (matrix-chain
     order), so its N^2 term costs 2 N^2 min(r, c) flops, not 2 N^2 c.
     Either way the kernel is streamed over blocks of its columns, and no
-    factor formed has more entries than L."""
+    factor formed has more entries than L.
+
+    Only the columns at the orbit representatives of the stage's lattice
+    symmetry group are formed (R = U_0[reps, cols]): a symmetry P commutes
+    with A_V and A_0, so the kernel T has T(Px, Py) = T(x, y), and the
+    column L1 norm at Py equals the one at y.  A trivial group forms every
+    column."""
     opv, op0, dsys = stage.op, stage.op0, stage.sys
     W = opv.eigvecs.T @ op0.eigvecs
+    _, reps = stage.symmetry
+    basis = op0.eigvecs if reps.size == op0.num_nodes else op0.eigvecs[reps]
     out: dict[int, list[tuple[int, float, float]]] = {}
     for j in dsys.window:
         gv = opv.dyadic_weights(dsys, "phi", j)
@@ -898,9 +937,9 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
                 continue
             mid = W[np.ix_(rows, cols)] * g0[cols]
             if cols.size <= rows.size:
-                one_norm = _max_column_l1(left @ mid, op0.eigvecs, cols)
+                one_norm = _max_column_l1(left @ mid, basis, cols)
             else:
-                one_norm = _max_column_l1(left, op0.eigvecs, cols, mid=mid)
+                one_norm = _max_column_l1(left, basis, cols, mid=mid)
             two_norm = float(np.linalg.norm(gv[rows, None] * mid, 2))
             pts.append((j - k, one_norm, two_norm))
         if pts:
@@ -1015,6 +1054,7 @@ def check_equivalence_AV_A0(
             "slope_l1": list(values["slope"]),
             "slope_interp_l2": list(values.pop("slope_interp_l2")),
             **kato_info,
+            **_symmetry_details(stages),
         }
 
     return _drive(
@@ -1051,6 +1091,15 @@ def check_heat_gaussian(
     restricted to t <= 1 and the e^{omega t} growth rate is fitted and
     reported.  Potentials also get the entrywise domination sub-check
     |e^{-tA_V}| <= e^{-tA_{-V_-}} (slack relative to the kernel scale).
+
+    With a nontrivial lattice symmetry group (Stage.symmetry, recorded in
+    details), both kernels are formed on one representative column y per
+    orbit only, and every x is scored against those columns.  That finds
+    the same sup and gap: a symmetry P commutes with A_V and A_{-V_-}, so
+    K(Px, Py) = K(x, y), and it is an isometry, so |Px - Py| = |x - y|;
+    each pair (x, y) thus scores as (Px, Py) with Py a representative.  In
+    floating point the two scans differ only by the round-off of the
+    kernel entries.  A trivial group scans the whole symmetric kernel.
     """
     ts = _heat_gaussian_rules(t_grid=t_grid)
 
@@ -1080,11 +1129,20 @@ def check_heat_gaussian(
                     assemble_schrodinger(grid, GridFunction(grid, -vminus))
                 )
 
+        _, reps = stage.symmetry
+        full = reps.size == op.num_nodes
+        # the distances from the representatives, once per stage
+        d2_reps = None if full else _sq_distances(coords[reps], coords)
+
+        def rows_of(o, t):
+            # the kernel's rows at the representatives: K[reps, :] = K[:, reps]^T
+            return heat_kernel(o, t) if full else heat_kernel(o, t, reps).T
+
         log_scores = []
         defect = 0.0
         for t in t_used:
-            K = heat_kernel(op, t)
-            K_star = None if op_star is None else heat_kernel(op_star, t)
+            K = rows_of(op, t)
+            K_star = None if op_star is None else rows_of(op_star, t)
             # entries at eigen-roundoff scale are numerically zero; scoring
             # them would amplify noise by e^(d^2/(C* t)) at small t, where
             # the true kernel tail is far below machine precision;
@@ -1093,13 +1151,15 @@ def check_heat_gaussian(
             shift = 0.5 * n * math.log(t)
             score, gap = -math.inf, math.inf
             # scores and the domination gap stream in row blocks (no N x N |K|,
-            # mask, distance or difference matrix); K, K* (see kernel) and the
-            # distances are exactly symmetric, so a block starts at its diagonal
-            for lo in range(0, op.num_nodes, _ROW_BLOCK):
-                rows, cols = slice(lo, lo + _ROW_BLOCK), slice(lo, None)
+            # mask, distance or difference matrix); the whole K and K* (see
+            # kernel) and the distances are exactly symmetric, so with every
+            # column formed a block starts at its diagonal
+            for lo in range(0, K.shape[0], _ROW_BLOCK):
+                rows = slice(lo, lo + _ROW_BLOCK)
+                cols = slice(lo, None) if full else slice(None)
                 absK = np.abs(K[rows, cols])
                 nz = absK > floor
-                d2 = _sq_distances(coords[rows], coords[cols])
+                d2 = _sq_distances(coords[rows], coords[cols]) if full else d2_reps[rows]
                 logs = np.log(absK[nz]) + shift + d2[nz] / (cstar * t)
                 score = max(score, float(logs.max(initial=-math.inf)))
                 if K_star is not None:
@@ -1120,7 +1180,7 @@ def check_heat_gaussian(
         ok = all(d >= -dom_slack for d in values["domination_defect"])
         if not any(st.has_potential for st in stages):
             del values["domination_defect"]
-        return ok, {"omega": list(values.pop("omega"))}
+        return ok, {"omega": list(values.pop("omega")), **_symmetry_details(stages)}
 
     return _drive(
         "heat_gaussian",

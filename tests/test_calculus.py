@@ -139,6 +139,11 @@ class TestKernel:
         bound = op.num_nodes * np.finfo(float).eps * np.abs(g).max()
         assert np.abs(K * op.grid.cell_measure - full).max() <= bound
         assert np.array_equal(K, K.T)
+        # the columns alone: K[:, cols] by the unsymmetric product
+        cols = np.array([0, 5, 6, 30])
+        Kc = bl.kernel(bl.OperatorFunction(op, symbol), cols)
+        assert Kc.shape == (op.num_nodes, cols.size)
+        assert np.abs(Kc * op.grid.cell_measure - full[:, cols]).max() <= bound
 
     def test_drops_only_negligible_columns(self):
         # at large t most heat weights fall below eps^2 max|g|; the kernel
@@ -152,6 +157,9 @@ class TestKernel:
         scale = np.exp(-0.5 * op.eigvals[0])
         bound = op.num_nodes * np.finfo(float).eps * scale
         assert np.abs(K * op.grid.cell_measure - full).max() <= bound
+        cols = np.arange(0, op.num_nodes, 3)
+        Kc = bl.heat_kernel(op, 0.5, cols)
+        assert np.abs(Kc * op.grid.cell_measure - full[:, cols]).max() <= bound
 
     def test_zero_symbol_gives_zero_kernel(self):
         st = interval_stage(16)

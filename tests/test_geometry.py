@@ -153,3 +153,57 @@ class TestLpNorm:
         assert vals[0] <= vals[1] * (1 + 1e-12)
         assert vals[1] <= vals[2] * (1 + 1e-12)
 
+
+
+class TestLatticeSymmetries:
+    """The exact symmetries of a lattice with its potential samples."""
+
+    @staticmethod
+    def draw_grid(data) -> tuple["bl.Grid", bool]:
+        """A box or ball in 1-3 dimensions, centred at the origin or not,
+        at a random spacing giving it 8 to 300 cells of its measure."""
+        n = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["box", "ball"]))
+        centred = data.draw(st.booleans())
+        sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        shift = [0.0] * n if centred else data.draw(
+            st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+        if kind == "ball":
+            spec, measure = bl.ball(shift, sides[0]), (2 * sides[0]) ** n
+        else:
+            spec = bl.box([c - s / 2 for c, s in zip(shift, sides)],
+                          [c + s / 2 for c, s in zip(shift, sides)])
+            measure = float(np.prod(sides))
+        h = (measure / data.draw(st.integers(8, 300))) ** (1 / n)
+        return bl.build_grid(spec, h), centred
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_maps_fix_the_operator_and_pick_one_node_per_orbit(self, data):
+        grid, centred = self.draw_grid(data)
+        expr = data.draw(st.sampled_from([None, "-6", "r^2", "0.25/r^2", "x", "16*x - 1"]))
+        vals = None if expr is None else bl.potential_from_expression(grid, expr)[0].values
+        maps, reps = bl.lattice_symmetries(grid, vals)
+        N = grid.num_nodes
+        op = bl.assemble_laplacian(grid) if vals is None else bl.assemble_schrodinger(grid, vals)
+        A = op.matrix.toarray()
+        assert np.array_equal(maps[0], np.arange(N))
+        for m in maps:
+            assert np.array_equal(np.sort(m), np.arange(N))  # onto the node set
+            assert A[np.ix_(m, m)].tobytes() == A.tobytes()
+        for x in range(N):
+            orbit = np.unique(maps[:, x])
+            assert np.isin(orbit, reps).sum() == 1 and orbit[0] in reps
+        assert np.array_equal(reps, np.unique(maps.min(axis=0)))
+        coords = grid.coordinates
+        if expr is not None and "x" in expr:
+            # the potential varies along x alone: every map keeps x, and a
+            # centred plane domain keeps exactly its y-reflection
+            assert all(np.array_equal(coords[m][:, 0], coords[:, 0]) for m in maps)
+            if centred and grid.n == 2:
+                assert len(maps) == 2
+                assert np.array_equal(coords[maps[1]], coords * [1.0, -1.0])
+        elif centred:
+            # a centred domain keeps every reflection under a constant or
+            # radial potential
+            assert len(maps) >= 2 ** grid.n

@@ -8,7 +8,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import diagonal_operator
+from conftest import diagonal_operator, draw_lattice
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import besovlab as bl
@@ -153,6 +155,23 @@ def test_resolution_identity_homogeneous_variant():
     assert rep.details["variant"] == "hom"
 
 
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_resolution_identity_on_random_lattices_with_potential(data):
+    # the dyadic partition telescopes to one on the spectrum, so psi(A) plus
+    # every block gives f back for any lattice and potential, and the blocks
+    # alone do once the spectrum is positive
+    spec, h = draw_lattice(data, 16, 400)
+    potential = data.draw(st.sampled_from(["-5", "4*x - 1.2", "0.25/r^2", "-0.5/r"]))
+    stage = V.build_stage(spec, h, potential=potential)
+    fam = V.FunctionFamily("random-eigenmix", seed=data.draw(st.integers(0, 2**32 - 1)), count=4)
+    # the homogeneous variant is defined once lam_min clears zero (1e-12 relative)
+    variants = (False, True) if stage.op.lam_min > 1e-9 * stage.op.lam_max else (False,)
+    for homogeneous in variants:
+        rep = V.check_resolution_identity(stage, fam, homogeneous=homogeneous)
+        assert rep.passed and rep.constants["residual"][0] <= 1e-10
+
+
 def test_resolution_homogeneous_rejects_zero_eigenvalue():
     stage = synthetic_stage([0.0, 1.0, 4.0])
     fam = V.FunctionFamily("single-eigenvector", seed=0, count=3)
@@ -290,6 +309,9 @@ def test_equivalence_disk_with_inverse_square_potential():
     assert rep.details["satisfies_weak"]
     spread = rep.constants["spread"]
     assert max(spread) / min(spread) <= 2.0
+    # the tails read one column per orbit of the disk's eight symmetries
+    assert rep.details["symmetry_order"] == [8, 8]
+    assert rep.details["orbits"] == [31, 113]
 
 
 def test_equivalence_free_control_is_exact():
@@ -394,6 +416,17 @@ def streamed_disk(potential="0.25/r^2"):
     return st
 
 
+@lru_cache(maxsize=None)
+def off_centre_disk():
+    """An h = 1/16 disk centred at (0.1, 0.05), with 0.25/r^2 about the
+    origin: neither the node set nor the potential has a lattice symmetry."""
+    (st,) = V.build_stages(bl.ball([0.1, 0.05], 1.0), [1 / 16], potential="0.25/r^2")
+    order, reps = st.symmetry
+    assert order == 1 and np.array_equal(reps, np.arange(st.grid.num_nodes))
+    st.op0
+    return st
+
+
 def transient_bytes(fn) -> int:
     """tracemalloc peak of fn() above the arrays live when it starts; a
     first untraced call fills the memoized dyadic weights."""
@@ -406,14 +439,15 @@ def transient_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def heat_oracle(st, ts, cstar=8.0):
+def heat_oracle(st, ts, cstar=8.0, cols=None):
     """The unblocked heat measurement: full |K|, distance and difference
-    matrices at every t."""
+    matrices at every t; with ``cols``, of the kernel's columns cols only."""
     op, grid, n = st.op, st.grid, st.grid.n
     vplus, vminus = bl.decompose(grid, op.potential)
     kato_ok = vminus.max() == 0.0 or bl.check_smallness(grid, op.potential).satisfies_weak
     t_used = ts if kato_ok else ts[ts <= 1.0]
-    d2 = cdist(grid.coordinates, grid.coordinates, "sqeuclidean")
+    coords = grid.coordinates
+    d2 = cdist(coords, coords if cols is None else coords[cols], "sqeuclidean")
     op_star = None
     if vplus.max() > 0.0:
         op_star = st.op0 if vminus.max() == 0.0 else bl.eigendecompose(
@@ -422,13 +456,13 @@ def heat_oracle(st, ts, cstar=8.0):
         )
     log_scores, defect = [], 0.0
     for t in t_used:
-        absK = np.abs(bl.heat_kernel(op, t))
+        absK = np.abs(bl.heat_kernel(op, t, cols))
         floor = op.num_nodes * np.finfo(float).eps * float(absK.max())
         nz = absK > floor
         logs = np.log(absK[nz]) + 0.5 * n * math.log(t) + d2[nz] / (cstar * t)
         log_scores.append(float(logs.max(initial=-math.inf)))
         if op_star is not None:
-            K_star = bl.heat_kernel(op_star, t)
+            K_star = bl.heat_kernel(op_star, t, cols)
             scale = max(1.0, float(K_star.max()))
             defect = min(defect, float((K_star - absK).min()) / scale)
     omega = math.nan
@@ -437,11 +471,13 @@ def heat_oracle(st, ts, cstar=8.0):
     return float(np.exp(max(log_scores))), defect, omega
 
 
-def tails_oracle(st, cheaper=True):
+def tails_oracle(st, cheaper=True, nodes=None):
     """The unblocked cross-block tails: the full N x N kernel L M R^T per
     (j, k), formed in the cheaper order of _cross_block_tails, or with
-    cheaper=False always as (L M) R^T."""
+    cheaper=False always as (L M) R^T; with ``nodes``, its columns at those
+    nodes only."""
     opv, op0, dsys = st.op, st.op0, st.sys
+    basis = op0.eigvecs if nodes is None else op0.eigvecs[nodes]
     W = opv.eigvecs.T @ op0.eigvecs
     out = {}
     for j in dsys.window:
@@ -457,7 +493,7 @@ def tails_oracle(st, cheaper=True):
             if k > j - 3 or cols.size == 0:
                 continue
             mid = W[np.ix_(rows, cols)] * g0[cols]
-            right = op0.eigvecs[:, cols].T
+            right = basis[:, cols].T
             if cheaper and rows.size < cols.size:
                 tail = left @ (mid @ right)
             else:
@@ -472,11 +508,14 @@ def tails_oracle(st, cheaper=True):
 @pytest.mark.parametrize("potential", ["0.25/r^2", "-40+80*r"])
 def test_heat_gaussian_streaming_matches_unblocked_oracle(potential):
     # "-40+80*r" fails the smallness flags, so omega is fitted and the
-    # dominating operator is eigendecomposed rather than taken from op0
+    # dominating operator is eigendecomposed rather than taken from op0;
+    # both are radial, so the check forms the representative columns only
     st = streamed_disk(potential)
+    order, reps = st.symmetry
+    assert order == 8 and reps.size < st.grid.num_nodes
     ts = 2.0 ** np.arange(-10, 1)
     rep = V.check_heat_gaussian([st])
-    C, defect, omega = heat_oracle(st, ts)
+    C, defect, omega = heat_oracle(st, ts, cols=reps)
     assert rep.constants["C"] == (C,)
     assert rep.constants["domination_defect"] == (defect,)
     assert math.isnan(omega) == (potential == "0.25/r^2")
@@ -497,11 +536,14 @@ def test_sq_distances_match_cdist_bitwise(spec, h):
 
 
 def test_heat_gaussian_scores_every_row_once(monkeypatch):
-    # the kernel is symmetric, so each row block scores only the columns
-    # from its first row on; a skipped row block could hide behind its
-    # transpose in the oracle comparison, so the row blocks must tile 0..N
+    # symmetric disk: the distances from the representatives are formed once
+    # per stage, whatever the number of times; an entry planted in the
+    # first, a middle or the last row block of K[reps, :] (113 rows, in
+    # blocks of 48 here) sets the sup, so no row block of the scan is skipped
     st = streamed_disk()
-    seen, distances = [], V._sq_distances
+    coords, B = st.grid.coordinates, V._ROW_BLOCK
+    N, (_, reps) = len(coords), st.symmetry
+    seen, distances, kernels = [], V._sq_distances, V.heat_kernel
 
     def spy(xa, xb):
         seen.append((xa[0].tolist(), len(xa), xb[0].tolist(), len(xb)))
@@ -510,9 +552,33 @@ def test_heat_gaussian_scores_every_row_once(monkeypatch):
         return d2
 
     monkeypatch.setattr(V, "_sq_distances", spy)
+    V.check_heat_gaussian([st], t_grid=[0.25, 0.5])
+    assert seen == [(coords[reps[0]].tolist(), reps.size, coords[0].tolist(), N)]
+
+    t, d2 = 0.5, cdist(coords[reps], coords, "sqeuclidean")
+    monkeypatch.setattr(V, "_ROW_BLOCK", 48)
+    for i in (0, reps.size // 2, reps.size - 1):
+        x = int(d2[i].argmax())
+
+        def planted(op, t, cols=None, i=i, x=x):
+            K = kernels(op, t, cols)
+            K[x, i] = K.max()
+            return K
+
+        monkeypatch.setattr(V, "heat_kernel", planted)
+        rep = V.check_heat_gaussian([st], t_grid=[t])
+        score = np.log(kernels(st.op, t, reps).max()) + math.log(t) + d2[i, x] / (8 * t)
+        assert rep.constants["C"] == (float(np.exp(score)),)
+
+    # trivial group: the whole symmetric kernel is scanned from each row
+    # block's diagonal on; a skipped row block could hide behind its
+    # transpose in the oracle comparison, so the row blocks must tile 0..N
+    monkeypatch.setattr(V, "heat_kernel", kernels)
+    monkeypatch.setattr(V, "_ROW_BLOCK", B)
+    st = off_centre_disk()
+    coords, N = st.grid.coordinates, st.grid.num_nodes
+    del seen[:]
     V.check_heat_gaussian([st], t_grid=[0.5])
-    coords, B = st.grid.coordinates, V._ROW_BLOCK
-    N = len(coords)
     assert seen == [(coords[lo].tolist(), len(coords[lo:lo + B]), coords[lo].tolist(), N - lo)
                     for lo in range(0, N, B)]
 
@@ -538,7 +604,7 @@ def test_max_column_l1_matches_unblocked_product(where):
 
 def test_cross_block_tails_streaming_matches_unblocked_oracle():
     st = streamed_disk()
-    tails, oracle = V._cross_block_tails(st), tails_oracle(st)
+    tails, oracle = V._cross_block_tails(st), tails_oracle(st, nodes=st.symmetry[1])
     assert tails and tails.keys() == oracle.keys()
     for j, pts in tails.items():
         assert [(m, two) for m, _, two in pts] == [(m, two) for m, _, two in oracle[j]]
@@ -547,6 +613,72 @@ def test_cross_block_tails_streaming_matches_unblocked_oracle():
         # column sum that lands there can differ in the last bit
         np.testing.assert_allclose([p[1] for p in pts], [p[1] for p in oracle[j]],
                                    rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_representative_columns_match_full_kernel_oracles():
+    # where the sup lies above round-off (t >= 1/4), the representative
+    # columns find the whole kernel's sup and domination defect, and the
+    # tails the L1 norms of every column
+    st = streamed_disk()
+    ts = np.array([0.25, 0.5, 1.0])
+    rep = V.check_heat_gaussian([st], t_grid=ts)
+    C, defect, _ = heat_oracle(st, ts)
+    np.testing.assert_allclose(rep.constants["C"], [C], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.constants["domination_defect"], [defect], rtol=1e-12, atol=0.0)
+    assert (rep.details["symmetry_order"], rep.details["orbits"]) == ([8], [113])
+    tails, oracle = V._cross_block_tails(st), tails_oracle(st)
+    assert tails and tails.keys() == oracle.keys()
+    for j, pts in tails.items():
+        assert [(m, two) for m, _, two in pts] == [(m, two) for m, _, two in oracle[j]]
+        np.testing.assert_allclose([p[1] for p in pts], [p[1] for p in oracle[j]],
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_trivial_symmetry_group_keeps_the_whole_kernel(monkeypatch):
+    # no symmetry: heat_gaussian scans the whole symmetric kernel, so it
+    # equals the unblocked oracle exactly, and the tails read every column
+    # of the eigenbasis itself, as they did before representatives
+    st = off_centre_disk()
+    ts = 2.0 ** np.arange(-10, 1)
+    rep = V.check_heat_gaussian([st])
+    C, defect, _ = heat_oracle(st, ts)
+    assert rep.constants["C"] == (C,)
+    assert rep.constants["domination_defect"] == (defect,)
+    bases, streamed = [], V._max_column_l1
+
+    def spy(left, basis, cols, mid=None):
+        bases.append(basis is st.op0.eigvecs)
+        return streamed(left, basis, cols, mid=mid)
+
+    monkeypatch.setattr(V, "_max_column_l1", spy)
+    tails, oracle = V._cross_block_tails(st), tails_oracle(st)
+    assert bases and all(bases)
+    assert tails.keys() == oracle.keys()
+    for j, pts in tails.items():
+        np.testing.assert_allclose([p[1] for p in pts], [p[1] for p in oracle[j]],
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_heat_gaussian_kernel_columns_follow_the_symmetry_group(monkeypatch):
+    # the cost pin: on the symmetric disk every kernel has at most N/4
+    # columns; without symmetry every kernel is the whole symmetric product
+    shapes, kernels = [], V.heat_kernel
+
+    def spy(op, t, cols=None):
+        K = kernels(op, t, cols)
+        shapes.append((cols is None, K.shape))
+        return K
+
+    monkeypatch.setattr(V, "heat_kernel", spy)
+    for st, symmetric in ((streamed_disk(), True), (off_centre_disk(), False)):
+        del shapes[:]
+        V.check_heat_gaussian([st])
+        N = st.grid.num_nodes
+        assert len(shapes) == 22  # K and K* at each of the 11 default times
+        if symmetric:
+            assert all(not whole and K[0] == N and K[1] <= N / 4 for whole, K in shapes)
+        else:
+            assert all(whole and K == (N, N) for whole, K in shapes)
 
 
 @pytest.mark.parametrize("denom", [16, 24])
