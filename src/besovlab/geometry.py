@@ -268,7 +268,7 @@ class GridFunction:
 
 
 def lattice_symmetries(
-    grid: Grid, potential: np.ndarray | None = None
+    grid: Grid, potential: np.ndarray | None = None, reflections: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact lattice symmetries of a grid and its potential samples, and
     one node per orbit of their group.
@@ -282,6 +282,11 @@ def lattice_symmetries(
     operator's matrix into itself bit for bit; it is also an isometry of the
     node coordinates.  Each candidate costs O(N).
 
+    With ``reflections`` only the coordinate reflections are tried, and
+    only those that keep the checkerboard parity of sum(k): flipping the
+    axes F does iff the sum of (k_min + k_max)_d over d in F is even.
+    They commute with one another.
+
     Returns (maps, reps): row g of the (G, N) array ``maps`` sends node x to
     node maps[g, x] (row 0 is the identity, G the group order), and ``reps``
     holds the smallest node of each orbit, ascending.  A trivial group
@@ -292,10 +297,14 @@ def lattice_symmetries(
     centred = 2 * idx - ends
     shape = np.asarray(grid.shape)
     vals = None if potential is None else np.asarray(potential, float)
+    perms = [tuple(range(grid.n))] if reflections else itertools.permutations(range(grid.n))
     maps = []
-    for axes in itertools.permutations(range(grid.n)):
+    for axes in perms:
         for signs in itertools.product((1, -1), repeat=grid.n):
-            doubled = centred[:, axes] * np.asarray(signs) + ends
+            signs = np.asarray(signs)
+            if reflections and ends[signs < 0].sum() % 2:
+                continue
+            doubled = centred[:, axes] * signs + ends
             if np.any(doubled % 2):
                 continue
             image = doubled // 2

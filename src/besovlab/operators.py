@@ -7,21 +7,26 @@ Potentials act as diagonal multiplication by their node samples.
 
 The matrix is held as numpy CSR arrays; scipy.sparse loads only when
 ``.matrix`` is first read, and building a stage never reads it.
-Eigendecompositions are dense and cached on the operator; a configurable cap
-guards against accidentally decomposing a matrix that is too large.  The
-free Laplacian's extreme eigenvalues, all the dyadic window needs of it,
-come from a short Lanczos run on the CSR arrays instead.
+Eigendecompositions are dense and cached on the operator: one SVD per
+reflection sector of the red-black coupling for the free Laplacian of a
+grid in two or three dimensions, eigh for every other matrix.  A
+configurable cap guards against accidentally decomposing a matrix that is
+too large.  The free Laplacian's extreme eigenvalues, all the dyadic
+window needs of it, come from a short Lanczos run on the CSR arrays
+instead.
 
 These two results are the costly ones, and cached_eigendecompose and
 cached_laplacian_bounds memoize them in a cache directory: one
 little-endian file per result, named and checked by a sha256 of the
-matrix's CSR arrays, the cache format and the package version.  The
-eigenvector block loads mapped, so its pages are read on touch.
+matrix's CSR arrays, its grid's lattice, the cache format and the package
+version.  The eigenvector block loads mapped, so its pages are read on
+touch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DenseCapExceeded, MissingEigendata, SolverFailure
-from .geometry import Grid
+from .geometry import Grid, lattice_symmetries
 from .potential import potential_samples
 
 if TYPE_CHECKING:
@@ -57,8 +62,10 @@ DEFAULT_DENSE_CAP = 4096
 _MAGIC = b"BESOVOP1"
 # format 4 keeps only the costly results, keyed by the matrix; the
 # eigenvectors sit at an 8-byte offset, since numpy copies an unaligned
-# operand on every matmul
-_FORMAT_VERSION = 4
+# operand on every matmul.  Format 5 has the same layout; its free
+# Laplacian eigenvectors come from the sector solve, so a run never mixes
+# them with the eigh basis an older entry holds
+_FORMAT_VERSION = 5
 _HEADER = "<I32sQ"  # format version, cache key, value count
 
 # smaller matrices take the dense solve, which is cheaper there
@@ -87,6 +94,9 @@ class SpectralOperator:
 
     ``csr`` is the scipy CSR triple (data, indices, indptr), columns
     ascending in each row; ``matrix`` is built from it on first read.
+    ``potential`` is None only on the free Laplacian that
+    assemble_laplacian builds; eigendecompose picks its solver from the
+    matrix, not from ``potential``.
     """
 
     grid: Grid
@@ -270,14 +280,43 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     """Dense symmetric eigendecomposition, cached on the operator in place.
 
     Eigenvalues come out ascending.  Each eigenvector gets a canonical sign
-    (largest-magnitude entry positive) so repeated runs emit identical data.
+    (largest-magnitude entry positive, the lowest row on ties) so repeated
+    runs emit identical data.
+
+    An operator whose diagonal is the constant c = 2n/h^2 of its grid's
+    free Laplacian, on a grid of n >= 2 dimensions, is A_0 = c I - M with M
+    the lattice adjacency over h^2: every A_0, and A_V for V = 0 (None, or
+    samples that leave each diagonal entry unchanged).  The route is thus a
+    function of the matrix and the grid, as the operator cache's key is.
+    The masked lattice is bipartite under the checkerboard parity of
+    sum(k), so in red-black order M = [[0, C], [C^T, 0]], and an SVD
+    C = P S Q^T gives every eigenpair: c -/+ s_i with vectors
+    [p_i; +/-q_i]/sqrt 2, and c with the surplus singular vectors of the
+    larger side (Cvetkovic, Doob & Sachs, Spectra of Graphs, 1980,
+    sec. 3.2).  The coordinate reflections of the grid that keep the parity
+    (lattice_symmetries with ``reflections``) commute with M and keep each
+    colour, so C splits further into one block per character chi of their
+    group, in the basis of the chi-weighted orbit sums (Fassler & Stiefel,
+    Group Theoretical Methods and Their Applications, 1992).  A trivial
+    group is one sector: plain red-black.  The columns of every sector are
+    sorted together by a stable sort of their eigenvalues, and no dense A_0
+    is formed.
+
+    Every other operator, and every chain (n = 1), is solved by
+    np.linalg.eigh.  A chain's sectors would be solved apart, so an entry
+    K(x, g x) of a heat kernel between mirror nodes would keep the
+    round-off of the diagonal, about t ||A|| eps max|K|, which at small t
+    reaches the N eps max|K| below which heat_gaussian ignores an entry.
     """
     if op.has_eigendata:
         return op
     _check_dense_cap(op, dense_cap)
     N = op.num_nodes
     try:
-        vals, vecs = np.linalg.eigh(_dense(op))
+        if _takes_sector_route(op):
+            vals, vecs = _sector_solve(op)
+        else:
+            vals, vecs = np.linalg.eigh(_dense(op))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverFailure(f"dense eigendecomposition failed: {exc}") from exc
     signs = np.sign(vecs[_sign_anchors(vecs), np.arange(N)])
@@ -286,6 +325,91 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     vals.flags.writeable = False
     op.eigvals, op.eigvecs = vals, vecs
     return op
+
+
+def _takes_sector_route(op: SpectralOperator) -> bool:
+    """Whether eigendecompose takes the sector route for ``op``: n >= 2 and
+    every diagonal entry equal to assemble_laplacian's 2n/h^2."""
+    grid = op.grid
+    data, indices, indptr = op.csr
+    diag = data[_csr_rows(indptr) == indices]
+    c = 2.0 * grid.n * (1.0 / grid.h**2)
+    return grid.n > 1 and diag.size == op.num_nodes and bool(np.all(diag == c))
+
+
+def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the free
+    Laplacian ``op``, one SVD per reflection sector (see eigendecompose).
+
+    A node i on orbit O with representative x = rep[i] enters the sector of
+    chi when chi is 1 on the stabilizer of x; its basis vector there is
+    sum over g of chi(g) e_(g x) / sqrt|O|, so node i carries the weight
+    chi(g_i) / sqrt|O| for any g_i with g_i x = i.
+    """
+    grid, N = op.grid, op.num_nodes
+    data, indices, indptr = op.csr
+    rows = _csr_rows(indptr)
+    c = data[rows == indices][0]
+    red = (grid.multi_indices.sum(axis=1) + grid.k_lo.sum()) % 2 == 0
+    edge = red[rows] & ~red[indices]  # each red-black entry of M once
+    ei, ej, ew = rows[edge], indices[edge], -data[edge]
+
+    maps = lattice_symmetries(grid, reflections=True)[0]
+    rep = maps.min(axis=0)
+    at_rep = maps[:, rep]  # (G, N): the image of node i's representative
+    stab = at_rep == rep
+    weight = np.sqrt(stab.sum(axis=0) / len(maps))  # 1 / sqrt|O|
+    elem = (at_rep == np.arange(N)).argmax(axis=0)
+    # a reflection flips the axes its map moves; the characters are
+    # (-1)^(flips . s), one per distinct table over the 2^n choices of s
+    flips = (grid.multi_indices[maps] != grid.multi_indices).any(axis=1).astype(int)
+    chars = {}
+    for s in itertools.product((0, 1), repeat=grid.n):
+        chi = 1 - 2 * (flips @ np.asarray(s) % 2)
+        chars.setdefault(chi.tobytes(), chi)
+
+    sectors, vals = [], []
+    local = np.empty(N, dtype=np.intp)
+    for chi in chars.values():
+        live = ~(stab & (chi[:, None] < 0)).any(axis=0)
+        coef = chi[elem] * weight
+        lead = live & (rep == np.arange(N))
+        m, k = np.count_nonzero(lead & red), np.count_nonzero(lead & ~red)
+        local[lead & red] = np.arange(m)
+        local[lead & ~red] = np.arange(k)
+        e = live[ei] & live[ej]
+        i, j = ei[e], ej[e]
+        block = np.bincount(local[rep[i]] * k + local[rep[j]], weights=ew[e] * coef[i] * coef[j],
+                            minlength=m * k).reshape(m, k)
+        p, s, qt = np.linalg.svd(block)
+        nodes = [np.flatnonzero(live & side) for side in (red, ~red)]
+        sectors.append((p, s, qt.T, [(v, local[rep[v]], coef[v]) for v in nodes]))
+        vals += [c - s, np.full(m + k - 2 * s.size, c), c + s]
+
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    dest = np.empty(N, dtype=np.intp)
+    dest[order] = np.arange(N)
+    vecs = np.zeros((N, N))
+    half = math.sqrt(0.5)
+    start = 0
+    for p, s, q, ((rn, rl, rc), (bn, bl, bc)) in sectors:
+        r, m, k = s.size, p.shape[0], q.shape[0]
+        lower = dest[start:start + r]
+        surplus = dest[start + r:start + m + k - r]
+        upper = dest[start + m + k - r:start + m + k]
+        red_part = (rc * half)[:, None] * p[rl, :r]
+        black_part = (bc * half)[:, None] * q[bl, :r]
+        vecs[np.ix_(rn, lower)] = red_part
+        vecs[np.ix_(rn, upper)] = red_part
+        vecs[np.ix_(bn, lower)] = black_part
+        vecs[np.ix_(bn, upper)] = -black_part
+        if m > k:
+            vecs[np.ix_(rn, surplus)] = rc[:, None] * p[rl, r:]
+        else:
+            vecs[np.ix_(bn, surplus)] = bc[:, None] * q[bl, r:]
+        start += m + k
+    return vals[order], vecs
 
 
 def _sign_anchors(vecs: np.ndarray) -> np.ndarray:
@@ -399,10 +523,13 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
 
 
 def _cache_key(kind: str, op: SpectralOperator) -> bytes:
-    """sha256 of the result kind, the cache format, the package version and
-    op's CSR triple: the name and the check of a cache entry."""
+    """sha256 of the result kind, the cache format, the package version,
+    op's CSR triple and its grid's lattice (k_lo and the node offsets): the
+    name and the check of a cache entry.  The sector solve reads the
+    lattice too, so two grids with one matrix never share an entry."""
     digest = hashlib.sha256(f"{kind}/{_FORMAT_VERSION}/{__version__}/{op.num_nodes}".encode())
-    for values, dtype in zip(op.csr, ("<f8", "<i8", "<i8")):
+    arrays = (*op.csr, op.grid.k_lo, op.grid.multi_indices)
+    for values, dtype in zip(arrays, ("<f8", "<i8", "<i8", "<i8", "<i8")):
         digest.update(memoryview(np.ascontiguousarray(values, dtype)).cast("B"))
     return digest.digest()
 

@@ -76,6 +76,26 @@ def draw_lattice(data, min_cells: int, max_cells: int) -> tuple["bl.DomainSpec",
     return spec, (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
 
 
+def draw_grid(data, min_cells: int, max_cells: int) -> tuple["bl.Grid", bool]:
+    """A hypothesis draw of a box or ball in 1-3 dimensions, centred at the
+    origin or not, at a spacing giving it min_cells to max_cells cells of
+    its bounding measure; returns the grid and whether it is centred."""
+    n = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(["box", "ball"]))
+    centred = data.draw(st.booleans())
+    sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    shift = [0.0] * n if centred else data.draw(
+        st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    if kind == "ball":
+        spec, measure = bl.ball(shift, sides[0]), (2 * sides[0]) ** n
+    else:
+        spec = bl.box([c - s / 2 for c, s in zip(shift, sides)],
+                      [c + s / 2 for c, s in zip(shift, sides)])
+        measure = float(np.prod(sides))
+    h = (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
+    return bl.build_grid(spec, h), centred
+
+
 def lp_norm(f: "bl.GridFunction", p: float) -> float:
     """Discrete L^p norm of one grid function."""
     return float(lp_columns(f.values, f.grid.cell_measure, p))

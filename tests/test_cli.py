@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import besovlab
@@ -994,6 +994,10 @@ def _warm_configs(draw):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_warm_configs())
+# V = 0: A_V is the free Laplacian, solved by the sector route, whether
+# the potential is absent or samples to zero
+@example(config={"domain": _WARM_DOMAINS["disk"][0], "h": [1 / 4, 1 / 6], "potential": None})
+@example(config={"domain": _WARM_DOMAINS["disk"][0], "h": [1 / 4, 1 / 6], "potential": "0"})
 def test_warm_rerun_writes_identical_csvs_without_solves(config, eigensolves):
     norms = [{"kind": "besov", "s": 0.5, "p": 2.0, "q": 2.0}, {"kind": "sobolev", "s": 1.0}]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:

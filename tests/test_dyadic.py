@@ -8,6 +8,8 @@ drifted.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besovlab as bl
 from besovlab.dyadic import bump_primitive, chi
@@ -96,6 +98,22 @@ class TestDyadicSystem:
             np.geomspace(2.0**sys.j_min, 2.0**sys.j_max, 137),
         ])
         np.testing.assert_allclose(sum(sys.phi(j, xs) for j in sys.window), 1.0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_lo=st.floats(-6.0, 12.0),
+        log_span=st.floats(0.0, 14.0),
+        profile=st.sampled_from(["smooth", "squared"]),
+        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_telescoping_on_random_windows(self, log_lo, log_span, profile, u):
+        # any window: the sum over it is 1 on its plateau [2^j_min, 2^j_max],
+        # at the plateau's ends and at log-uniform points inside
+        sys = make_system(lam_pos_min=10.0**log_lo, lam_max=10.0 ** (log_lo + log_span),
+                          profile=profile)
+        xs = 2.0 ** (sys.j_min + np.asarray([0.0, 1.0, *u]) * (sys.j_max - sys.j_min))
+        total = sum(sys.phi(j, xs) for j in sys.window)
+        np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-14)
 
     def test_window_sum_at_three_literal(self):
         sys = make_system()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import besovlab as bl
 
-from conftest import lp_norm
+from conftest import draw_grid, lp_norm
 
 
 def brute_force_disk_count(radius: float, h: float) -> int:
@@ -158,29 +158,10 @@ class TestLpNorm:
 class TestLatticeSymmetries:
     """The exact symmetries of a lattice with its potential samples."""
 
-    @staticmethod
-    def draw_grid(data) -> tuple["bl.Grid", bool]:
-        """A box or ball in 1-3 dimensions, centred at the origin or not,
-        at a random spacing giving it 8 to 300 cells of its measure."""
-        n = data.draw(st.integers(1, 3))
-        kind = data.draw(st.sampled_from(["box", "ball"]))
-        centred = data.draw(st.booleans())
-        sides = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-        shift = [0.0] * n if centred else data.draw(
-            st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
-        if kind == "ball":
-            spec, measure = bl.ball(shift, sides[0]), (2 * sides[0]) ** n
-        else:
-            spec = bl.box([c - s / 2 for c, s in zip(shift, sides)],
-                          [c + s / 2 for c, s in zip(shift, sides)])
-            measure = float(np.prod(sides))
-        h = (measure / data.draw(st.integers(8, 300))) ** (1 / n)
-        return bl.build_grid(spec, h), centred
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_maps_fix_the_operator_and_pick_one_node_per_orbit(self, data):
-        grid, centred = self.draw_grid(data)
+        grid, centred = draw_grid(data, 8, 300)
         expr = data.draw(st.sampled_from([None, "-6", "r^2", "0.25/r^2", "x", "16*x - 1"]))
         vals = None if expr is None else bl.potential_from_expression(grid, expr)[0].values
         maps, reps = bl.lattice_symmetries(grid, vals)
@@ -207,3 +188,40 @@ class TestLatticeSymmetries:
             # a centred domain keeps every reflection under a constant or
             # radial potential
             assert len(maps) >= 2 ** grid.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reflections_are_the_parity_keeping_coordinate_flips(self, data):
+        # the reflection group is the subset of the full group whose maps
+        # flip whole axes of the centred coordinates and keep the parity of
+        # sum(k), with the same orbit representatives rule
+        grid, _ = draw_grid(data, 8, 300)
+        maps, reps = bl.lattice_symmetries(grid, reflections=True)
+        idx = grid.multi_indices
+        centred = 2 * idx - (idx.min(axis=0) + idx.max(axis=0))
+        parity = (idx + grid.k_lo).sum(axis=1) % 2
+        expected = {m.tobytes() for m in bl.lattice_symmetries(grid)[0]
+                    if np.array_equal(parity[m], parity)
+                    and all(np.array_equal(centred[m, d], centred[:, d])
+                            or np.array_equal(centred[m, d], -centred[:, d])
+                            for d in range(grid.n))}
+        assert {m.tobytes() for m in maps} == expected
+        assert np.array_equal(maps[0], np.arange(grid.num_nodes))
+        assert np.array_equal(reps, np.unique(maps.min(axis=0)))
+
+    @pytest.mark.parametrize(
+        "spec, h, order",
+        [
+            (bl.ball([0.0, 0.0], 1.0), 1 / 16, 4),
+            (bl.ball([0.1, 0.03], 1.0), 1 / 16, 1),
+            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 4, 4),
+            (bl.box([0.0, 0.0], [1.0, 1.25]), 1 / 4, 2),  # 4 nodes in y: its flip swaps parity
+            (bl.interval(0.0, 1.0), 1 / 8, 2),
+            (bl.interval(0.0, 1.0), 1 / 9, 1),
+            (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 8, 8),
+        ],
+        ids=["disk", "off-centre-disk", "square", "rectangle", "interval-odd", "interval-even",
+             "ball3"],
+    )
+    def test_reflection_group_orders(self, spec, h, order):
+        assert len(bl.lattice_symmetries(bl.build_grid(spec, h), reflections=True)[0]) == order

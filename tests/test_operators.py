@@ -1,5 +1,6 @@
 """Discrete Laplacian assembly, eigendata, quadratic forms, and the cache format."""
 
+import math
 import struct
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import besovlab as bl
 
-from conftest import draw_lattice, eigenfunction, interval_stage, lp_norm, random_function
+from conftest import (draw_grid, draw_lattice, eigenfunction, interval_stage, lp_norm,
+                      random_function)
 
 
 def interval_eigenvalues(length: float, h: float) -> np.ndarray:
@@ -198,6 +200,121 @@ class TestEigendata:
         op = bl.eigendecompose(bl.assemble_schrodinger(g, np.full(g.num_nodes, -500.0)))
         assert op.lam_min < 0.0
         np.testing.assert_allclose(op.lam0, np.sqrt(-op.lam_min), rtol=1e-14)
+
+
+class TestFreeLaplacianSolve:
+    """The sector route of eigendecompose for free Laplacians in 2-3 dimensions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_eigh_on_random_lattices(self, data):
+        # boxes, balls and intervals, centred or not: trivial, partial and
+        # full reflection groups, and flips that swap the parity
+        grid, _ = draw_grid(data, 8, 400)
+        op = bl.eigendecompose(bl.assemble_laplacian(grid))
+        lam, U = op.eigvals, op.eigvecs
+        A = op.matrix.toarray()
+        ref_lam, ref_U = np.linalg.eigh(A)
+        N, eps, c, norm = grid.num_nodes, np.finfo(float).eps, A[0, 0], ref_lam[-1]
+        assert np.all(np.diff(lam) >= 0.0)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(A), rtol=0.0, atol=1e-13 * norm)
+        # LAPACK's SVD is backward stable: each sector's computed factors are
+        # exact for a block C + E with ||E|| <= p eps ||C|| and orthonormal to
+        # p eps, p a modest function of the block order that the Householder
+        # analysis bounds by a multiple of it (LAPACK Users' Guide, sec. 4.9).
+        # With p <= N and ||C|| <= ||A||, each column of A U - U Lambda and of
+        # U^T U - I is at most 2 N eps ||A|| (resp. 2 N eps), the factor 2
+        # holding the rounding of c -/+ s and of the scatter into U; over N
+        # columns the Frobenius norms are at most sqrt(N) times that.
+        bound = 2.0 * N**1.5 * eps
+        assert np.linalg.norm(A @ U - U * lam) <= bound * norm
+        assert np.linalg.norm(U.T @ U - np.eye(N)) <= bound
+        # the bipartite lattice's spectrum is symmetric about c
+        assert np.abs(lam + lam[::-1] - 2.0 * c).max() <= N * eps * c
+        t = data.draw(st.floats(1.0, 16.0)) / norm
+        heat = (U * np.exp(-t * lam)) @ U.T
+        np.testing.assert_allclose(heat, (ref_U * np.exp(-t * ref_lam)) @ ref_U.T,
+                                   rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """Record (name, shape) of each np.linalg.eigh and svd call."""
+        calls = []
+        for name in ("eigh", "svd"):
+            def spy(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, a.shape))
+                return _orig(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_free_operator_takes_one_svd_per_sector(self, monkeypatch):
+        grid = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 1 / 16)
+        N, order = grid.num_nodes, len(bl.lattice_symmetries(grid, reflections=True)[0])
+        assert order == 4
+        calls = self._spy(monkeypatch)
+        bl.eigendecompose(bl.assemble_laplacian(grid))
+        assert [name for name, _ in calls] == ["svd"] * order
+        assert all(shape[0] <= math.ceil(N / order) for _, shape in calls)
+
+    @pytest.mark.parametrize(
+        "spec, h, expr",
+        [
+            (bl.ball([0.0, 0.0], 1.0), 1 / 16, "0.25/r^2"),
+            (bl.ball([0.0, 0.0], 1.0), 1 / 16, "-6"),
+            (bl.interval(0.0, 1.0), 1 / 64, None),
+            (bl.interval(0.0, 1.0), 1 / 64, "0"),
+        ],
+        ids=["disk-inverse-square", "disk-constant", "free-chain", "zero-chain"],
+    )
+    def test_eigh_route_is_unchanged_bit_for_bit(self, monkeypatch, spec, h, expr):
+        # a potential that moves the diagonal, and every chain, keep the
+        # route before the sector solve: eigh of the dense matrix, then the
+        # largest-magnitude entry of each column made positive
+        grid = bl.build_grid(spec, h)
+        if expr is None:
+            op = bl.assemble_laplacian(grid)
+        else:
+            op = bl.assemble_schrodinger(grid, bl.potential_from_expression(grid, expr)[0])
+        lam, U = np.linalg.eigh(op.matrix.toarray())
+        U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(grid.num_nodes)])
+        calls = self._spy(monkeypatch)
+        bl.eigendecompose(op)
+        assert calls == [("eigh", (grid.num_nodes, grid.num_nodes))]
+        assert op.eigvals.tobytes() == lam.tobytes()
+        assert op.eigvecs.tobytes() == U.tobytes()
+
+    @pytest.mark.parametrize("expr", ["0", "1e-300"], ids=["zero", "below-half-ulp"])
+    def test_route_follows_the_matrix_not_the_potential(self, tmp_path, monkeypatch, expr):
+        # a potential that leaves every diagonal entry unchanged gives the
+        # free Laplacian's matrix and cache key, so it takes the sector
+        # route: its eigendata are the same without a cache, on a cold one,
+        # and read from the entry an operator without a potential wrote
+        grid = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 1 / 8)
+        vals = bl.potential_from_expression(grid, expr)[0]
+
+        def zero_op():
+            return bl.assemble_schrodinger(grid, vals)
+
+        free = bl.assemble_laplacian(grid)
+        assert bl.operators._cache_key("eig", zero_op()) == bl.operators._cache_key("eig", free)
+        calls = self._spy(monkeypatch)
+        plain = bl.eigendecompose(zero_op())
+        assert {name for name, _ in calls} == {"svd"}
+        cold = bl.operators.cached_eigendecompose(zero_op(), cache_dir=tmp_path / "cold")
+        bl.operators.cached_eigendecompose(free, cache_dir=tmp_path / "shared")
+        shared = bl.operators.cached_eigendecompose(zero_op(), cache_dir=tmp_path / "shared")
+        for op in (cold, shared, free):
+            assert op.eigvals.tobytes() == plain.eigvals.tobytes()
+            assert np.asarray(op.eigvecs).tobytes() == plain.eigvecs.tobytes()
+
+    def test_translated_grids_keep_apart_in_the_cache(self):
+        # a box moved by one lattice step has the same matrix, but another
+        # checkerboard colouring, so its sector solve differs
+        h = 1 / 8
+        grids = [bl.build_grid(bl.box([a, 0.0], [a + 1.0, 1.0]), h) for a in (0.0, h)]
+        ops = [bl.assemble_laplacian(g) for g in grids]
+        assert all(np.array_equal(x, y) for x, y in zip(ops[0].csr, ops[1].csr))
+        assert bl.operators._cache_key("eig", ops[0]) != bl.operators._cache_key("eig", ops[1])
 
 
 class TestLaplacianBounds:
@@ -475,7 +592,7 @@ class TestSaveLoad:
         raw = path.read_bytes()
         assert raw[:8] == b"BESOVOP1"
         version, key, count = struct.unpack_from("<I32sQ", raw, 8)
-        assert (version, count) == (4, 7)
+        assert (version, count) == (5, 7)
         assert key == bl.operators._cache_key("eig", op)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -544,7 +661,8 @@ class TestSaveLoad:
         "kind,offset,fmt,value",
         [
             ("eig", 8, "<I", 3),
-            ("eig", 8, "<I", 5),
+            ("eig", 8, "<I", 4),
+            ("eig", 8, "<I", 6),
             ("eig", 52, "<d", float("nan")),
             ("eig", 52, "<d", 1e9),
             ("bounds", 52, "<d", float("nan")),
@@ -553,7 +671,7 @@ class TestSaveLoad:
             ("bounds", 60, "<d", 1.0),
         ],
         ids=[
-            "version-3", "version-5",
+            "version-3", "version-4", "version-6",
             "eigval-nan", "eigvals-descending",
             "bounds-nan", "bounds-negative", "bounds-inf", "bounds-reversed",
         ],
@@ -571,6 +689,23 @@ class TestSaveLoad:
         path.write_bytes(raw)
         with pytest.raises(bl.SolverFailure):
             load()
+
+    def test_entry_of_format_4_is_never_read(self, tmp_path, monkeypatch, eigensolves):
+        # format 4 held the eigh basis of a free Laplacian; a format 5 run
+        # must solve again rather than mix that basis with its own
+        grid = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 1 / 8)
+        old = bl.assemble_laplacian(grid)
+        old.eigvals, old.eigvecs = np.linalg.eigh(old.matrix.toarray())
+        with monkeypatch.context() as mp:
+            mp.setattr(bl.operators, "_FORMAT_VERSION", 4)
+            stale = tmp_path / f"eig-{bl.operators._cache_key('eig', old).hex()[:16]}.bin"
+            bl.save_operator(old, stale)
+        op = bl.operators.cached_eigendecompose(bl.assemble_laplacian(grid), cache_dir=tmp_path)
+        assert eigensolves == [True]
+        fresh = bl.eigendecompose(bl.assemble_laplacian(grid))
+        assert op.eigvecs.tobytes() == fresh.eigvecs.tobytes()
+        assert op.eigvecs.tobytes() != old.eigvecs.tobytes()
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_entry_for_another_matrix_rejected(self, tmp_path):
         op, path = self._saved(tmp_path)
