@@ -39,11 +39,11 @@ from .geometry import (
     DomainSpec,
     Grid,
     GridFunction,
+    LatticeSymmetry,
     ball,
     box,
     build_grid,
     interval,
-    lattice_symmetries,
 )
 from .dyadic import DyadicSystem, build_system, bump_primitive, chi, second_system
 from .operators import (

@@ -181,6 +181,7 @@ def _write_profiles(stages: Sequence[Stage], out_dir: Path) -> None:
 
 def _bench_rows(cfg: RunConfig, stages: Sequence[Stage]):
     for st in stages:
+        st.op.matrix  # built, and scipy.sparse imported, outside the timed calls
         n = st.grid.num_nodes
         vec = np.random.default_rng([cfg.seed, 77]).standard_normal(n)
         vec /= np.linalg.norm(vec)

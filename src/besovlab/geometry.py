@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +27,8 @@ __all__ = [
     "Grid",
     "GridFunction",
     "build_grid",
-    "lattice_symmetries",
+    "LatticeSymmetry",
+    "Reflections",
     "lp_columns",
     "interval",
     "box",
@@ -267,58 +269,88 @@ class GridFunction:
         return cls(grid, np.asarray(func(grid.coordinates)))
 
 
-def lattice_symmetries(
-    grid: Grid, potential: np.ndarray | None = None, reflections: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exact lattice symmetries of a grid and its potential samples, and
-    one node per orbit of their group.
+class Reflections(NamedTuple):
+    """A group of coordinate reflections: row g of the (R, N) ``maps`` sends
+    node x to maps[g, x] (row 0 the identity); ``rep`` is each node's orbit
+    representative, its smallest node.  ``characters`` holds (live, coef)
+    per character chi(g) = (-1)^(f_g . s), f_g the 0/1 axes g reverses, in
+    order of first hit over s in {0, 1}^n.  Sector chi has the orthonormal
+    basis sum_g chi(g) e_(g x) / sqrt|O| over the representatives x whose
+    stabilizer chi is 1 on (Fassler & Stiefel, Group Theoretical Methods and
+    Their Applications, 1992): node i of such an orbit O is live, with
+    coef[i] = chi(g_i) / sqrt|O| where g_i x = i."""
 
-    The candidates are the signed axis permutations of the centred doubled
-    lattice coordinates c = 2k - (k_min + k_max) (per axis, over the nodes),
-    at most 2^n n! = 48 of them.  One is kept when it maps the node set onto
-    itself and leaves the potential samples (None: no potential) bitwise
-    equal.  Such a map sends lattice neighbours to lattice neighbours and
-    each diagonal entry -Delta + V to an equal one, so it permutes the
-    operator's matrix into itself bit for bit; it is also an isometry of the
-    node coordinates.  Each candidate costs O(N).
+    maps: np.ndarray
+    rep: np.ndarray
+    characters: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    With ``reflections`` only the coordinate reflections are tried, and
-    only those that keep the checkerboard parity of sum(k): flipping the
-    axes F does iff the sum of (k_min + k_max)_d over d in F is even.
-    They commute with one another.
 
-    Returns (maps, reps): row g of the (G, N) array ``maps`` sends node x to
-    node maps[g, x] (row 0 is the identity, G the group order), and ``reps``
-    holds the smallest node of each orbit, ascending.  A trivial group
-    gives every node.
+@dataclass(frozen=True, eq=False)
+class LatticeSymmetry:
+    """The exact lattice symmetries of a grid and of samples on its nodes
+    (a potential; None: none), each attribute found on first read.
+
+    The candidates are the at most 48 signed axis permutations of the
+    centred doubled lattice coordinates 2k - (k_min + k_max), each tried in
+    O(N).  One is kept when it maps the node set onto itself and keeps the
+    samples bitwise; it then permutes the matrix of -Delta + V into itself
+    bit for bit and is an isometry of the nodes.  Row g of ``maps`` sends
+    node x to maps[g, x]; row 0 is the identity and no map appears twice.
+    ``reps`` holds each orbit's smallest node, ascending, and
+    ``reflections`` the coordinate reflections, the first rows of ``maps``.
+
+    >>> LatticeSymmetry(build_grid(box([-0.5, -1.0], [0.5, 1.0]), 0.5)).order
+    2
+    >>> from besovlab.potential import potential_from_expression
+    >>> disk = build_grid(ball([0.0, 0.0], 1.0), 1 / 16)
+    >>> sym = LatticeSymmetry(disk, potential_from_expression(disk, "0.25/r^2")[0].values)
+    >>> sym.order, sym.reps.size
+    (8, 113)
     """
-    idx = grid.multi_indices
-    ends = idx.min(axis=0) + idx.max(axis=0)
-    centred = 2 * idx - ends
-    shape = np.asarray(grid.shape)
-    vals = None if potential is None else np.asarray(potential, float)
-    perms = [tuple(range(grid.n))] if reflections else itertools.permutations(range(grid.n))
-    maps = []
-    for axes in perms:
-        for signs in itertools.product((1, -1), repeat=grid.n):
-            signs = np.asarray(signs)
-            if reflections and ends[signs < 0].sum() % 2:
-                continue
+
+    grid: Grid
+    potential: np.ndarray | None = None
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        idx, shape, vals = self.grid.multi_indices, self.grid.shape, self.potential
+        ends = idx.min(axis=0) + idx.max(axis=0)
+        centred, found = 2 * idx - ends, {}
+        for axes, signs in itertools.product(itertools.permutations(range(self.grid.n)),
+                                             itertools.product((1, -1), repeat=self.grid.n)):
             doubled = centred[:, axes] * signs + ends
-            if np.any(doubled % 2):
-                continue
             image = doubled // 2
-            if np.any(image < 0) or np.any(image >= shape):
-                continue
-            nodes = grid.flat_of_cell[tuple(image.T)]
-            if np.any(nodes < 0):
-                continue
-            if vals is not None and vals[nodes].tobytes() != vals.tobytes():
-                continue
-            maps.append(nodes)
-    maps = np.stack(maps)
-    reps = np.flatnonzero(maps.min(axis=0) == np.arange(grid.num_nodes))
-    return maps, reps
+            if np.all(doubled % 2 == 0) and np.all(image >= 0) and np.all(image < shape):
+                nodes = self.grid.flat_of_cell[tuple(image.T)]
+                if np.all(nodes >= 0) and (vals is None or vals[nodes].tobytes() == vals.tobytes()):
+                    found.setdefault(nodes.tobytes(), nodes)
+        return np.stack(list(found.values()))
+
+    @property
+    def order(self) -> int:
+        return len(self.maps)
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        return np.flatnonzero(self.maps.min(axis=0) == np.arange(self.grid.num_nodes))
+
+    @cached_property
+    def reflections(self) -> Reflections:
+        idx = self.grid.multi_indices
+        centred = (2 * idx - idx.min(axis=0) - idx.max(axis=0)).T[:, None]  # (n, 1, N)
+        images = centred[:, 0, self.maps]  # (n, order, N)
+        same = (images == centred).all(axis=2)
+        keep = (same | (images == -centred).all(axis=2)).all(axis=0)  # each axis kept or reversed
+        maps, flips = self.maps[keep], (~same[:, keep]).T.astype(int)
+        rep = maps.min(axis=0)
+        at_rep = maps[:, rep]  # (R, N): the image of node i's representative
+        stab = at_rep == rep
+        weight = np.sqrt(stab.sum(axis=0) / len(maps))  # 1 / sqrt|O|
+        elem = (at_rep == np.arange(len(idx))).argmax(axis=0)
+        chis = 1 - 2 * (flips @ np.array(list(itertools.product((0, 1), repeat=self.grid.n))).T % 2)
+        chis = chis[:, np.sort(np.unique(chis, axis=1, return_index=True)[1])]  # distinct tables
+        return Reflections(maps, rep, tuple(
+            (~(stab & (chi[:, None] < 0)).any(axis=0), chi[elem] * weight) for chi in chis.T))
 
 
 def lp_columns(values: np.ndarray, cell_measure: float, p: float) -> np.ndarray:

@@ -26,7 +26,6 @@ touch.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 import struct
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DenseCapExceeded, MissingEigendata, SolverFailure
-from .geometry import Grid, lattice_symmetries
+from .geometry import Grid, LatticeSymmetry
 from .potential import potential_samples
 
 if TYPE_CHECKING:
@@ -294,11 +293,9 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
     [p_i; +/-q_i]/sqrt 2, and c with the surplus singular vectors of the
     larger side (Cvetkovic, Doob & Sachs, Spectra of Graphs, 1980,
     sec. 3.2).  The coordinate reflections of the grid that keep the parity
-    (lattice_symmetries with ``reflections``) commute with M and keep each
-    colour, so C splits further into one block per character chi of their
-    group, in the basis of the chi-weighted orbit sums (Fassler & Stiefel,
-    Group Theoretical Methods and Their Applications, 1992).  A trivial
-    group is one sector: plain red-black.  The columns of every sector are
+    commute with M and keep each colour, so C splits further into one block
+    per character of their group (geometry.Reflections).  A trivial group
+    is one sector: plain red-black.  The columns of every sector are
     sorted together by a stable sort of their eigenvalues, and no dense A_0
     is formed.
 
@@ -339,13 +336,7 @@ def _takes_sector_route(op: SpectralOperator) -> bool:
 
 def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of the free
-    Laplacian ``op``, one SVD per reflection sector (see eigendecompose).
-
-    A node i on orbit O with representative x = rep[i] enters the sector of
-    chi when chi is 1 on the stabilizer of x; its basis vector there is
-    sum over g of chi(g) e_(g x) / sqrt|O|, so node i carries the weight
-    chi(g_i) / sqrt|O| for any g_i with g_i x = i.
-    """
+    Laplacian ``op``, one SVD per reflection sector (see eigendecompose)."""
     grid, N = op.grid, op.num_nodes
     data, indices, indptr = op.csr
     rows = _csr_rows(indptr)
@@ -354,25 +345,12 @@ def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
     edge = red[rows] & ~red[indices]  # each red-black entry of M once
     ei, ej, ew = rows[edge], indices[edge], -data[edge]
 
-    maps = lattice_symmetries(grid, reflections=True)[0]
-    rep = maps.min(axis=0)
-    at_rep = maps[:, rep]  # (G, N): the image of node i's representative
-    stab = at_rep == rep
-    weight = np.sqrt(stab.sum(axis=0) / len(maps))  # 1 / sqrt|O|
-    elem = (at_rep == np.arange(N)).argmax(axis=0)
-    # a reflection flips the axes its map moves; the characters are
-    # (-1)^(flips . s), one per distinct table over the 2^n choices of s
-    flips = (grid.multi_indices[maps] != grid.multi_indices).any(axis=1).astype(int)
-    chars = {}
-    for s in itertools.product((0, 1), repeat=grid.n):
-        chi = 1 - 2 * (flips @ np.asarray(s) % 2)
-        chars.setdefault(chi.tobytes(), chi)
+    group = LatticeSymmetry(grid, red).reflections  # the ones that keep each colour
+    rep = group.rep
 
     sectors, vals = [], []
     local = np.empty(N, dtype=np.intp)
-    for chi in chars.values():
-        live = ~(stab & (chi[:, None] < 0)).any(axis=0)
-        coef = chi[elem] * weight
+    for live, coef in group.characters:
         lead = live & (rep == np.arange(N))
         m, k = np.count_nonzero(lead & red), np.count_nonzero(lead & ~red)
         local[lead & red] = np.arange(m)

@@ -43,8 +43,8 @@ from .geometry import (
     DomainSpec,
     Grid,
     GridFunction,
+    LatticeSymmetry,
     build_grid,
-    lattice_symmetries,
     lp_columns,
 )
 from .norms import (
@@ -115,12 +115,10 @@ class Stage:
     once per stage, so a run whose checks never read it pays no eigensolve
     for it.  The dyadic window covers the union of both spectra.
 
-    ``symmetry`` is the group order and the orbit representatives of the
-    exact lattice symmetries of the grid and op's potential samples (see
-    lattice_symmetries), found on first read.  Their maps permute op's
-    matrix into itself whenever op was assembled from those samples, as
-    build_stage assembles it, and then commute with A_V, A_0 and every
-    operator assembled from a pointwise function of V.
+    ``symmetry`` is the LatticeSymmetry of the grid and op's potential
+    samples, each part found on first read.  As build_stage assembles op
+    from those samples, its maps commute with A_V, A_0 and every operator
+    assembled from a pointwise function of V.
     """
 
     def __init__(
@@ -138,7 +136,7 @@ class Stage:
         self._op0 = op0
         self._dense_cap = dense_cap
         self._cache_dir = cache_dir
-        self._symmetry: tuple[int, np.ndarray] | None = None
+        self.symmetry = LatticeSymmetry(grid, op.potential)
 
     @property
     def op0(self) -> SpectralOperator:
@@ -147,14 +145,6 @@ class Stage:
     def decompose(self, op: SpectralOperator) -> SpectralOperator:
         """op eigendecomposed under this stage's dense cap and operator cache."""
         return cached_eigendecompose(op, self._dense_cap, self._cache_dir)
-
-    @property
-    def symmetry(self) -> tuple[int, np.ndarray]:
-        """(group order, ascending orbit representatives), memoized."""
-        if self._symmetry is None:
-            maps, reps = lattice_symmetries(self.grid, self.op.potential)
-            self._symmetry = (len(maps), reps)
-        return self._symmetry
 
     @property
     def h(self) -> float:
@@ -866,8 +856,8 @@ def check_lifting(
 
 def _symmetry_details(stages: Sequence[Stage]) -> dict[str, list[int]]:
     """The lattice symmetry group order and orbit count of each stage."""
-    return {"symmetry_order": [st.symmetry[0] for st in stages],
-            "orbits": [int(st.symmetry[1].size) for st in stages]}
+    return {"symmetry_order": [st.symmetry.order for st in stages],
+            "orbits": [int(st.symmetry.reps.size) for st in stages]}
 
 
 def _max_column_l1(left: np.ndarray, basis: np.ndarray, cols: np.ndarray,
@@ -908,14 +898,12 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
     Either way the kernel is streamed over blocks of its columns, and no
     factor formed has more entries than L.
 
-    Only the columns at the orbit representatives of the stage's lattice
-    symmetry group are formed (R = U_0[reps, cols]): a symmetry P commutes
-    with A_V and A_0, so the kernel T has T(Px, Py) = T(x, y), and the
-    column L1 norm at Py equals the one at y.  A trivial group forms every
-    column."""
+    Only the columns at the orbit representatives of Stage.symmetry are
+    formed (R = U_0[reps, cols]): T(Px, Py) = T(x, y) for a symmetry P, so
+    column Py has the L1 norm of column y.  A trivial group forms all."""
     opv, op0, dsys = stage.op, stage.op0, stage.sys
     W = opv.eigvecs.T @ op0.eigvecs
-    _, reps = stage.symmetry
+    reps = stage.symmetry.reps
     basis = op0.eigvecs if reps.size == op0.num_nodes else op0.eigvecs[reps]
     out: dict[int, list[tuple[int, float, float]]] = {}
     for j in dsys.window:
@@ -1092,14 +1080,11 @@ def check_heat_gaussian(
     reported.  Potentials also get the entrywise domination sub-check
     |e^{-tA_V}| <= e^{-tA_{-V_-}} (slack relative to the kernel scale).
 
-    With a nontrivial lattice symmetry group (Stage.symmetry, recorded in
-    details), both kernels are formed on one representative column y per
-    orbit only, and every x is scored against those columns.  That finds
-    the same sup and gap: a symmetry P commutes with A_V and A_{-V_-}, so
-    K(Px, Py) = K(x, y), and it is an isometry, so |Px - Py| = |x - y|;
-    each pair (x, y) thus scores as (Px, Py) with Py a representative.  In
-    floating point the two scans differ only by the round-off of the
-    kernel entries.  A trivial group scans the whole symmetric kernel.
+    Both kernels are formed on the orbit representatives y of Stage.symmetry
+    (recorded in details) only, and every x is scored against them.  A
+    symmetry P has K(Px, Py) = K(x, y) and |Px - Py| = |x - y|, so that
+    finds the same sup and gap, up to the round-off of the kernel entries.
+    A trivial group scans the whole symmetric kernel.
     """
     ts = _heat_gaussian_rules(t_grid=t_grid)
 
@@ -1129,7 +1114,7 @@ def check_heat_gaussian(
                     assemble_schrodinger(grid, GridFunction(grid, -vminus))
                 )
 
-        _, reps = stage.symmetry
+        reps = stage.symmetry.reps
         full = reps.size == op.num_nodes
         # the distances from the representatives, once per stage
         d2_reps = None if full else _sq_distances(coords[reps], coords)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, reject
 from hypothesis import strategies as st
 
 import besovlab as bl
@@ -73,7 +74,10 @@ def draw_lattice(data, min_cells: int, max_cells: int) -> tuple["bl.DomainSpec",
     else:
         spec = bl.box([0.0] * n, sides)
         measure = math.prod(sides)
-    return spec, (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
+    h = (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
+    # a box side no longer than h holds no node; a ball always holds one
+    assume(kind == "ball" or h < min(sides))
+    return spec, h
 
 
 def draw_grid(data, min_cells: int, max_cells: int) -> tuple["bl.Grid", bool]:
@@ -93,7 +97,10 @@ def draw_grid(data, min_cells: int, max_cells: int) -> tuple["bl.Grid", bool]:
                       [c + s / 2 for c, s in zip(shift, sides)])
         measure = float(np.prod(sides))
     h = (measure / data.draw(st.integers(min_cells, max_cells))) ** (1 / n)
-    return bl.build_grid(spec, h), centred
+    try:
+        return bl.build_grid(spec, h), centred
+    except bl.EmptyDomain:  # an off-centre box side shorter than h can miss every node
+        reject()
 
 
 def lp_norm(f: "bl.GridFunction", p: float) -> float:

@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from pathlib import Path
 
@@ -343,6 +344,19 @@ def test_every_check_parameter_is_typed():
     assert set(config._CHECK_PARAMS) == set(CHECKS)
 
 
+def test_readme_example_config_is_accepted(tmp_path, monkeypatch):
+    # README's config schema example passes validation and every check's
+    # pre-stage rules, with no grid built
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    monkeypatch.setattr(verify, "build_grid", None)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    cfg = load_config(path)
+    calls = _check_calls(cfg, report_only=False)
+    assert [name for name, _ in calls] == ["resolution_identity", "equivalence_AV_A0"]
+
+
 def test_admissibility_rules_default_to_their_checks_defaults():
     for name, rules in verify.CHECK_RULES.items():
         check = inspect.signature(CHECKS[name]).parameters
@@ -577,6 +591,26 @@ def test_bench_errors_decay_in_degree(tmp_path):
         for row in read_rows(out / "bench.csv"):
             assert float(row["dense_ms"]) >= 0.0
             assert float(row["cheb_ms"]) >= 0.0
+
+
+def test_bench_times_no_matrix_build(tmp_path, monkeypatch):
+    # the sparse matrix is built before the first timed Chebyshev apply, so
+    # a slow build shows in no cheb_ms
+    import scipy.sparse
+
+    builds, csr_matrix, delay = [], scipy.sparse.csr_matrix, 0.25
+
+    def slow_csr_matrix(*args, **kwargs):
+        builds.append(time.sleep(delay))
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", slow_csr_matrix)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, h=[0.125], out=str(out))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    rows = read_rows(out / "bench.csv")
+    assert len(builds) == 1
+    assert float(rows[0]["cheb_ms"]) < delay * 1e3
 
 
 def test_reruns_are_byte_identical_modulo_wall_ms(tmp_path):
@@ -881,7 +915,7 @@ def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
     for command in ("spectrum", "norms"):
         assert _loaded_after(_main_calls(cfg, command), tmp_path) <= floor
     assert len(read_rows(out / "norms.csv")) == 3 * 8
-    # bench builds the scipy matrix at its first Chebyshev matvec
+    # bench builds the scipy matrix before its Chebyshev ladder
     bench = _loaded_after(_main_calls(cfg, "bench"), tmp_path)
     assert "scipy.sparse" in bench
     assert bench <= _loaded_after("import numpy, scipy.sparse", tmp_path)

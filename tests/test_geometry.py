@@ -1,5 +1,7 @@
 """Grid construction, grid functions and discrete L^p norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,23 +157,58 @@ class TestLpNorm:
 
 
 
+_POTENTIALS = [None, "-6", "r^2", "0.25/r^2", "x", "16*x - 1"]
+
+
+def draw_symmetry_case(data):
+    """A drawn grid, whether it is centred, one of _POTENTIALS, its samples
+    (None without a potential) and the operator assembled from them."""
+    grid, centred = draw_grid(data, 8, 300)
+    expr = data.draw(st.sampled_from(_POTENTIALS))
+    vals = None if expr is None else bl.potential_from_expression(grid, expr)[0].values
+    op = bl.assemble_laplacian(grid) if vals is None else bl.assemble_schrodinger(grid, vals)
+    return grid, centred, expr, vals, op
+
+
+def coordinate_flips(grid, vals) -> list[np.ndarray]:
+    """The node map of each of the 2^n axis flips about the middle of the
+    index range that maps the node set onto itself and keeps the samples
+    ``vals`` bitwise, found by lookup of the reflected lattice indices."""
+    idx = grid.multi_indices
+    node_of = {tuple(k): i for i, k in enumerate(idx.tolist())}
+    ends = idx.min(axis=0) + idx.max(axis=0)
+    found = []
+    for signs in itertools.product((False, True), repeat=grid.n):
+        image = np.where(signs, ends - idx, idx)
+        nodes = [node_of.get(tuple(k), -1) for k in image.tolist()]
+        if -1 in nodes or (vals is not None and vals[nodes].tobytes() != vals.tobytes()):
+            continue
+        found.append(np.asarray(nodes))
+    return found
+
+
 class TestLatticeSymmetries:
     """The exact symmetries of a lattice with its potential samples."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_maps_fix_the_operator_and_pick_one_node_per_orbit(self, data):
-        grid, centred = draw_grid(data, 8, 300)
-        expr = data.draw(st.sampled_from([None, "-6", "r^2", "0.25/r^2", "x", "16*x - 1"]))
-        vals = None if expr is None else bl.potential_from_expression(grid, expr)[0].values
-        maps, reps = bl.lattice_symmetries(grid, vals)
-        N = grid.num_nodes
-        op = bl.assemble_laplacian(grid) if vals is None else bl.assemble_schrodinger(grid, vals)
+        grid, centred, expr, vals, op = draw_symmetry_case(data)
+        sym = bl.LatticeSymmetry(grid, vals)
+        maps, reps, N = sym.maps, sym.reps, grid.num_nodes
         A = op.matrix.toarray()
+        assert sym.order == len(maps)
         assert np.array_equal(maps[0], np.arange(N))
         for m in maps:
             assert np.array_equal(np.sort(m), np.arange(N))  # onto the node set
             assert A[np.ix_(m, m)].tobytes() == A.tobytes()
+        # each map once, and a group: closed under composition
+        rows = {m.tobytes() for m in maps}
+        assert len(rows) == len(maps)
+        assert all(a[b].tobytes() in rows for a in maps for b in maps)
+        # every coordinate flip that fixes the node set and V is a member
+        flips = coordinate_flips(grid, vals)
+        assert all(f.tobytes() in rows for f in flips)
         for x in range(N):
             orbit = np.unique(maps[:, x])
             assert np.isin(orbit, reps).sum() == 1 and orbit[0] in reps
@@ -179,49 +216,80 @@ class TestLatticeSymmetries:
         coords = grid.coordinates
         if expr is not None and "x" in expr:
             # the potential varies along x alone: every map keeps x, and a
-            # centred plane domain keeps exactly its y-reflection
+            # centred plane domain keeps exactly its y-reflection (the
+            # identity when the domain is one node wide in y)
             assert all(np.array_equal(coords[m][:, 0], coords[:, 0]) for m in maps)
             if centred and grid.n == 2:
-                assert len(maps) == 2
-                assert np.array_equal(coords[maps[1]], coords * [1.0, -1.0])
+                assert len(maps) <= 2
+                assert np.array_equal(coords[maps[-1]], coords * [1.0, -1.0])
         elif centred:
-            # a centred domain keeps every reflection under a constant or
-            # radial potential
-            assert len(maps) >= 2 ** grid.n
+            # a centred domain keeps every flip under a constant or radial
+            # potential
+            assert len(flips) == 2 ** grid.n
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_reflections_are_the_parity_keeping_coordinate_flips(self, data):
-        # the reflection group is the subset of the full group whose maps
-        # flip whole axes of the centred coordinates and keep the parity of
-        # sum(k), with the same orbit representatives rule
-        grid, _ = draw_grid(data, 8, 300)
-        maps, reps = bl.lattice_symmetries(grid, reflections=True)
-        idx = grid.multi_indices
-        centred = 2 * idx - (idx.min(axis=0) + idx.max(axis=0))
-        parity = (idx + grid.k_lo).sum(axis=1) % 2
-        expected = {m.tobytes() for m in bl.lattice_symmetries(grid)[0]
-                    if np.array_equal(parity[m], parity)
-                    and all(np.array_equal(centred[m, d], centred[:, d])
-                            or np.array_equal(centred[m, d], -centred[:, d])
-                            for d in range(grid.n))}
-        assert {m.tobytes() for m in maps} == expected
-        assert np.array_equal(maps[0], np.arange(grid.num_nodes))
-        assert np.array_equal(reps, np.unique(maps.min(axis=0)))
+    def test_reflections_are_the_coordinate_flips(self, data):
+        # the reflection subgroup is the set of maps that flip whole axes of
+        # the lattice indices, the first rows of the group, each once
+        grid, _, _, vals, _ = draw_symmetry_case(data)
+        sym = bl.LatticeSymmetry(grid, vals)
+        refl = sym.reflections
+        assert {m.tobytes() for m in refl.maps} == {f.tobytes() for f in coordinate_flips(grid, vals)}
+        assert len({m.tobytes() for m in refl.maps}) == len(refl.maps)
+        assert np.array_equal(refl.maps, sym.maps[:len(refl.maps)])
+        assert np.array_equal(refl.rep, refl.maps.min(axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sector_basis_block_diagonalizes_the_operator(self, data):
+        # S has one column per character and live orbit representative, the
+        # coefficients on that orbit; it is orthonormal and S^T A S has no
+        # coupling between different characters, to round-off
+        grid, _, _, vals, op = draw_symmetry_case(data)
+        refl = bl.LatticeSymmetry(grid, vals).reflections
+        N, eps = grid.num_nodes, np.finfo(float).eps
+        columns, labels = [], []
+        for label, (live, coef) in enumerate(refl.characters):
+            for x in np.flatnonzero(live & (refl.rep == np.arange(N))):
+                columns.append(np.where(refl.rep == x, coef, 0.0))
+                labels.append(label)
+        S, labels = np.stack(columns, axis=1), np.asarray(labels)
+        assert S.shape == (N, N)
+        assert len(refl.characters) == len(refl.maps)
+        assert np.abs(S.T @ S - np.eye(N)).max() <= N * eps
+        A = op.matrix.toarray()
+        off = labels[:, None] != labels[None, :]
+        assert np.abs((S.T @ A @ S)[off]).max(initial=0.0) <= N * eps * np.linalg.norm(A, 2)
 
     @pytest.mark.parametrize(
-        "spec, h, order",
+        "spec, h, order, reflections, sectors",
         [
-            (bl.ball([0.0, 0.0], 1.0), 1 / 16, 4),
-            (bl.ball([0.1, 0.03], 1.0), 1 / 16, 1),
-            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 4, 4),
-            (bl.box([0.0, 0.0], [1.0, 1.25]), 1 / 4, 2),  # 4 nodes in y: its flip swaps parity
-            (bl.interval(0.0, 1.0), 1 / 8, 2),
-            (bl.interval(0.0, 1.0), 1 / 9, 1),
-            (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 8, 8),
+            (bl.ball([0.0, 0.0], 1.0), 1 / 16, 8, 4, 4),
+            (bl.ball([0.1, 0.03], 1.0), 1 / 16, 1, 1, 1),
+            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 4, 8, 4, 4),
+            # 4 nodes in y: its flip swaps the parity, so the red-black
+            # solve keeps half the reflections
+            (bl.box([0.0, 0.0], [1.0, 1.25]), 1 / 4, 4, 4, 2),
+            (bl.interval(0.0, 1.0), 1 / 8, 2, 2, None),
+            (bl.interval(0.0, 1.0), 1 / 9, 2, 2, None),
+            (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 8, 48, 8, 8),
+            # one node wide in x: flipping x moves nothing and adds no map
+            (bl.box([0.0, 0.0], [1.0, 1.5]), 0.5, 2, 2, 1),
+            (bl.box([-0.5, -1.0], [0.5, 1.0]), 0.5, 2, 2, 2),
+            (bl.box([-0.5, -1.0, -1.0], [0.5, 1.0, 1.0]), 0.5, 8, 4, 4),
         ],
         ids=["disk", "off-centre-disk", "square", "rectangle", "interval-odd", "interval-even",
-             "ball3"],
+             "ball3", "one-node-wide", "one-node-wide-centred", "one-node-wide-3d"],
     )
-    def test_reflection_group_orders(self, spec, h, order):
-        assert len(bl.lattice_symmetries(bl.build_grid(spec, h), reflections=True)[0]) == order
+    def test_reflection_group_orders(self, monkeypatch, spec, h, order, reflections, sectors):
+        grid = bl.build_grid(spec, h)
+        sym = bl.LatticeSymmetry(grid)
+        assert (sym.order, len(sym.reflections.maps)) == (order, reflections)
+        if sectors is not None:
+            # the free Laplacian takes one SVD per character of the
+            # colour-keeping reflections
+            svd, calls = np.linalg.svd, []
+            monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
+            bl.eigendecompose(bl.assemble_laplacian(grid))
+            assert len(calls) == sectors

@@ -249,7 +249,7 @@ class TestFreeLaplacianSolve:
 
     def test_free_operator_takes_one_svd_per_sector(self, monkeypatch):
         grid = bl.build_grid(bl.ball([0.0, 0.0], 1.0), 1 / 16)
-        N, order = grid.num_nodes, len(bl.lattice_symmetries(grid, reflections=True)[0])
+        N, order = grid.num_nodes, len(bl.LatticeSymmetry(grid).reflections.maps)
         assert order == 4
         calls = self._spy(monkeypatch)
         bl.eigendecompose(bl.assemble_laplacian(grid))

@@ -421,8 +421,8 @@ def off_centre_disk():
     """An h = 1/16 disk centred at (0.1, 0.05), with 0.25/r^2 about the
     origin: neither the node set nor the potential has a lattice symmetry."""
     (st,) = V.build_stages(bl.ball([0.1, 0.05], 1.0), [1 / 16], potential="0.25/r^2")
-    order, reps = st.symmetry
-    assert order == 1 and np.array_equal(reps, np.arange(st.grid.num_nodes))
+    assert st.symmetry.order == 1
+    assert np.array_equal(st.symmetry.reps, np.arange(st.grid.num_nodes))
     st.op0
     return st
 
@@ -511,8 +511,8 @@ def test_heat_gaussian_streaming_matches_unblocked_oracle(potential):
     # dominating operator is eigendecomposed rather than taken from op0;
     # both are radial, so the check forms the representative columns only
     st = streamed_disk(potential)
-    order, reps = st.symmetry
-    assert order == 8 and reps.size < st.grid.num_nodes
+    reps = st.symmetry.reps
+    assert st.symmetry.order == 8 and reps.size < st.grid.num_nodes
     ts = 2.0 ** np.arange(-10, 1)
     rep = V.check_heat_gaussian([st])
     C, defect, omega = heat_oracle(st, ts, cols=reps)
@@ -542,7 +542,7 @@ def test_heat_gaussian_scores_every_row_once(monkeypatch):
     # blocks of 48 here) sets the sup, so no row block of the scan is skipped
     st = streamed_disk()
     coords, B = st.grid.coordinates, V._ROW_BLOCK
-    N, (_, reps) = len(coords), st.symmetry
+    N, reps = len(coords), st.symmetry.reps
     seen, distances, kernels = [], V._sq_distances, V.heat_kernel
 
     def spy(xa, xb):
@@ -604,7 +604,7 @@ def test_max_column_l1_matches_unblocked_product(where):
 
 def test_cross_block_tails_streaming_matches_unblocked_oracle():
     st = streamed_disk()
-    tails, oracle = V._cross_block_tails(st), tails_oracle(st, nodes=st.symmetry[1])
+    tails, oracle = V._cross_block_tails(st), tails_oracle(st, nodes=st.symmetry.reps)
     assert tails and tails.keys() == oracle.keys()
     for j, pts in tails.items():
         assert [(m, two) for m, _, two in pts] == [(m, two) for m, _, two in oracle[j]]
