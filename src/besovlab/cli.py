@@ -19,13 +19,15 @@ compute budget was exceeded.
 The manifest is written even when the run fails, with the failure recorded,
 and always carries the process's peak resident set size (peak_rss_kib);
 numbers in CSV cells are full-precision reprs, so reruns with the same
-config and seed produce byte-identical CSVs apart from the timing columns
-(wall_ms in verify.csv, dense_ms and cheb_ms in bench.csv).
+config and seed, at the same BLAS thread count, produce byte-identical CSVs
+apart from the timing columns (wall_ms in verify.csv, dense_ms and cheb_ms
+in bench.csv).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import platform
 import resource
@@ -118,18 +120,21 @@ def _write_norms(cfg: RunConfig, stages: Sequence[Stage], out_dir: Path) -> None
 
 def _check_calls(cfg: RunConfig, report_only: bool) -> list[tuple[str, dict]]:
     """(name, keyword arguments) of each configured check as it runs, judged
-    by the check's own rules before any grid is built; report-only mode
-    reports an out-of-window equivalence index instead of rejecting it."""
+    by the check's own rules, on its signature's defaults overlaid with the
+    config's values, before any grid is built; report-only mode reports an
+    out-of-window equivalence index instead of rejecting it."""
     calls = []
     for i, entry in enumerate(cfg.checks):
         name = entry["name"]
+        params = inspect.signature(CHECKS[name]).parameters
         kwargs = {k: as_exponent(v) for k, v in entry.items() if k != "name"}
         if name == "equivalence_AV_A0" and report_only:
             kwargs["assert_window"] = False
-        if name != "heat_gaussian":  # the one check that samples no family
+        if "family" in params:
             kwargs["family"] = cfg.family()
+        defaults = {k: p.default for k, p in params.items() if p.default is not p.empty}
         try:
-            CHECK_RULES.get(name, lambda **_: None)(n=cfg.dimension, **kwargs)
+            CHECK_RULES.get(name, lambda **_: None)(n=cfg.dimension, **{**defaults, **kwargs})
         except BesovLabError as exc:
             path = f"checks/{i}" if exc.param is None else f"checks/{i}/{exc.param}"
             raise ConfigInvalid(f"at {path}: {type(exc).__name__}: {exc}") from exc

@@ -1,9 +1,11 @@
 """Run configuration: validation, defaults, canonical hashing.
 
 A run is described by one flat JSON object, validated before any grid is
-built: ``_ROOT`` below types every key, check parameters included, a
-Lorentz request with p = 1 and a finite q is rejected, and the runner
-judges check parameters by each check's own rules (verify.CHECK_RULES).
+built: ``_ROOT`` below types every key, check parameters by the value
+checks their ``check_*`` signatures annotate (see ``schema``); a Lorentz
+request with p = 1 and a finite q is rejected; and the runner judges check
+parameters, signature defaults filled in, by each check's own rules
+(verify.CHECK_RULES).
 The potential expression is parsed and checked here, without samples.
 Only nonfinite potential samples, heat_gaussian's t <= 1 sweep under a
 flagged potential and equivalence_AV_A0's smallness flags wait for the
@@ -15,162 +17,37 @@ grid, since they read the potential's samples.  Rejections here raise
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import ConfigInvalid, EmptyDomain, GridMismatch, InvalidExponent
 from .geometry import DomainSpec, ball, box, interval
 from .norms import check_lorentz_exponents
 from .potential import parse_potential
-from .verify import FAMILY_TAGS, FunctionFamily
+from .schema import (
+    _BOOLEAN, _COORDS, _EXPONENT, _EXT_EXPONENT, _NUMBER, _POSITIVE, _SUPPLIED,
+    Check, _array, _either, _fail, _finite, _number, _object, _string, _tagged,
+)
+from .verify import CHECKS, FAMILY_TAGS, FunctionFamily
 
 __all__ = ["RunConfig", "load_config", "make_config"]
 
-# A value check takes (value, path) and raises through _fail.  JSON types
-# map to Python ones as json.loads makes them: an object is a dict, an
-# array a list, and a bool is neither a number nor an integer.
-Check = Callable[[Any, tuple], None]
-
-
-def _fail(path: tuple, message: str):
-    raise ConfigInvalid(f"at {'/'.join(map(str, path)) or '<root>'}: {message}")
-
-
-def _number(minimum=-math.inf, maximum=math.inf, exclusive=False, integer=False) -> Check:
-    """A number in [minimum, maximum], minimum excluded when ``exclusive``;
-    with ``integer``, an int or a float without fractional part (2.0)."""
-    def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            _fail(path, f"{value!r} is not a number")
-        if integer and not (isinstance(value, int) or isinstance(value, float)
-                            and value.is_integer()):
-            _fail(path, f"{value!r} is not an integer")
-        if not minimum <= value <= maximum or exclusive and value == minimum:
-            _fail(path, f"{value!r} is outside {'(' if exclusive else '['}{minimum}, {maximum}]")
-    return check
-
-
-def _string(min_length: int = 0) -> Check:
-    def check(value, path):
-        if not isinstance(value, str) or len(value) < min_length:
-            _fail(path, f"{value!r} is not a string of at least {min_length} characters")
-    return check
-
-
-def _either(*options: Any, otherwise: Check | None = None) -> Check:
-    """One of the listed strings (or None), else what ``otherwise`` accepts."""
-    def check(value, path):
-        if any(value is o or isinstance(value, str) and value == o for o in options):
-            return
-        if otherwise is None:
-            _fail(path, f"{value!r} is not one of {list(options)}")
-        otherwise(value, path)
-    return check
-
-
-def _array(item: Check, lo: int = 0, hi: int | float = math.inf, unique: bool = False) -> Check:
-    def check(value, path):
-        if not isinstance(value, list):
-            _fail(path, f"{value!r} is not an array")
-        if not lo <= len(value) <= hi:
-            _fail(path, f"needs {lo} to {hi} items, got {len(value)}")
-        for i, x in enumerate(value):
-            item(x, (*path, i))
-        if unique and len(set(value)) < len(value):
-            _fail(path, f"{value!r} has repeated items")
-    return check
-
-
-def _object(fields: dict[str, Check], required: tuple = (), closed: bool = True) -> Check:
-    def check(value, path):
-        if not isinstance(value, dict):
-            _fail(path, f"{value!r} is not an object")
-        for key in required:
-            if key not in value:
-                _fail(path, f"required key {key!r} is missing")
-        for key, x in value.items():
-            if key in fields:
-                fields[key](x, (*path, key))
-            elif closed:
-                allowed = sorted(k for k, c in fields.items() if c is not _SUPPLIED)
-                _fail(path, f"unknown key {key!r}; allowed: {allowed}")
-    return check
-
-
-def _tuple(*items: Check) -> Check:
-    """An array of len(items) values, the i-th passing items[i]."""
-    def check(value, path):
-        _array(_ANY, len(items), len(items))(value, path)
-        for i, (item, x) in enumerate(zip(items, value)):
-            item(x, (*path, i))
-    return check
-
-
-def _tagged(tag: str, variants: dict[str, tuple]) -> Check:
-    """An object whose ``tag`` value names its variant, (fields, required keys)."""
-    checks = {name: _object({tag: _ANY, **fields}, required)
-              for name, (fields, required) in variants.items()}
-
-    def check(value, path):
-        _object({}, (tag,), closed=False)(value, path)
-        _either(*checks)(value[tag], (*path, tag))
-        checks[value[tag]](value, path)
-    return check
-
-
-def _finite(value, path) -> None:
-    """No non-finite float anywhere in the nested objects and arrays."""
-    if isinstance(value, float) and not math.isfinite(value):
-        _fail(path, "non-finite number; numbers must be finite")
-    items = value.items() if isinstance(value, Mapping) else (
-        enumerate(value) if isinstance(value, (list, tuple)) else ())
-    for key, item in items:
-        _finite(item, (*path, key))
-
-
-_ANY: Check = lambda value, path: None
-_SUPPLIED: Check = lambda value, path: _fail(path, "is supplied by the runner, not the config")
-
-_NUMBER = _number()
-_POSITIVE = _number(0.0, exclusive=True)
-_NONNEGATIVE = _number(0.0)
-_EXPONENT = _number(1.0)
-_BOOLEAN = _either(True, False)
-_COORDS = _array(_NUMBER, 1, 3)
-# JSON has no infinity literal; the string "inf" stands in for it where an
-# infinite exponent or radius is meaningful (weak Lorentz, sup-type Besov,
-# the defaults of bernstein's pairs, embeddings' gain and the Kato radius)
-_EXT_EXPONENT = _either("inf", otherwise=_EXPONENT)
-
-# every check's keyword parameters, typed; the rules that tie them to each
-# other and to the dimension are the check's own (verify.CHECK_RULES)
-_STABILITY = _number(1.0)
-_SPQ = {"s": _NUMBER, "p": _EXPONENT, "q": _EXPONENT, "stability": _STABILITY}
-_CHECK_PARAMS: dict[str, dict[str, Check]] = {
-    "resolution_identity": {"tol": _NONNEGATIVE, "homogeneous": _BOOLEAN},
-    "bernstein": {"pairs": _array(_tuple(_EXPONENT, _EXT_EXPONENT), 1),
-                  "alphas": _array(_NUMBER, 1), "stability": _STABILITY},
-    "duality": {**_SPQ, "attain_frac": _number(0.0, 1.0)},
-    "embeddings": {"gain": _tuple(_NUMBER, _NUMBER, _EXPONENT, _EXT_EXPONENT, _EXPONENT),
-                   "hom_gain": _tuple(_NUMBER, *[_EXPONENT] * 4),
-                   "square_p": _tuple(_EXPONENT, _EXPONENT), "stability": _STABILITY,
-                   "chain": _tuple(_NUMBER, _EXPONENT, _EXPONENT, _NUMBER)},
-    "lifting": {**_SPQ, "s0": _NUMBER, "homogeneous": _BOOLEAN},
-    "equivalence_AV_A0": {**_SPQ, "radius": _either("inf", otherwise=_POSITIVE),
-                          "assert_window": _BOOLEAN, "control_tol": _NONNEGATIVE,
-                          "slope_tol": _NONNEGATIVE},
-    "heat_gaussian": {"t_grid": _either(None, otherwise=_array(_NUMBER)), "cstar": _POSITIVE,
-                      "stability": _STABILITY, "dom_slack": _NONNEGATIVE},
-    "partition_independence": {**_SPQ, "pointwise_tol": _NONNEGATIVE},
-    "subspace_characterization": _SPQ,
-    "lorentz_bernstein": {"p0": _EXPONENT, "p": _EXPONENT, "q": _EXPONENT, "stability": _STABILITY},
-}
 # arguments the runner supplies itself; configs may not set them
 _RUNNER = dict.fromkeys(("stages", "family"), _SUPPLIED)
+
+
+def _check_params(fn) -> dict[str, Check]:
+    """A check's keyword parameters, each with the value check its signature
+    annotates; the rules that tie them to each other and to the dimension
+    are the check's own (verify.CHECK_RULES)."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    return {name: param.annotation.__metadata__[0]
+            for name, param in params.items() if name not in _RUNNER}
+
 
 _ROOT = _object(
     {
@@ -189,8 +66,8 @@ _ROOT = _object(
             "sobolev": ({"s": _NUMBER, "variant": _either("plain", "shifted")}, ("s",)),
             "lorentz": ({"p": _EXPONENT, "q": _EXT_EXPONENT}, ("p", "q")),
         })),
-        "checks": _array(_tagged("name", {name: ({**_RUNNER, **params}, ())
-                                          for name, params in _CHECK_PARAMS.items()})),
+        "checks": _array(_tagged("name", {name: ({**_RUNNER, **_check_params(fn)}, ())
+                                          for name, fn in CHECKS.items()})),
         "family": _object({"tag": _either(*FAMILY_TAGS),
                            "count": _number(1, 4096, integer=True)}),
         "seed": _number(0, 2**64 - 1, integer=True),

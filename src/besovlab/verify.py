@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
@@ -57,12 +57,17 @@ from .norms import (
 from .operators import (
     DEFAULT_DENSE_CAP,
     SpectralOperator,
+    _csr_rows,
     assemble_laplacian,
     assemble_schrodinger,
     cached_eigendecompose,
     cached_laplacian_bounds,
 )
 from .potential import check_smallness, decompose, potential_from_expression
+from .schema import (
+    _EXPONENT, _EXT_EXPONENT, _NUMBER, _POSITIVE, Boolean, Exponent, Number, Stability,
+    Tolerance, _array, _either, _number, _tuple,
+)
 
 __all__ = [
     "Stage",
@@ -319,17 +324,23 @@ def _mollifier_stack(grid: Grid, count: int) -> np.ndarray:
 
 def _boundary_distance(op: SpectralOperator) -> np.ndarray:
     """Distance to the domain boundary, via lattice hops to the outermost
-    interior layer (nodes missing at least one stencil neighbor)."""
-    from scipy.sparse.csgraph import dijkstra
-
-    adj = abs(op.matrix).tocsr()
-    adj.setdiag(0.0)
-    adj.eliminate_zeros()
-    degree = np.diff(adj.indptr)
-    seeds = np.flatnonzero(degree < 2 * op.grid.n)
-    if seeds.size == 0:
-        seeds = np.arange(op.num_nodes)
-    hops = dijkstra(adj, directed=False, indices=seeds, min_only=True, unweighted=True)
+    interior layer (nodes missing at least one stencil neighbor), found by
+    a breadth-first search over the operator's off-diagonal entries."""
+    data, indices, indptr = op.csr
+    rows = _csr_rows(indptr)
+    edge = (indices != rows) & (data != 0.0)
+    rows, cols = rows[edge], indices[edge]
+    frontier = np.bincount(rows, minlength=op.num_nodes) < 2 * op.grid.n
+    if not frontier.any():
+        frontier[:] = True
+    hops = np.where(frontier, 0.0, np.inf)
+    level = 0.0
+    while frontier.any():
+        level += 1.0
+        reached = np.zeros_like(frontier)
+        reached[cols[frontier[rows]]] = True
+        frontier = reached & np.isinf(hops)
+        hops[frontier] = level
     return (hops + 1.0) * op.grid.h
 
 
@@ -452,20 +463,19 @@ def _ratio_max(num, den) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bernstein_rules(pairs=((1.0, math.inf), (1.0, 2.0), (2.0, 2.0)), **_):
+def _bernstein_rules(pairs, **_):
     for r, p in pairs:
         if not (1.0 <= r <= p):
             raise InvalidExponent(f"need 1 <= r <= p, got (r, p) = ({r}, {p})", param="pairs")
 
 
-def _duality_rules(p=2.0, q=2.0, **_):
+def _duality_rules(p, q, **_):
     if not (1.0 <= p < math.inf) or not (1.0 <= q < math.inf):
         raise InvalidExponent(f"duality needs 1 <= p, q < inf, got ({p}, {q})",
                               param="q" if 1.0 <= p < math.inf else "p")
 
 
-def _embeddings_rules(gain=(0.5, 0.5, 2.0, math.inf, 1.0), hom_gain=(0.0, 1.0, 2.0, 1.0, 2.0),
-                      square_p=(1.5, 3.0), chain=(1.0, 2.0, 2.0, 3), **_):
+def _embeddings_rules(gain, hom_gain, square_p, chain, **_):
     eps, q, q0 = gain[1], gain[3], gain[4]
     r, p, q_h, q0_h = hom_gain[1:]
     p_i, p_ii = square_p
@@ -482,7 +492,7 @@ def _embeddings_rules(gain=(0.5, 0.5, 2.0, math.inf, 1.0), hom_gain=(0.0, 1.0, 2
             raise IndexConstraintViolated(message, param=param)
 
 
-def _equivalence_rules(n, s=0.5, p=2.0, assert_window=True, **_):
+def _equivalence_rules(n, s, p, assert_window, **_):
     """The open window (-min(2, n(1-1/p)), min(n/p, 2)) of smoothness
     indices in which the equivalence is asserted, and whether s is in it."""
     if n < 2:
@@ -494,28 +504,29 @@ def _equivalence_rules(n, s=0.5, p=2.0, assert_window=True, **_):
     return lo, hi, lo < s < hi
 
 
-def _heat_gaussian_rules(t_grid=None, **_) -> np.ndarray:
+def _heat_gaussian_rules(t_grid, **_) -> np.ndarray:
     ts = np.asarray(2.0 ** np.arange(-10, 1) if t_grid is None else sorted(t_grid), float)
     if ts.size == 0 or np.any(ts <= 0.0):
         raise InvalidCheckParameter("heat check needs a nonempty positive t grid", param="t_grid")
     return ts
 
 
-def _subspace_characterization_rules(n, s=0.25, p=2.0, q=2.0, **_):
+def _subspace_characterization_rules(n, s, p, q, **_):
     if not (s < n / p - 1e-12 or abs(s - n / p) <= 1e-12 and q == 1.0):
         raise IndexConstraintViolated(
             f"need s < n/p or (s, q) = (n/p, 1); got s = {s}, n/p = {n / p:g}, q = {q}", param="s")
 
 
-def _lorentz_bernstein_rules(p0=1.0, p=2.0, **_):
+def _lorentz_bernstein_rules(p0, p, **_):
     if not (1.0 <= p0 < p < math.inf):
         raise IndexConstraintViolated(
             f"need 1 <= p0 < p < inf, got p0 = {p0}, p = {p}", param="p0")
 
 
-# check name -> its rules, called as rules(n=n, **params) with the check's
-# keyword arguments: what the check raises before it measures anything, with
-# the error's ``param`` naming the parameter at fault (None: the domain)
+# check name -> its rules, called as rules(n=n, **params) with every keyword
+# argument of the check, defaults included (the rules declare none): what
+# the check raises before it measures anything, with the error's ``param``
+# naming the parameter at fault (None: the domain)
 CHECK_RULES: dict[str, Callable] = {
     "bernstein": _bernstein_rules, "duality": _duality_rules, "embeddings": _embeddings_rules,
     "equivalence_AV_A0": _equivalence_rules, "heat_gaussian": _heat_gaussian_rules,
@@ -532,8 +543,8 @@ CHECK_RULES: dict[str, Callable] = {
 def check_resolution_identity(
     stages,
     family: FunctionFamily | None = None,
-    tol: float = 1e-10,
-    homogeneous: bool = False,
+    tol: Tolerance = 1e-10,
+    homogeneous: Boolean = False,
 ) -> VerifyReport:
     """Relative L2 residual of f minus its dyadic resolution.
 
@@ -579,9 +590,11 @@ def _lifted(g: np.ndarray, lam: np.ndarray, a: float) -> np.ndarray:
 def check_bernstein(
     stages,
     family: FunctionFamily | None = None,
-    pairs: Sequence[tuple[float, float]] = ((1.0, math.inf), (1.0, 2.0), (2.0, 2.0)),
-    alphas: Sequence[float] = (0, 1),
-    stability: float = DEFAULT_STABILITY,
+    pairs: Annotated[
+        Sequence[tuple[float, float]], _array(_tuple(_EXPONENT, _EXT_EXPONENT), 1)
+    ] = ((1.0, math.inf), (1.0, 2.0), (2.0, 2.0)),
+    alphas: Annotated[Sequence[float], _array(_NUMBER, 1)] = (0, 1),
+    stability: Stability = DEFAULT_STABILITY,
 ) -> VerifyReport:
     """Block smoothing bounds ||A^a phi_j(sqrt A) f||_p <= C 2^{(n(1/r-1/p)+2a)j} ||f||_r.
 
@@ -674,11 +687,11 @@ def _adversarial_pair(
 def check_duality(
     stages,
     family: FunctionFamily | None = None,
-    s: float = 0.0,
-    p: float = 2.0,
-    q: float = 2.0,
-    stability: float = DEFAULT_STABILITY,
-    attain_frac: float = 0.1,
+    s: Number = 0.0,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    stability: Stability = DEFAULT_STABILITY,
+    attain_frac: Annotated[float, _number(0.0, 1.0)] = 0.1,
 ) -> VerifyReport:
     """Pairing bound |<f,g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}}.
 
@@ -724,11 +737,16 @@ def check_duality(
 def check_embeddings(
     stages,
     family: FunctionFamily | None = None,
-    gain: tuple[float, float, float, float, float] = (0.5, 0.5, 2.0, math.inf, 1.0),
-    hom_gain: tuple[float, float, float, float, float] = (0.0, 1.0, 2.0, 1.0, 2.0),
-    square_p: tuple[float, float] = (1.5, 3.0),
-    chain: tuple[float, float, float, int] = (1.0, 2.0, 2.0, 3),
-    stability: float = DEFAULT_STABILITY,
+    gain: Annotated[
+        tuple[float, float, float, float, float],
+        _tuple(_NUMBER, _NUMBER, _EXPONENT, _EXT_EXPONENT, _EXPONENT),
+    ] = (0.5, 0.5, 2.0, math.inf, 1.0),
+    hom_gain: Annotated[tuple[float, float, float, float, float],
+                        _tuple(_NUMBER, *[_EXPONENT] * 4)] = (0.0, 1.0, 2.0, 1.0, 2.0),
+    square_p: Annotated[tuple[float, float], _tuple(_EXPONENT, _EXPONENT)] = (1.5, 3.0),
+    chain: Annotated[tuple[float, float, float, int],
+                     _tuple(_NUMBER, _EXPONENT, _EXPONENT, _NUMBER)] = (1.0, 2.0, 2.0, 3),
+    stability: Stability = DEFAULT_STABILITY,
 ) -> VerifyReport:
     """Inclusion constants for the standard embedding battery.
 
@@ -801,12 +819,12 @@ def check_embeddings(
 def check_lifting(
     stages,
     family: FunctionFamily | None = None,
-    s: float = 1.0,
-    s0: float = 2.0,
-    p: float = 2.0,
-    q: float = 2.0,
-    homogeneous: bool = True,
-    stability: float = DEFAULT_STABILITY,
+    s: Number = 1.0,
+    s0: Number = 2.0,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    homogeneous: Boolean = True,
+    stability: Stability = DEFAULT_STABILITY,
 ) -> VerifyReport:
     """Lifting: A^{s0/2} maps hom B^s_{p,q} to hom B^{s-s0}_{p,q} with
     comparable norms; inhomogeneous variant uses (lam0^2 + 1 + A)^{s0/2}.
@@ -959,14 +977,14 @@ def _tail_slope(
 def check_equivalence_AV_A0(
     stages,
     family: FunctionFamily | None = None,
-    s: float = 0.5,
-    p: float = 2.0,
-    q: float = 2.0,
-    radius: float = math.inf,
-    stability: float = DEFAULT_STABILITY,
-    assert_window: bool = True,
-    control_tol: float = 1e-12,
-    slope_tol: float = 0.5,
+    s: Number = 0.5,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    radius: Annotated[float, _either("inf", otherwise=_POSITIVE)] = math.inf,
+    stability: Stability = DEFAULT_STABILITY,
+    assert_window: Boolean = True,
+    control_tol: Tolerance = 1e-12,
+    slope_tol: Tolerance = 0.5,
 ) -> VerifyReport:
     """Norm equivalence between the potential and free operators.
 
@@ -1066,10 +1084,10 @@ def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 def check_heat_gaussian(
     stages,
-    t_grid: Sequence[float] | None = None,
-    cstar: float = 8.0,
-    stability: float = DEFAULT_STABILITY,
-    dom_slack: float = 1e-12,
+    t_grid: Annotated[Sequence[float] | None, _either(None, otherwise=_array(_NUMBER))] = None,
+    cstar: Annotated[float, _POSITIVE] = 8.0,
+    stability: Stability = DEFAULT_STABILITY,
+    dom_slack: Tolerance = 1e-12,
 ) -> VerifyReport:
     """Gaussian kernel envelope sup_{t, x, y} |K_t(x,y)| t^{n/2} e^{|x-y|^2/(C* t)}
     with the exponent constant C* frozen at 8.
@@ -1178,11 +1196,11 @@ def check_heat_gaussian(
 def check_partition_independence(
     stages,
     family: FunctionFamily | None = None,
-    s: float = 1.0,
-    p: float = 2.0,
-    q: float = 2.0,
-    stability: float = DEFAULT_STABILITY,
-    pointwise_tol: float = 1e-12,
+    s: Number = 1.0,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    stability: Stability = DEFAULT_STABILITY,
+    pointwise_tol: Tolerance = 1e-12,
 ) -> VerifyReport:
     """Besov norms under the two built-in transition profiles agree up to a
     stable constant; the overlap identity phi_j = phi_j (phi'_{j-1} +
@@ -1219,10 +1237,10 @@ def check_partition_independence(
 def check_subspace_characterization(
     stages,
     family: FunctionFamily | None = None,
-    s: float = 0.25,
-    p: float = 2.0,
-    q: float = 2.0,
-    stability: float = DEFAULT_STABILITY,
+    s: Number = 0.25,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    stability: Stability = DEFAULT_STABILITY,
 ) -> VerifyReport:
     """Low-frequency summability behind the subspace characterization:
     sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}},
@@ -1253,10 +1271,10 @@ def check_subspace_characterization(
 def check_lorentz_bernstein(
     stages,
     family: FunctionFamily | None = None,
-    p0: float = 1.0,
-    p: float = 2.0,
-    q: float = 2.0,
-    stability: float = DEFAULT_STABILITY,
+    p0: Exponent = 1.0,
+    p: Exponent = 2.0,
+    q: Exponent = 2.0,
+    stability: Stability = DEFAULT_STABILITY,
 ) -> VerifyReport:
     """Lorentz-refined block bounds for the operator pair:
     ||phi_j(sqrt A_V) f||_{L^{p,q}} + ||phi_j(sqrt A_0) f||_{L^{p,q}}

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import besovlab
-from besovlab import config, operators, verify
+from besovlab import cli, config, operators, verify
 from besovlab.cli import _check_calls, main
 from besovlab.config import as_exponent, load_config, make_config
 from besovlab.errors import ConfigInvalid
@@ -337,11 +337,16 @@ def test_written_out_infinite_defaults_match_omitted_ones(tmp_path):
 
 
 def test_every_check_parameter_is_typed():
-    # a keyword added to a check without a type in the config table fails here
+    # each keyword a check takes, bar the runner's, declares exactly one
+    # value check beside its default, and the config table reads it there
     for name, fn in CHECKS.items():
-        params = set(inspect.signature(fn).parameters) - {"stages", "family"}
-        assert set(config._CHECK_PARAMS[name]) == params, name
-    assert set(config._CHECK_PARAMS) == set(CHECKS)
+        params = inspect.signature(fn, eval_str=True).parameters
+        table = config._check_params(fn)
+        assert set(table) == set(params) - {"stages", "family"}, name
+        for key in table:
+            (check,) = params[key].annotation.__metadata__
+            assert callable(check), (name, key)
+            assert params[key].default is not inspect.Parameter.empty, (name, key)
 
 
 def test_readme_example_config_is_accepted(tmp_path, monkeypatch):
@@ -357,12 +362,32 @@ def test_readme_example_config_is_accepted(tmp_path, monkeypatch):
     assert [name for name, _ in calls] == ["resolution_identity", "equivalence_AV_A0"]
 
 
-def test_admissibility_rules_default_to_their_checks_defaults():
+def test_readme_lists_every_check_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (names,) = re.findall(r"Valid\s+names:(.*?)\.", readme, flags=re.S)
+    assert re.findall(r"`(\w+)`", names) == sorted(CHECKS)
+
+
+def test_admissibility_rules_default_to_their_checks_defaults(monkeypatch):
+    # the rules declare no defaults: the runner hands each one its check's
+    # signature defaults overlaid with the config's values
     for name, rules in verify.CHECK_RULES.items():
-        check = inspect.signature(CHECKS[name]).parameters
         for param in inspect.signature(rules).parameters.values():
-            if param.default is not inspect.Parameter.empty:
-                assert check[param.name].default == param.default, (name, param.name)
+            assert param.default is inspect.Parameter.empty, (name, param.name)
+    seen = []
+    monkeypatch.setattr(cli, "CHECK_RULES", {
+        name: lambda name=name, **kwargs: seen.append((name, kwargs)) for name in CHECKS})
+    entries = [{"name": name} for name in CHECKS] + [{"name": "duality", "p": 3, "q": 1.5}]
+    cfg = make_config({"domain": _INTERVAL, "h": [0.25], "checks": entries})
+    _check_calls(cfg, report_only=False)
+    assert [name for name, _ in seen] == [entry["name"] for entry in entries]
+    for (name, kwargs), entry in zip(seen, entries):
+        params = inspect.signature(CHECKS[name]).parameters
+        expected = {k: p.default for k, p in params.items() if p.default is not p.empty}
+        expected.update(n=1, **{k: v for k, v in entry.items() if k != "name"})
+        if "family" in params:
+            expected["family"] = cfg.family()
+        assert kwargs == expected, name
 
 
 _SCALARS = st.one_of(
@@ -894,11 +919,11 @@ def _main_calls(cfg, *commands):
 
 
 def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
-    # a warm spectrum or norms needs numpy and the cache file only; the
-    # bare scipy package is imported for the manifest's version record
+    # a warm spectrum or norms needs numpy and the cache file only, also for
+    # the boundary-layer family's hop distances; the bare scipy package is
+    # imported for the manifest's version record
     out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
+    base = dict(
         domain={"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
         h=[0.25],
         potential="-0.5/r",
@@ -909,11 +934,14 @@ def test_warm_commands_import_no_heavy_scipy_submodule(tmp_path):
         ],
         out=str(out),
     )
+    cfg = write_config(tmp_path, **base)
+    layer = write_config(tmp_path, "layer.json", family={"tag": "boundary-layer"}, **base)
     assert main(["spectrum", "--config", str(cfg)]) == 0  # primes the cache
     assert _loaded_after("import besovlab", tmp_path) == set()
     floor = _loaded_after("import numpy, scipy", tmp_path)
-    for command in ("spectrum", "norms"):
-        assert _loaded_after(_main_calls(cfg, command), tmp_path) <= floor
+    for config_path, command in ((cfg, "spectrum"), (cfg, "norms"), (layer, "norms")):
+        assert _loaded_after(_main_calls(config_path, command), tmp_path) <= floor
+    assert {row["family"] for row in read_rows(out / "norms.csv")} == {"boundary-layer"}
     assert len(read_rows(out / "norms.csv")) == 3 * 8
     # bench builds the scipy matrix before its Chebyshev ladder
     bench = _loaded_after(_main_calls(cfg, "bench"), tmp_path)

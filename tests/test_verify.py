@@ -11,6 +11,7 @@ import pytest
 from conftest import diagonal_operator, draw_lattice
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 import besovlab as bl
@@ -101,6 +102,27 @@ def test_boundary_layer_peaks_at_the_boundary():
     for f in V.FunctionFamily("boundary-layer", seed=7, count=4).sample(stage):
         peak = xs[np.argmax(f.values)]
         assert min(peak, 1.0 - peak) <= 2.0 * stage.h
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_boundary_distance_matches_shortest_path_oracle(data):
+    # the breadth-first hop count is scipy's unweighted multi-source shortest
+    # path from the nodes missing a stencil neighbour (all nodes if none is)
+    spec, h = draw_lattice(data, 1, 600)
+    grid = bl.build_grid(spec, h)
+    potential = data.draw(st.sampled_from([None, "-5", "4*x - 1.2", "0.25/r^2"]))
+    if potential is None:
+        op = bl.assemble_laplacian(grid)
+    else:
+        op = bl.assemble_schrodinger(grid, bl.potential_from_expression(grid, potential)[0])
+    adj = abs(op.matrix).tocsr()
+    adj.setdiag(0.0)
+    adj.eliminate_zeros()
+    seeds = np.flatnonzero(np.diff(adj.indptr) < 2 * grid.n)
+    hops = dijkstra(adj, directed=False, unweighted=True, min_only=True,
+                    indices=seeds if seeds.size else np.arange(grid.num_nodes))
+    np.testing.assert_array_equal(V._boundary_distance(op), (hops + 1.0) * h)
 
 
 def test_free_operator_decomposed_on_first_read(eigensolves):
