@@ -27,7 +27,6 @@ in bench.csv).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import platform
 import resource
@@ -42,7 +41,7 @@ import scipy
 
 from . import __version__
 from .calculus import OperatorFunction, _cheb_apply, apply_symbol, kernel, suite_symbols
-from .config import RunConfig, as_exponent, load_config
+from .config import NORMS, RunConfig, arguments, load_config
 from .errors import BesovLabError, BudgetExceeded, CheckFailed, ConfigInvalid, DenseCapExceeded
 from .norms import besov_norm, lorentz_norm, sobolev_norm
 from .verify import CHECK_RULES, CHECKS, Stage, build_stages
@@ -83,32 +82,23 @@ def _write_spectrum(stages: Sequence[Stage], out_dir: Path) -> None:
 def _norm_rows(cfg: RunConfig, stages: Sequence[Stage]):
     """One row per (stage, request, function); Besov and Sobolev requests
     are evaluated once per stage on the stacked family."""
-    fam = cfg.family()
+    fam = cfg.function_family()
     for st in stages:
         funcs = fam.sample(st)
         cols = np.column_stack([gf.values for gf in funcs])
         for spec in cfg.norms:
             kind = spec["kind"]
+            kwargs = arguments(NORMS[kind], spec, "kind")
             if kind == "besov":
-                hom = spec.get("homogeneous", False)
-                values = besov_norm(
-                    st.op,
-                    st.sys,
-                    cols,
-                    spec["s"],
-                    spec["p"],
-                    as_exponent(spec["q"]),
-                    homogeneous=hom,
-                )
-                row = (kind, spec["s"], spec["p"], spec["q"], "hom" if hom else "inhom")
+                values = besov_norm(st.op, st.sys, cols, **kwargs)
+                variant = "hom" if kwargs["homogeneous"] else "inhom"
             elif kind == "sobolev":
-                variant = spec.get("variant", "plain")
-                values = sobolev_norm(st.op, cols, spec["s"], variant=variant)
-                row = (kind, spec["s"], "", "", variant)
+                values = sobolev_norm(st.op, cols, **kwargs)
+                variant = kwargs["variant"]
             else:
-                q = as_exponent(spec["q"])
-                values = [lorentz_norm(gf, spec["p"], q) for gf in funcs]
-                row = (kind, "", spec["p"], spec["q"], "")
+                values = [lorentz_norm(gf, **kwargs) for gf in funcs]
+                variant = ""
+            row = (kind, spec.get("s", ""), spec.get("p", ""), spec.get("q", ""), variant)
             for i, value in enumerate(values):
                 yield (*row, fam.tag, i, st.h, st.grid.num_nodes, float(value))
 
@@ -126,15 +116,13 @@ def _check_calls(cfg: RunConfig, report_only: bool) -> list[tuple[str, dict]]:
     calls = []
     for i, entry in enumerate(cfg.checks):
         name = entry["name"]
-        params = inspect.signature(CHECKS[name]).parameters
-        kwargs = {k: as_exponent(v) for k, v in entry.items() if k != "name"}
+        kwargs = arguments(CHECKS[name], entry, "name")
         if name == "equivalence_AV_A0" and report_only:
             kwargs["assert_window"] = False
-        if "family" in params:
-            kwargs["family"] = cfg.family()
-        defaults = {k: p.default for k, p in params.items() if p.default is not p.empty}
+        if "family" in kwargs:  # the signature takes one, default None
+            kwargs["family"] = cfg.function_family()
         try:
-            CHECK_RULES.get(name, lambda **_: None)(n=cfg.dimension, **{**defaults, **kwargs})
+            CHECK_RULES.get(name, lambda **_: None)(n=cfg.dimension, **kwargs)
         except BesovLabError as exc:
             path = f"checks/{i}" if exc.param is None else f"checks/{i}/{exc.param}"
             raise ConfigInvalid(f"at {path}: {type(exc).__name__}: {exc}") from exc

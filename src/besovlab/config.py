@@ -1,11 +1,15 @@
 """Run configuration: validation, defaults, canonical hashing.
 
 A run is described by one flat JSON object, validated before any grid is
-built: ``_ROOT`` below types every key, check parameters by the value
-checks their ``check_*`` signatures annotate (see ``schema``); a Lorentz
-request with p = 1 and a finite q is rejected; and the runner judges check
-parameters, signature defaults filled in, by each check's own rules
-(verify.CHECK_RULES).
+built.  Each key's value check and default are declared once, as
+``typing.Annotated`` metadata beside the default where the value is used
+(see ``schema``): a root key on its RunConfig field, a domain key on the
+``geometry`` constructor its ``kind`` names, a norm-request key on the
+``norms`` function its ``kind`` names, and a check parameter on its
+``check_*`` signature.  ``_ROOT`` is read off those signatures.  A
+Lorentz request with p = 1 and a finite q is rejected; and the runner
+judges check parameters, signature defaults filled in, by each check's own
+rules (verify.CHECK_RULES).
 The potential expression is parsed and checked here, without samples.
 Only nonfinite potential samples, heat_gaussian's t <= 1 sweep under a
 flagged potential and equivalence_AV_A0's smallness flags wait for the
@@ -16,80 +20,54 @@ grid, since they read the potential's samples.  Rejections here raise
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Annotated, Any, Mapping, Sequence
 
 from .errors import ConfigInvalid, EmptyDomain, GridMismatch, InvalidExponent
 from .geometry import DomainSpec, ball, box, interval
-from .norms import check_lorentz_exponents
+from .norms import besov_norm, check_lorentz_exponents, lorentz_norm, sobolev_norm
+from .operators import DEFAULT_DENSE_CAP
 from .potential import parse_potential
 from .schema import (
-    _BOOLEAN, _COORDS, _EXPONENT, _EXT_EXPONENT, _NUMBER, _POSITIVE, _SUPPLIED,
-    Check, _array, _either, _fail, _finite, _number, _object, _string, _tagged,
+    _POSITIVE, _SUPPLIED, Boolean, Check, _array, _either, _fail, _finite, _number, _object,
+    _string, _tagged,
 )
 from .verify import CHECKS, FAMILY_TAGS, FunctionFamily
 
 __all__ = ["RunConfig", "load_config", "make_config"]
 
-# arguments the runner supplies itself; configs may not set them
-_RUNNER = dict.fromkeys(("stages", "family"), _SUPPLIED)
+# the function each domain and norm-request kind names
+_DOMAINS = {"interval": interval, "box": box, "ball": ball}
+NORMS = {"besov": besov_norm, "sobolev": sobolev_norm, "lorentz": lorentz_norm}
+# FunctionFamily's defaults bar the seed, which is a root key of its own
+_FAMILY = {"tag": FunctionFamily.tag, "count": FunctionFamily.count}
 
 
-def _check_params(fn) -> dict[str, Check]:
-    """A check's keyword parameters, each with the value check its signature
-    annotates; the rules that tie them to each other and to the dimension
-    are the check's own (verify.CHECK_RULES)."""
-    params = inspect.signature(fn, eval_str=True).parameters
-    return {name: param.annotation.__metadata__[0]
-            for name, param in params.items() if name not in _RUNNER}
+def _params(fn, skip=(), supplied=()) -> tuple[dict[str, Check], tuple[str, ...]]:
+    """The config keys fn's signature declares, as (value checks, required
+    keys): every parameter bar ``skip`` with the value check it annotates,
+    required when it has no default.  ``supplied`` names the runner's
+    parameters, which a config may not set."""
+    params = [p for p in inspect.signature(fn, eval_str=True).parameters.values()
+              if p.name not in (*skip, *supplied)]
+    return ({**dict.fromkeys(supplied, _SUPPLIED),
+             **{p.name: p.annotation.__metadata__[0] for p in params}},
+            tuple(p.name for p in params if p.default is p.empty))
 
 
-_ROOT = _object(
-    {
-        "domain": _tagged("kind", {
-            "interval": ({"a": _NUMBER, "b": _NUMBER}, ("a", "b")),
-            "box": ({"lo": _COORDS, "hi": _COORDS}, ("lo", "hi")),
-            "ball": ({"center": _COORDS, "radius": _POSITIVE}, ("center", "radius")),
-        }),
-        "h": _array(_POSITIVE, 1, 8, unique=True),
-        "potential": _either(None, otherwise=_string()),
-        "trunc_radius": _either(None, otherwise=_POSITIVE),
-        "profile": _either("smooth", "squared"),
-        "norms": _array(_tagged("kind", {
-            "besov": ({"s": _NUMBER, "p": _EXPONENT, "q": _EXT_EXPONENT,
-                       "homogeneous": _BOOLEAN}, ("s", "p", "q")),
-            "sobolev": ({"s": _NUMBER, "variant": _either("plain", "shifted")}, ("s",)),
-            "lorentz": ({"p": _EXPONENT, "q": _EXT_EXPONENT}, ("p", "q")),
-        })),
-        "checks": _array(_tagged("name", {name: ({**_RUNNER, **_check_params(fn)}, ())
-                                          for name, fn in CHECKS.items()})),
-        "family": _object({"tag": _either(*FAMILY_TAGS),
-                           "count": _number(1, 4096, integer=True)}),
-        "seed": _number(0, 2**64 - 1, integer=True),
-        "out": _string(1),
-        "dense_cap": _number(1, integer=True),
-        "kernels": _BOOLEAN,
-    },
-    required=("domain", "h"),
-)
+def arguments(fn, entry: Mapping[str, Any], tag: str) -> dict:
+    """A config entry as fn's keyword arguments: the defaults fn's signature
+    declares, overlaid with the entry's keys bar ``tag``, "inf" realized."""
+    params = inspect.signature(fn).parameters
+    return {**{k: p.default for k, p in params.items() if p.default is not p.empty},
+            **{k: as_exponent(v) for k, v in entry.items() if k != tag}}
 
-_DEFAULTS: dict[str, Any] = {
-    "potential": None,
-    "trunc_radius": None,
-    "profile": "smooth",
-    "norms": [],
-    "checks": [],
-    "family": {"tag": "random-eigenmix", "count": 8},
-    "seed": 0,
-    "out": "results",
-    "dense_cap": 4096,
-    "kernels": False,
-}
 
 def as_exponent(value: Any) -> Any:
     """Realize a config value: the string "inf" is math.inf, also inside arrays."""
@@ -100,58 +78,48 @@ def as_exponent(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with every default filled in."""
+    """Validated run configuration with every default filled in.  Each field
+    is a root key, its value check annotated beside its default."""
 
-    domain: dict
-    h: tuple[float, ...]
-    potential: str | None
-    trunc_radius: float | None
-    profile: str
-    norms: tuple[dict, ...]
-    checks: tuple[dict, ...]
-    family_tag: str
-    family_count: int
-    seed: int
-    out: str
-    dense_cap: int
-    kernels: bool
+    domain: Annotated[dict, _tagged("kind", {kind: _params(fn) for kind, fn in _DOMAINS.items()})]
+    h: Annotated[tuple[float, ...], _array(_POSITIVE, 1, 8, unique=True)]
+    potential: Annotated[str | None, _either(None, otherwise=_string())] = None
+    trunc_radius: Annotated[float | None, _either(None, otherwise=_POSITIVE)] = None
+    profile: Annotated[str, _either("smooth", "squared")] = "smooth"
+    norms: Annotated[Sequence[dict], _array(_tagged("kind", {
+        kind: _params(fn, skip=("op", "sys", "f")) for kind, fn in NORMS.items()}))] = ()
+    checks: Annotated[Sequence[dict], _array(_tagged("name", {
+        name: _params(fn, supplied=("stages", "family")) for name, fn in CHECKS.items()}))] = ()
+    family: Annotated[dict, _object({"tag": _either(*FAMILY_TAGS),
+                                     "count": _number(1, 4096, integer=True)})] = field(
+        default_factory=_FAMILY.copy)
+    seed: Annotated[int, _number(0, 2**64 - 1, integer=True)] = 0
+    out: Annotated[str, _string(1)] = "results"
+    dense_cap: Annotated[int, _number(1, integer=True)] = DEFAULT_DENSE_CAP
+    kernels: Boolean = False
 
     def domain_spec(self) -> DomainSpec:
-        dom = self.domain
-        if dom["kind"] == "interval":
-            return interval(dom["a"], dom["b"])
-        if dom["kind"] == "box":
-            return box(dom["lo"], dom["hi"])
-        return ball(dom["center"], dom["radius"])
+        fn = _DOMAINS[self.domain["kind"]]
+        return fn(**arguments(fn, self.domain, "kind"))
 
     @property
     def dimension(self) -> int:
         return self.domain_spec().dimension
 
-    def family(self) -> FunctionFamily:
-        return FunctionFamily(self.family_tag, seed=self.seed, count=self.family_count)
+    def function_family(self) -> FunctionFamily:
+        return FunctionFamily(**self.family, seed=self.seed)
 
     def canonical(self) -> dict:
         """Effective configuration as a plain dict, defaults included."""
-        return {
-            "domain": self.domain,
-            "h": list(self.h),
-            "potential": self.potential,
-            "trunc_radius": self.trunc_radius,
-            "profile": self.profile,
-            "norms": list(self.norms),
-            "checks": list(self.checks),
-            "family": {"tag": self.family_tag, "count": self.family_count},
-            "seed": self.seed,
-            "out": self.out,
-            "dense_cap": self.dense_cap,
-            "kernels": self.kernels,
-        }
+        return asdict(self)
 
     @property
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+_ROOT = _object(*_params(RunConfig))
 
 
 def make_config(data: Mapping[str, Any]) -> RunConfig:
@@ -161,7 +129,8 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
     float, malformed domain, undefined Lorentz norm, potential expression
     outside the whitelist, or check parameter the check does not take or
     of the wrong type.  Integral floats in the integer fields (family
-    count, seed, dense cap) become ints.
+    count, seed, dense cap) become ints, a partial family is merged over
+    the default one, and the spacings are sorted coarse to fine.
     """
     if not isinstance(data, Mapping):
         raise ConfigInvalid("config root must be a JSON object")
@@ -174,22 +143,12 @@ def make_config(data: Mapping[str, Any]) -> RunConfig:
             except InvalidExponent as exc:
                 _fail(("norms", i, "p"), str(exc))
 
-    family = {**_DEFAULTS["family"], **data.get("family", {})}
-    cfg = RunConfig(
-        domain=dict(data["domain"]),
-        h=tuple(sorted((float(v) for v in data["h"]), reverse=True)),
-        potential=data.get("potential", _DEFAULTS["potential"]),
-        trunc_radius=data.get("trunc_radius", _DEFAULTS["trunc_radius"]),
-        profile=data.get("profile", _DEFAULTS["profile"]),
-        norms=tuple(dict(n) for n in data.get("norms", _DEFAULTS["norms"])),
-        checks=tuple(dict(entry) for entry in data.get("checks", _DEFAULTS["checks"])),
-        family_tag=family["tag"],
-        family_count=int(family["count"]),
-        seed=int(data.get("seed", _DEFAULTS["seed"])),
-        out=data.get("out", _DEFAULTS["out"]),
-        dense_cap=int(data.get("dense_cap", _DEFAULTS["dense_cap"])),
-        kernels=bool(data.get("kernels", _DEFAULTS["kernels"])),
-    )
+    data = copy.deepcopy(dict(data))
+    family = {**_FAMILY, **data.get("family", {})}
+    data.update(h=tuple(sorted(map(float, data["h"]), reverse=True)),
+                family={**family, "count": int(family["count"])},
+                **{key: int(data[key]) for key in ("seed", "dense_cap") if key in data})
+    cfg = RunConfig(**data)
     try:
         cfg.domain_spec()
     except (EmptyDomain, GridMismatch, ValueError) as exc:

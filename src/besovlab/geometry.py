@@ -14,11 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyDomain, GridMismatch, UnsupportedDimension
+from .schema import Coords, Number, Positive
 
 __all__ = [
     "Box",
@@ -109,18 +110,18 @@ class DomainSpec:
         return self.shape.contains(pts)
 
 
-def interval(a: float, b: float) -> DomainSpec:
+def interval(a: Number, b: Number) -> DomainSpec:
     """Open interval (a, b) as a 1-d domain."""
     return DomainSpec(1, Box((a,), (b,)))
 
 
-def box(lo: Sequence[float], hi: Sequence[float]) -> DomainSpec:
+def box(lo: Coords, hi: Coords) -> DomainSpec:
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
     return DomainSpec(len(lo), Box(lo, hi))
 
 
-def ball(center: Sequence[float], radius: float) -> DomainSpec:
+def ball(center: Coords, radius: Positive) -> DomainSpec:
     center = tuple(float(v) for v in center)
     return DomainSpec(len(center), Ball(center, float(radius)))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .geometry import GridFunction, lp_columns
 from .operators import SpectralOperator
+from .schema import Boolean, Exponent, ExtExponent, Number, _either
 
 __all__ = [
     "RearrangementProfile",
@@ -59,7 +61,7 @@ _ZERO_EIG_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def _columns(f, op: SpectralOperator) -> np.ndarray:
+def _columns(f) -> np.ndarray:
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -89,7 +91,7 @@ def block_lp_norms(
     if not (p >= 1.0):
         raise InvalidExponent(f"block norms need p >= 1, got {p}")
     js = list(sys.window if js is None else js)
-    return _shell_norms(op, sys, spectral_coefficients(op, _columns(f, op)), p, js)
+    return _shell_norms(op, sys, spectral_coefficients(op, _columns(f)), p, js)
 
 
 def check_homogeneous_spectrum(op: SpectralOperator) -> None:
@@ -113,10 +115,10 @@ def besov_norm(
     op: SpectralOperator,
     sys: DyadicSystem,
     f,
-    s: float,
-    p: float,
-    q: float,
-    homogeneous: bool = False,
+    s: Number,
+    p: Exponent,
+    q: ExtExponent,
+    homogeneous: Boolean = False,
 ):
     """Besov norm of f with smoothness s and exponents (p, q).
 
@@ -137,7 +139,7 @@ def besov_norm(
     if homogeneous:
         check_homogeneous_spectrum(op)
     js = list(sys.window if homogeneous else sys.inhom_window)
-    coeff = spectral_coefficients(op, _columns(f, op))
+    coeff = spectral_coefficients(op, _columns(f))
     weights = 2.0 ** (s * np.asarray(js, float))
     out = _lq(weights[:, None] * _shell_norms(op, sys, coeff, p, js), q)
     if not homogeneous:
@@ -146,7 +148,10 @@ def besov_norm(
     return float(out[0]) if single else out
 
 
-def sobolev_norm(op: SpectralOperator, f, s: float, variant: str = "plain"):
+def sobolev_norm(
+    op: SpectralOperator, f, s: Number,
+    variant: Annotated[str, _either("plain", "shifted")] = "plain",
+):
     """||(shift + A)^(s/2) f||_2 with shift 1 ('plain') or 1 + lam0^2 ('shifted').
 
     The plain variant requires 1 + lam_min > 0; the shifted one is always
@@ -164,7 +169,7 @@ def sobolev_norm(op: SpectralOperator, f, s: float, variant: str = "plain"):
         raise NegativeShiftedEigenvalue(
             f"shifted spectrum reaches {moved[0]:.3e} <= 0; use variant='shifted'"
         )
-    cols = _columns(f, op)
+    cols = _columns(f)
     out = apply_symbol(op, lambda lam: (shift + lam) ** (s / 2.0), cols)
     res = lp_columns(out, op.grid.cell_measure, 2.0)
     single = not (isinstance(f, np.ndarray) and f.ndim == 2)
@@ -180,7 +185,7 @@ def test_seminorms(op: SpectralOperator, sys: DyadicSystem, f, M: float):
     Floats for a single function; for batched columns, two arrays with
     every block synthesized from one transform.
     """
-    vals = _columns(f, op)
+    vals = _columns(f)
     base = lp_columns(vals, op.grid.cell_measure, 1.0)
     js = list(sys.window)
     norms = block_lp_norms(op, sys, vals, 1.0, js)
@@ -280,7 +285,7 @@ def check_lorentz_exponents(p: float, q: float) -> None:
         )
 
 
-def lorentz_norm(f: GridFunction, p: float, q: float) -> float:
+def lorentz_norm(f: GridFunction, p: Exponent, q: ExtExponent) -> float:
     """Lorentz norm ||f||_(p,q) through the averaged rearrangement f**.
 
     q = inf takes sup_t t^(1/p) f**(t) (exact piecewise maximization);

@@ -70,7 +70,7 @@ _HEADER = "<I32sQ"  # format version, cache key, value count
 # smaller matrices take the dense solve, which is cheaper there
 _LANCZOS_MIN_NODES = 16
 # Lanczos steps before the dense solve takes over: disks and balls need
-# 40-130, 1-D chains of more than about 550 nodes need more
+# 40-130 (1-D chains, which take the dense solve, need more above ~550 nodes)
 _LANCZOS_MAX_STEPS = 300
 _LANCZOS_CHECK_EVERY = 10  # steps between tests of the residual bound
 # distance in log4 from a power of 4 below which a Lanczos estimate could
@@ -456,18 +456,21 @@ def _near_power_of_4(lam: float) -> bool:
 def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a free Dirichlet Laplacian.
 
-    Read off the eigendata when ``op`` has it.  Otherwise lam_min comes from
-    a Lanczos run from the all-ones vector (_lanczos_bottom) and lam_max is
-    4n/h^2 - lam_min: the masked lattice is bipartite and the diagonal is
-    the constant 2n/h^2, so the spectrum is symmetric about 2n/h^2.  The top
-    eigenvalue is not solved for directly because the all-ones vector can
-    be orthogonal to its eigenvector (an interval with an even node count).
+    Read off the eigendata when ``op`` has it.  Otherwise, for n >= 2,
+    lam_min comes from a Lanczos run from the all-ones vector
+    (_lanczos_bottom) and lam_max is 4n/h^2 - lam_min: the masked lattice
+    is bipartite and the diagonal is the constant 2n/h^2, so the spectrum
+    is symmetric about 2n/h^2.  The top eigenvalue is not solved for
+    directly because the all-ones vector can be orthogonal to its
+    eigenvector (a box with an even node count along an axis).
 
     The dyadic window takes floor and ceil of log4 of these bounds.  When
     an estimate lies within 1e-9 of a power of 4 in log4, when the Lanczos
-    run reaches its step cap, or for a tiny matrix, the bounds come from
-    dense eigenvalues instead, so the window is the one the dense spectrum
-    gives.  ``op`` itself is left without eigendata.
+    run reaches its step cap, for a tiny matrix and for every 1-D chain,
+    the bounds come from dense eigenvalues instead, so the window is the
+    one the dense spectrum gives.  Chains skip Lanczos because it does not
+    converge within the cap above about 550 nodes, and below that the dense
+    solve is the cheaper one.  ``op`` itself is left without eigendata.
 
     Examples
     --------
@@ -486,7 +489,7 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
         raise ValueError("laplacian_bounds needs the potential-free operator")
     if op.has_eigendata:
         return op.lam_min, op.lam_max
-    if op.num_nodes >= _LANCZOS_MIN_NODES:
+    if op.num_nodes >= _LANCZOS_MIN_NODES and op.grid.n > 1:
         lo = _lanczos_bottom(op)
         hi = 4.0 * op.grid.n / op.grid.h**2 - lo
         if 0.0 < lo <= hi and not (_near_power_of_4(lo) or _near_power_of_4(hi)):

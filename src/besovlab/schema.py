@@ -1,11 +1,12 @@
-"""Value checks for config values: ``config`` types the run's keys with
-them, and each ``verify.check_*`` annotates its parameters with them."""
+"""Value checks for config values: each function a config key feeds
+annotates its parameter with one (a ``verify.check_*``, a norm, a domain
+constructor, a ``config.RunConfig`` field), and ``config`` reads them there."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Annotated, Any, Callable, Mapping
+from typing import Annotated, Any, Callable, Mapping, Sequence
 
 from .errors import ConfigInvalid
 
@@ -125,9 +126,12 @@ _COORDS = _array(_NUMBER, 1, 3)
 # the defaults of bernstein's pairs, embeddings' gain and the Kato radius)
 _EXT_EXPONENT = _either("inf", otherwise=_EXPONENT)
 
-# the recurring check-parameter types, the value check beside the Python type
+# the recurring parameter types, the value check beside the Python type
 Number = Annotated[float, _NUMBER]
+Positive = Annotated[float, _POSITIVE]
+Coords = Annotated[Sequence[float], _COORDS]
 Exponent = Annotated[float, _EXPONENT]
+ExtExponent = Annotated[float, _EXT_EXPONENT]
 Stability = Annotated[float, _number(1.0)]
 Tolerance = Annotated[float, _NONNEGATIVE]
 Boolean = Annotated[bool, _BOOLEAN]

@@ -922,7 +922,7 @@ def _cross_block_tails(stage: Stage) -> dict[int, list[tuple[int, float, float]]
     opv, op0, dsys = stage.op, stage.op0, stage.sys
     W = opv.eigvecs.T @ op0.eigvecs
     reps = stage.symmetry.reps
-    basis = op0.eigvecs if reps.size == op0.num_nodes else op0.eigvecs[reps]
+    basis = op0.eigvecs[_contiguous(reps)]
     out: dict[int, list[tuple[int, float, float]]] = {}
     for j in dsys.window:
         gv = opv.dyadic_weights(dsys, "phi", j)

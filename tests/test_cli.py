@@ -5,6 +5,7 @@ one test goes through ``python -m besovlab`` to cover the module entry.
 """
 
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -341,12 +342,27 @@ def test_every_check_parameter_is_typed():
     # value check beside its default, and the config table reads it there
     for name, fn in CHECKS.items():
         params = inspect.signature(fn, eval_str=True).parameters
-        table = config._check_params(fn)
-        assert set(table) == set(params) - {"stages", "family"}, name
-        for key in table:
+        table, required = config._params(fn, supplied=("stages", "family"))
+        assert set(table) == set(params) | {"stages", "family"} and required == (), name
+        for key in set(table) - {"stages", "family"}:
             (check,) = params[key].annotation.__metadata__
             assert callable(check), (name, key)
             assert params[key].default is not inspect.Parameter.empty, (name, key)
+
+
+@pytest.mark.parametrize("fn, skip", [
+    (config.RunConfig, ()), (besovlab.interval, ()), (besovlab.box, ()), (besovlab.ball, ()),
+    *[(fn, ("op", "sys", "f")) for fn in config.NORMS.values()]])
+def test_every_config_key_is_typed(fn, skip):
+    # root, domain and norm-request keys: one value check each, in the
+    # signature of what they feed; a key without a default is required
+    params = inspect.signature(fn, eval_str=True).parameters
+    table, required = config._params(fn, skip=skip)
+    assert set(table) == set(params) - set(skip)
+    for key in table:
+        (check,) = params[key].annotation.__metadata__
+        assert callable(check), key
+    assert required == tuple(k for k in table if params[k].default is inspect.Parameter.empty)
 
 
 def test_readme_example_config_is_accepted(tmp_path, monkeypatch):
@@ -360,6 +376,19 @@ def test_readme_example_config_is_accepted(tmp_path, monkeypatch):
     cfg = load_config(path)
     calls = _check_calls(cfg, report_only=False)
     assert [name for name, _ in calls] == ["resolution_identity", "equivalence_AV_A0"]
+
+
+def test_readme_defaults_are_the_run_config_defaults():
+    # every "- **key** (default ...)" bullet of README's config schema names
+    # a RunConfig field, and states that field's default as JSON
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = re.findall(r"^- \*\*(\w+)\*\* \(default `?(.*?)`?\)", readme, flags=re.M)
+    fields = {f.name: f for f in dataclasses.fields(config.RunConfig)}
+    assert len(bullets) == len(fields) - 2  # all but the required domain and h
+    for key, stated in bullets:
+        f = fields[key]
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert json.loads(stated) == json.loads(json.dumps(default)), key
 
 
 def test_readme_lists_every_check_name():
@@ -386,7 +415,7 @@ def test_admissibility_rules_default_to_their_checks_defaults(monkeypatch):
         expected = {k: p.default for k, p in params.items() if p.default is not p.empty}
         expected.update(n=1, **{k: v for k, v in entry.items() if k != "name"})
         if "family" in params:
-            expected["family"] = cfg.family()
+            expected["family"] = cfg.function_family()
         assert kwargs == expected, name
 
 
@@ -404,12 +433,38 @@ _VALUES = st.one_of(
 )
 
 
+def _admissible(default):
+    """Draws of a check parameter shaped like its default that pass its value
+    check: a boolean, a number scaled up from the default (sign, >= 1, > 0
+    and [0, 1] all keep), "inf" or a finite exponent for an infinite one, an
+    array of numbers for t_grid's None, and the tuple shapes item by item
+    (pairs: one to three of the default's pairs)."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if default is None:
+        return st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4)
+    if isinstance(default, tuple):
+        if isinstance(default[0], tuple):
+            item = st.sampled_from(default).flatmap(_admissible)
+            return st.lists(item, min_size=1, max_size=len(default))
+        return st.tuples(*map(_admissible, default)).map(list)
+    if math.isinf(default):
+        return st.sampled_from(["inf", 2, 4.0])
+    if default == 0:
+        return st.floats(-1.0, 1.0)
+    return st.one_of(st.integers(1, 3), st.floats(1.0, 2.0)).map(lambda u: default * u)
+
+
 @st.composite
 def _check_entries(draw):
     name = draw(st.sampled_from(sorted(CHECKS)))
-    params = sorted(set(inspect.signature(CHECKS[name]).parameters) - {"stages", "family"})
-    keys = draw(st.lists(st.sampled_from(params), max_size=3, unique=True))
-    return {"name": name, **{k: draw(_VALUES) for k in keys}}
+    params = inspect.signature(CHECKS[name]).parameters
+    keys = draw(st.lists(st.sampled_from(sorted(set(params) - {"stages", "family"})),
+                         max_size=3, unique=True))
+    # one example in three that sets keys gives one of them a malformed draw
+    bad = draw(st.sampled_from([*keys, *[None] * 2 * len(keys)])) if keys else None
+    return {"name": name, **{k: draw(_VALUES if k == bad else _admissible(params[k].default))
+                             for k in keys}}
 
 
 @settings(max_examples=30, deadline=None)
@@ -1190,7 +1245,7 @@ def test_edge_configs_keep_their_verdicts(name):
             make_config(data)
         return
     cfg = make_config(data)
-    for value in (cfg.family_count, cfg.seed, cfg.dense_cap):
+    for value in (cfg.family["count"], cfg.seed, cfg.dense_cap):
         assert type(value) is int
 
 
@@ -1229,10 +1284,10 @@ def test_make_config_defaults_and_ordering():
     )
     assert cfg.h == (0.5, 0.25)  # coarse to fine
     assert cfg.profile == "smooth"
-    assert cfg.family_tag == "random-eigenmix" and cfg.family_count == 8
+    assert cfg.family == {"tag": "random-eigenmix", "count": 8}
     assert cfg.dense_cap == 4096
     assert cfg.dimension == 1
-    assert cfg.family().count == 8
+    assert cfg.function_family().count == 8
 
 
 def test_config_hash_ignores_key_order():
@@ -1243,6 +1298,37 @@ def test_config_hash_ignores_key_order():
         {"seed": 3, "domain": {"b": 1.0, "a": 0.0, "kind": "interval"}, "h": [0.5]}
     )
     assert a.config_hash == b.config_hash
+
+
+# literal digests of canonical(): a change to what a config hashes to, or to
+# the defaults it fills in, moves them
+_GOLDEN_HASHES = {
+    "readme": (None, "6f9ccd49deb68c3e843fe21da4b62150985bcf1fa9cad1aff3b58e4c26005adb"),
+    "interval": ({"domain": _INTERVAL, "h": [0.0625]},
+                 "5c2c2019743ea4f0b23b0b2f9b4dfdca5a0a17be3c53388e36813ec754f92bc7"),
+    "disk-potential-norms": (
+        {"domain": _DISK, "h": [0.125, 0.25], "potential": "0.25/r^2",
+         "norms": [{"kind": "besov", "s": 0.5, "p": 2, "q": "inf"},
+                   {"kind": "sobolev", "s": 1.0},
+                   {"kind": "lorentz", "p": 2, "q": 1.5}]},
+        "89e91de0f987c459aa42dcc07fc19b0dfaa9c604740d63642893090acc101654"),
+    "ball3-checks": (
+        {"domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, "h": [0.25],
+         "checks": [{"name": "bernstein"}, {"name": "heat_gaussian", "cstar": 4.0},
+                    {"name": "duality", "p": 3, "q": 1.5}],
+         "family": {"count": 3}, "seed": 5.0},
+        "d9418ea453c988ea01dc7b933a632dfe4fea1da17b95e37ca94cf47a936e3315"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_HASHES))
+def test_config_hash_is_pinned(name):
+    data, digest = _GOLDEN_HASHES[name]
+    if data is None:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        data = json.loads(block)
+    assert make_config(data).config_hash == digest
 
 
 def test_invalid_domains_rejected():

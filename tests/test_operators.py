@@ -341,23 +341,42 @@ class TestLaplacianBounds:
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_estimate_near_power_of_4_takes_dense_path(self, monkeypatch, side):
-        # at h = 1/65, 4n/h^2 = 16900 puts lam_max = 16384 = 4^7 within reach
-        op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 65))
+        # on the square at h = 1/24, 4n/h^2 = 4608 puts lam_max = 4096 = 4^6 within reach
+        op = bl.assemble_laplacian(bl.build_grid(bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 24))
         if side == "lo":
             fake = 4.0**2 * (1.0 + 1e-12)
         else:
-            fake = 4.0 / op.grid.h**2 - 4.0**7 * (1.0 + 1e-12)
+            fake = 8.0 / op.grid.h**2 - 4.0**6 * (1.0 + 1e-12)
         monkeypatch.setattr(bl.operators, "_lanczos_bottom", lambda op: fake)
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
 
     def test_lanczos_step_cap_takes_dense_path(self, monkeypatch):
-        # the interval at h = 1/64 needs 40 steps
-        op = bl.assemble_laplacian(bl.build_grid(bl.interval(0.0, 1.0), 1 / 64))
+        # the square at h = 1/24 needs 51-60 steps
+        op = bl.assemble_laplacian(bl.build_grid(bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 24))
         monkeypatch.setattr(bl.operators, "_LANCZOS_MAX_STEPS", 30)
         assert np.isnan(bl.operators._lanczos_bottom(op))
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
+
+    @pytest.mark.parametrize("N", [16, 17, 255, 511, 550, 600, 1000, 1023])
+    def test_chains_skip_lanczos(self, monkeypatch, tmp_path, N):
+        # Lanczos from the all-ones vector does not converge within its cap
+        # on chains above about 550 nodes, so chains never run it: A_0's
+        # bounds under a potential and the closed-form window
+        # (4/h^2) sin^2(pi/(2(N+1))), (4/h^2) cos^2(pi/(2(N+1)))
+        def lanczos(op):
+            raise AssertionError("Lanczos ran on a chain")
+
+        monkeypatch.setattr(bl.operators, "_lanczos_bottom", lanczos)
+        h = 1.0 / (N + 1)
+        stage = bl.build_stage(bl.interval(0.0, 1.0), h, potential="4*x", cache_dir=tmp_path)
+        assert stage.grid.num_nodes == N
+        lo, hi = bl.laplacian_bounds(bl.assemble_laplacian(stage.grid))
+        x = math.pi / (2 * (N + 1))
+        exact = bl.build_system(4 / h**2 * math.sin(x) ** 2, 4 / h**2 * math.cos(x) ** 2)
+        est = bl.build_system(lo, hi)
+        assert (est.j_min, est.j_max) == (exact.j_min, exact.j_max)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

@@ -659,7 +659,7 @@ def test_representative_columns_match_full_kernel_oracles():
 def test_trivial_symmetry_group_keeps_the_whole_kernel(monkeypatch):
     # no symmetry: heat_gaussian scans the whole symmetric kernel, so it
     # equals the unblocked oracle exactly, and the tails read every column
-    # of the eigenbasis itself, as they did before representatives
+    # of the eigenbasis in place, as they did before representatives
     st = off_centre_disk()
     ts = 2.0 ** np.arange(-10, 1)
     rep = V.check_heat_gaussian([st])
@@ -669,7 +669,9 @@ def test_trivial_symmetry_group_keeps_the_whole_kernel(monkeypatch):
     bases, streamed = [], V._max_column_l1
 
     def spy(left, basis, cols, mid=None):
-        bases.append(basis is st.op0.eigvecs)
+        # a view of the whole eigenbasis, not a gathered copy
+        full = st.op0.eigvecs
+        bases.append(np.shares_memory(basis, full) and np.array_equal(basis, full))
         return streamed(left, basis, cols, mid=mid)
 
     monkeypatch.setattr(V, "_max_column_l1", spy)
