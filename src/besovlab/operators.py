@@ -12,8 +12,8 @@ reflection sector of the red-black coupling for the free Laplacian of a
 grid in two or three dimensions, eigh for every other matrix.  A
 configurable cap guards against accidentally decomposing a matrix that is
 too large.  The free Laplacian's extreme eigenvalues, all the dyadic
-window needs of it, come from a short Lanczos run on the CSR arrays
-instead.
+window needs of it, come from the singular values of the trivial
+sector's block alone (eigvalsh for a 1-D chain).
 
 These two results are the costly ones, and cached_eigendecompose and
 cached_laplacian_bounds memoize them in a cache directory: one
@@ -67,14 +67,8 @@ _MAGIC = b"BESOVOP1"
 _FORMAT_VERSION = 5
 _HEADER = "<I32sQ"  # format version, cache key, value count
 
-# smaller matrices take the dense solve, which is cheaper there
-_LANCZOS_MIN_NODES = 16
-# Lanczos steps before the dense solve takes over: disks and balls need
-# 40-130 (1-D chains, which take the dense solve, need more above ~550 nodes)
-_LANCZOS_MAX_STEPS = 300
-_LANCZOS_CHECK_EVERY = 10  # steps between tests of the residual bound
-# distance in log4 from a power of 4 below which a Lanczos estimate could
-# land on the other side of a dyadic window edge than the dense eigenvalue
+# distance in log4 from a power of 4 below which a bound from the sector
+# SVD could land on the other side of a dyadic window edge than eigvalsh's
 _WINDOW_EDGE_GUARD = 1e-9
 # rows of |U| held at once while each eigenvector's sign anchor is found
 _ANCHOR_BLOCK = 128
@@ -237,6 +231,11 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, N: int) -> tuple:
     return vals[order], cols[order], indptr
 
 
+def _free_diagonal(grid: Grid) -> float:
+    """assemble_laplacian's diagonal entry 2n/h^2 on ``grid``."""
+    return 2.0 * grid.n * (1.0 / grid.h**2)
+
+
 def assemble_laplacian(grid: Grid) -> SpectralOperator:
     """Dirichlet Laplacian: (2n I - adjacency) / h^2 on the interior nodes.
 
@@ -253,7 +252,7 @@ def assemble_laplacian(grid: Grid) -> SpectralOperator:
     inv_h2 = 1.0 / grid.h**2
     rows, cols = _neighbor_entries(grid)
     nodes = np.arange(N)
-    vals = np.concatenate([np.full(N, 2.0 * grid.n * inv_h2), np.full(2 * rows.size, -inv_h2)])
+    vals = np.concatenate([np.full(N, _free_diagonal(grid)), np.full(2 * rows.size, -inv_h2)])
     csr = _csr(np.concatenate([nodes, rows, cols]), np.concatenate([nodes, cols, rows]), vals, N)
     return SpectralOperator(grid=grid, csr=csr, potential=None)
 
@@ -327,28 +326,27 @@ def eigendecompose(op: SpectralOperator, dense_cap: int = DEFAULT_DENSE_CAP) -> 
 def _takes_sector_route(op: SpectralOperator) -> bool:
     """Whether eigendecompose takes the sector route for ``op``: n >= 2 and
     every diagonal entry equal to assemble_laplacian's 2n/h^2."""
-    grid = op.grid
     data, indices, indptr = op.csr
     diag = data[_csr_rows(indptr) == indices]
-    c = 2.0 * grid.n * (1.0 / grid.h**2)
-    return grid.n > 1 and diag.size == op.num_nodes and bool(np.all(diag == c))
+    return (op.grid.n > 1 and diag.size == op.num_nodes
+            and bool(np.all(diag == _free_diagonal(op.grid))))
 
 
-def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of the free
-    Laplacian ``op``, one SVD per reflection sector (see eigendecompose)."""
+def _sector_blocks(op: SpectralOperator):
+    """The red-black coupling C of the free Laplacian ``op`` per reflection
+    sector (see eigendecompose), the trivial character first.  Each item
+    is the (m, k) block of C in the sector's basis and, for the red and
+    then the black side, (nodes, their rows of the block, their
+    coefficients)."""
     grid, N = op.grid, op.num_nodes
     data, indices, indptr = op.csr
     rows = _csr_rows(indptr)
-    c = data[rows == indices][0]
     red = (grid.multi_indices.sum(axis=1) + grid.k_lo.sum()) % 2 == 0
     edge = red[rows] & ~red[indices]  # each red-black entry of M once
     ei, ej, ew = rows[edge], indices[edge], -data[edge]
 
     group = LatticeSymmetry(grid, red).reflections  # the ones that keep each colour
     rep = group.rep
-
-    sectors, vals = [], []
     local = np.empty(N, dtype=np.intp)
     for live, coef in group.characters:
         lead = live & (rep == np.arange(N))
@@ -359,9 +357,19 @@ def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
         i, j = ei[e], ej[e]
         block = np.bincount(local[rep[i]] * k + local[rep[j]], weights=ew[e] * coef[i] * coef[j],
                             minlength=m * k).reshape(m, k)
-        p, s, qt = np.linalg.svd(block)
         nodes = [np.flatnonzero(live & side) for side in (red, ~red)]
-        sectors.append((p, s, qt.T, [(v, local[rep[v]], coef[v]) for v in nodes]))
+        yield block, [(v, local[rep[v]], coef[v]) for v in nodes]
+
+
+def _sector_solve(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the free
+    Laplacian ``op``, one SVD per reflection sector (see eigendecompose)."""
+    N, c = op.num_nodes, _free_diagonal(op.grid)
+    sectors, vals = [], []
+    for block, sides in _sector_blocks(op):
+        m, k = block.shape
+        p, s, qt = np.linalg.svd(block)
+        sectors.append((p, s, qt.T, sides))
         vals += [c - s, np.full(m + k - 2 * s.size, c), c + s]
 
     vals = np.concatenate(vals)
@@ -407,47 +415,6 @@ def _sign_anchors(vecs: np.ndarray) -> np.ndarray:
     return anchor
 
 
-def _lanczos_bottom(op: SpectralOperator) -> float:
-    """Smallest eigenvalue of op by Lanczos from the all-ones vector; nan
-    when it is not resolved within _LANCZOS_MAX_STEPS steps.
-
-    Every new vector is orthogonalized twice against all earlier ones
-    (Kahan's "twice is enough"), so no spurious Ritz copies appear.  The
-    smallest Ritz pair (theta, s) of T_k has the residual
-    ||A y - theta y|| = beta_k |s_k|, and an eigenvalue of A lies within it
-    of theta (Parlett, The Symmetric Eigenvalue Problem, ch. 13; Saad,
-    Numerical Methods for Large Eigenvalue Problems, 2nd ed., ch. 6).
-    Stopping at beta_k |s_k| <= eps ||T_k|| <= eps ||A|| leaves theta as
-    accurate as a backward-stable dense solve.  That eigenvalue is the
-    bottom one: -A has nonnegative off-diagonals, so the ground state is
-    nonnegative and overlaps the all-ones vector.
-    """
-    data, indices, indptr = op.csr
-    rows = _csr_rows(indptr)
-    N = op.num_nodes
-    steps = min(_LANCZOS_MAX_STEPS, N)
-    basis = np.empty((steps + 1, N))
-    alpha, beta = np.empty(steps), np.empty(steps)
-    basis[0] = 1.0 / math.sqrt(N)
-    eps = np.finfo(float).eps
-    for k in range(steps):
-        w = np.bincount(rows, weights=data * basis[k, indices], minlength=N)
-        alpha[k] = basis[k] @ w
-        done = basis[: k + 1]
-        for _ in range(2):
-            w -= (done @ w) @ done
-        beta[k] = math.sqrt(w @ w)
-        # a beta this small means the Krylov space is invariant: T_k is exact
-        exhausted = beta[k] <= eps * np.abs(alpha[: k + 1]).max()
-        if exhausted or (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps:
-            T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-            theta, s = np.linalg.eigh(T)
-            if exhausted or beta[k] * abs(s[-1, 0]) <= eps * max(-theta[0], theta[-1]):
-                return float(theta[0])
-        basis[k + 1] = w / beta[k]
-    return math.nan
-
-
 def _near_power_of_4(lam: float) -> bool:
     level = math.log(lam, 4.0)
     return abs(level - round(level)) < _WINDOW_EDGE_GUARD
@@ -457,20 +424,26 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a free Dirichlet Laplacian.
 
     Read off the eigendata when ``op`` has it.  Otherwise, for n >= 2,
-    lam_min comes from a Lanczos run from the all-ones vector
-    (_lanczos_bottom) and lam_max is 4n/h^2 - lam_min: the masked lattice
-    is bipartite and the diagonal is the constant 2n/h^2, so the spectrum
-    is symmetric about 2n/h^2.  The top eigenvalue is not solved for
-    directly because the all-ones vector can be orthogonal to its
-    eigenvector (a box with an even node count along an axis).
+    from the largest singular value s of the first block that
+    _sector_blocks yields, the trivial reflection sector's: lam_min = c - s
+    and lam_max = c + s with c = 2n/h^2.  The masked lattice is bipartite,
+    so A_0 = c I - M has the eigenvalues c -/+ s_i over the singular values
+    s_i of M's red-black coupling (see eigendecompose), and the extremes
+    come from the largest, the spectral radius of M.  M is nonnegative, so
+    its spectral radius has a nonnegative eigenvector (Perron-Frobenius;
+    Horn & Johnson, Matrix Analysis, 2nd ed., Thm 8.3.1).  The reflections
+    commute with M, so that vector's average over their group is again
+    such an eigenvector; it is nonzero, being a mean of nonnegative
+    vectors, and invariant, so it lies in the trivial sector, whose block
+    thus holds the largest singular value.  Every other sector goes
+    unsolved.
 
     The dyadic window takes floor and ceil of log4 of these bounds.  When
-    an estimate lies within 1e-9 of a power of 4 in log4, when the Lanczos
-    run reaches its step cap, for a tiny matrix and for every 1-D chain,
+    one lies within 1e-9 of a power of 4 in log4, and for every 1-D chain,
     the bounds come from dense eigenvalues instead, so the window is the
-    one the dense spectrum gives.  Chains skip Lanczos because it does not
-    converge within the cap above about 550 nodes, and below that the dense
-    solve is the cheaper one.  ``op`` itself is left without eigendata.
+    one the dense spectrum gives.  A chain's c - s would carry about
+    eps c / lam_min relative error (1.6e-10 at N = 1023), and its dense
+    solve is cheap.  ``op`` itself is left without eigendata.
 
     Examples
     --------
@@ -489,10 +462,11 @@ def laplacian_bounds(op: SpectralOperator) -> tuple[float, float]:
         raise ValueError("laplacian_bounds needs the potential-free operator")
     if op.has_eigendata:
         return op.lam_min, op.lam_max
-    if op.num_nodes >= _LANCZOS_MIN_NODES and op.grid.n > 1:
-        lo = _lanczos_bottom(op)
-        hi = 4.0 * op.grid.n / op.grid.h**2 - lo
-        if 0.0 < lo <= hi and not (_near_power_of_4(lo) or _near_power_of_4(hi)):
+    if op.grid.n > 1:
+        c = _free_diagonal(op.grid)
+        s = np.linalg.svd(next(_sector_blocks(op))[0], compute_uv=False).max(initial=0.0)
+        lo, hi = float(c - s), float(c + s)
+        if not (_near_power_of_4(lo) or _near_power_of_4(hi)):
             return lo, hi
     vals = np.linalg.eigvalsh(_dense(op))
     return float(vals[0]), float(vals[-1])
@@ -617,7 +591,8 @@ def _memoized(cache_dir, kind: str, op: SpectralOperator, compute, load, save):
     call for the same matrix; None as ``cache_dir`` keeps nothing.
 
     ``load(path)`` reads an entry and ``save(result, path)`` writes one.  An
-    entry that ``load`` rejects is rebuilt, with a warning on stderr.
+    entry that ``load`` rejects is rebuilt, and one that cannot be written
+    is skipped, each with a warning on stderr.
     """
     if cache_dir is None:
         return compute()
@@ -629,8 +604,11 @@ def _memoized(cache_dir, kind: str, op: SpectralOperator, compute, load, save):
             print(f"warning: rebuilding unreadable operator cache {path.name}: {exc}",
                   file=sys.stderr)
     result = compute()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save(result, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save(result, path)
+    except OSError as exc:
+        print(f"warning: could not write operator cache {path.name}: {exc}", file=sys.stderr)
     return result
 
 

@@ -1245,7 +1245,8 @@ def check_subspace_characterization(
     """Low-frequency summability behind the subspace characterization:
     sum_{j<=0} 2^{(n/p)j} ||phi_j(sqrt A) f||_p <= C ||f||_{hom B^s_{p,q}},
     admissible for s < n/p or (s, q) = (n/p, 1)."""
-    n = _as_stages(stages)[0].grid.n
+    stages = _as_stages(stages)
+    n = stages[0].grid.n
     _subspace_characterization_rules(n, s=s, p=p, q=q)
 
     def measure(stage, cols):

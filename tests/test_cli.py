@@ -846,6 +846,27 @@ def test_damaged_free_operator_cache_is_rebuilt(tmp_path):
     assert entry.read_bytes() == raw
 
 
+def test_unwritable_operator_cache_is_skipped(tmp_path, capsys):
+    # a regular file where the cache directory goes: every result is used
+    # unkept, with a warning, and the run succeeds
+    runs = {}
+    for out in ("clear", "blocked"):
+        cfg = _equivalence_config(tmp_path, out)
+        if out == "blocked":
+            (tmp_path / out).mkdir()
+            (tmp_path / out / "cache").write_bytes(b"")
+        capsys.readouterr()
+        assert main(["norms", "--config", str(cfg)]) == 0
+        runs[out] = capsys.readouterr().err
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["status"] == "ok"
+    assert "warning: could not write operator cache" not in runs["clear"]
+    assert "warning: could not write operator cache" in runs["blocked"]
+    csvs = sorted(p.name for p in (tmp_path / "clear").glob("*.csv"))
+    assert csvs == sorted(p.name for p in (tmp_path / "blocked").glob("*.csv")) != []
+    for name in csvs:
+        assert (tmp_path / "clear" / name).read_bytes() == (tmp_path / "blocked" / name).read_bytes()
+
+
 def test_cache_entry_names_change_with_package_version(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, potential="-5", out=str(out))
@@ -1019,8 +1040,8 @@ def test_heat_gaussian_loads_no_scipy_spatial(tmp_path):
 
 
 def test_cold_commands_import_no_scipy_submodule(tmp_path):
-    # a cold stage densifies the CSR arrays and finds A_0's bottom
-    # eigenvalue by Lanczos, both in numpy
+    # a cold stage densifies the CSR arrays and takes A_0's extreme
+    # eigenvalues from one sector block's singular values, both in numpy
     floor = _loaded_after("import numpy, scipy", tmp_path)
     norms = write_config(
         tmp_path, name="norms.json",
@@ -1066,7 +1087,7 @@ def test_warm_hit_runs_no_lanczos_solve(tmp_path, monkeypatch, eigensolves):
     norms = (tmp_path / "out" / "norms.csv").read_bytes()
     calls = []
     monkeypatch.setattr(operators, "laplacian_bounds", lambda op: calls.append("bounds"))
-    monkeypatch.setattr(operators, "_lanczos_bottom", lambda op: calls.append("lanczos"))
+    monkeypatch.setattr(operators, "_sector_blocks", lambda op: calls.append("blocks"))
     del eigensolves[:]
     assert main(["norms", "--config", str(cfg)]) == 0
     assert calls == [] and eigensolves == []

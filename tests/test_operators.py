@@ -328,6 +328,11 @@ class TestLaplacianBounds:
             (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 16),
             (bl.ball([0.0, 0.0], 1.0), 1 / 16),
             (bl.ball([0.0, 0.0, 0.0], 1.0), 1 / 6),
+            # under 16 nodes
+            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 2),
+            (bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 3),
+            (bl.ball([0.0, 0.0], 1.0), 0.9),
+            (bl.box([0.0, 0.0], [1.0, 0.3]), 1 / 4),
         ],
     )
     def test_window_equals_dense_window(self, spec, h):
@@ -347,28 +352,22 @@ class TestLaplacianBounds:
             fake = 4.0**2 * (1.0 + 1e-12)
         else:
             fake = 8.0 / op.grid.h**2 - 4.0**6 * (1.0 + 1e-12)
-        monkeypatch.setattr(bl.operators, "_lanczos_bottom", lambda op: fake)
-        vals = np.linalg.eigvalsh(op.matrix.toarray())
-        assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
-
-    def test_lanczos_step_cap_takes_dense_path(self, monkeypatch):
-        # the square at h = 1/24 needs 51-60 steps
-        op = bl.assemble_laplacian(bl.build_grid(bl.box([0.0, 0.0], [1.0, 1.0]), 1 / 24))
-        monkeypatch.setattr(bl.operators, "_LANCZOS_MAX_STEPS", 30)
-        assert np.isnan(bl.operators._lanczos_bottom(op))
+        s = 4.0 / op.grid.h**2 - fake  # the singular value that puts lam_min at fake
+        monkeypatch.setattr(bl.operators, "_sector_blocks",
+                            lambda op: iter([(np.array([[s]]), None)]))
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert bl.laplacian_bounds(op) == (vals[0], vals[-1])
 
     @pytest.mark.parametrize("N", [16, 17, 255, 511, 550, 600, 1000, 1023])
     def test_chains_skip_lanczos(self, monkeypatch, tmp_path, N):
-        # Lanczos from the all-ones vector does not converge within its cap
-        # on chains above about 550 nodes, so chains never run it: A_0's
-        # bounds under a potential and the closed-form window
+        # chains take eigvalsh, since c - s would lose about eps c / lam_min
+        # of lam_min, so they build no sector block: A_0's bounds under a
+        # potential and the closed-form window
         # (4/h^2) sin^2(pi/(2(N+1))), (4/h^2) cos^2(pi/(2(N+1)))
-        def lanczos(op):
-            raise AssertionError("Lanczos ran on a chain")
+        def blocks(op):
+            raise AssertionError("a chain built a sector block")
 
-        monkeypatch.setattr(bl.operators, "_lanczos_bottom", lanczos)
+        monkeypatch.setattr(bl.operators, "_sector_blocks", blocks)
         h = 1.0 / (N + 1)
         stage = bl.build_stage(bl.interval(0.0, 1.0), h, potential="4*x", cache_dir=tmp_path)
         assert stage.grid.num_nodes == N
@@ -380,15 +379,29 @@ class TestLaplacianBounds:
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_lanczos_matches_dense_on_random_lattices(self, data):
+    def test_bounds_match_dense_on_random_lattices(self, data):
         grid = bl.build_grid(*draw_lattice(data, 30, 1300))
-        assume(bl.operators._LANCZOS_MIN_NODES <= grid.num_nodes <= 1500)
+        assume(grid.num_nodes <= 1500)
         op = bl.assemble_laplacian(grid)
         lo, hi = bl.laplacian_bounds(op)
         vals = np.linalg.eigvalsh(op.matrix.toarray())
         np.testing.assert_allclose([lo, hi], [vals[0], vals[-1]], rtol=1e-10)
         est, dense = bl.build_system(lo, hi), bl.build_system(vals[0], vals[-1])
         assert (est.j_min, est.j_max) == (dense.j_min, dense.j_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_trivial_sector_holds_the_largest_singular_value(self, data):
+        # Perron-Frobenius: the spectral radius of the adjacency has a
+        # nonnegative eigenvector, whose group average lies in the trivial
+        # sector, the first block _sector_blocks yields
+        grid, _ = draw_grid(data, 8, 400)
+        assume(grid.n > 1)
+        op = bl.assemble_laplacian(grid)
+        tops = [np.linalg.svd(block, compute_uv=False).max(initial=0.0)
+                for block, _ in bl.operators._sector_blocks(op)]
+        c = 2.0 * grid.n / grid.h**2
+        assert abs(tops[0] - max(tops)) <= 4 * np.finfo(float).eps * c
 
     def test_eigendata_read_and_potential_rejected(self):
         g = bl.build_grid(bl.interval(0.0, 1.0), 1 / 8)

@@ -885,6 +885,13 @@ def test_checks_registry_is_complete():
     assert all(callable(f) for f in V.CHECKS.values())
 
 
+@pytest.mark.parametrize("name", sorted(V.CHECKS))
+def test_checks_accept_an_iterator_of_stages(name):
+    stages = disk_stages((4, 6), "0.25/r^2")
+    listed = V.CHECKS[name](list(stages))
+    np.testing.assert_equal(V.CHECKS[name](iter(stages)).constants, listed.constants)
+
+
 def test_checks_rerun_bitwise_identical():
     stages = line_stages((64, 128))
     a = V.check_duality(stages, FAM)
