@@ -99,6 +99,7 @@ class SpectralOperator:
     eigvecs: np.ndarray | None = field(default=None, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _matrix: object = field(default=None, init=False, repr=False, compare=False)
+    _colouring: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def matrix(self):
@@ -337,7 +338,8 @@ def _sector_blocks(op: SpectralOperator):
     sector (see eigendecompose), the trivial character first.  Each item
     is the (m, k) block of C in the sector's basis and, for the red and
     then the black side, (nodes, their rows of the block, their
-    coefficients)."""
+    coefficients).  The colouring's reflection group is found on the first
+    call and kept on ``op``, so laplacian_bounds and _sector_solve share it."""
     grid, N = op.grid, op.num_nodes
     data, indices, indptr = op.csr
     rows = _csr_rows(indptr)
@@ -345,7 +347,9 @@ def _sector_blocks(op: SpectralOperator):
     edge = red[rows] & ~red[indices]  # each red-black entry of M once
     ei, ej, ew = rows[edge], indices[edge], -data[edge]
 
-    group = LatticeSymmetry(grid, red).reflections  # the ones that keep each colour
+    if op._colouring is None:  # the reflections that keep each colour, found once per operator
+        op._colouring = LatticeSymmetry(grid, red).reflections
+    group = op._colouring
     rep = group.rep
     local = np.empty(N, dtype=np.intp)
     for live, coef in group.characters:

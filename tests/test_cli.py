@@ -6,6 +6,7 @@ one test goes through ``python -m besovlab`` to cover the module entry.
 
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -832,6 +833,29 @@ def test_free_operator_solved_and_cached_on_first_use(tmp_path, eigensolves):
     shutil.rmtree(tmp_path / "fresh" / "cache")
     assert main(["verify", "--config", str(fresh), "--report-only"]) == 0
     assert verifies == [_without_wall_ms(tmp_path / "fresh" / "verify.csv")] * 2
+
+
+def test_colouring_group_found_once_per_free_operator(tmp_path, monkeypatch):
+    # a cold verify of perfbench's disk config scans the 48 candidate maps
+    # twice per stage: for the stage's symmetry, and for A_0's checkerboard
+    # colouring, whose group its bounds and its sector solve share
+    scans, maps = [], besovlab.LatticeSymmetry.maps.func
+
+    def counted(self):
+        scans.append(self.grid.num_nodes)
+        return maps(self)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(besovlab.LatticeSymmetry, "maps")
+    monkeypatch.setattr(besovlab.LatticeSymmetry, "maps", spy)
+    checks = ("resolution_identity", "embeddings", "equivalence_AV_A0",
+              "duality", "bernstein", "heat_gaussian")
+    cfg = write_config(tmp_path, domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                       h=[1 / 16, 1 / 24], potential="0.25/r^2",
+                       checks=[{"name": n} for n in checks],
+                       family={"tag": "random-eigenmix", "count": 8}, out=str(tmp_path / "out"))
+    assert main(["verify", "--config", str(cfg), "--report-only"]) == 0
+    assert sorted(scans) == [793, 793, 1789, 1789]
 
 
 def test_damaged_free_operator_cache_is_rebuilt(tmp_path):

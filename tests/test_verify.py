@@ -23,6 +23,7 @@ from besovlab.errors import (
     InvalidExponent,
     ZeroEigenvaluePresent,
 )
+from besovlab.geometry import lp_columns
 
 FAM = V.FunctionFamily("random-eigenmix", seed=11, count=6)
 
@@ -253,6 +254,70 @@ def test_duality_rejects_endpoint_exponents():
         V.check_duality(line_stages((64,)), FAM, p=math.inf)
     with pytest.raises(InvalidExponent):
         V.check_duality(line_stages((64,)), FAM, q=math.inf)
+
+
+def adversarial_pair_oracle(op, dsys, fvals, s, p, q):
+    """The per-function construction: the dual function of one column f,
+    from its own transform, one synthesis per shell and one transform of
+    its stacked duals; None when every block of f is zero."""
+    meas = op.grid.cell_measure
+    js = list(dsys.inhom_window)
+    coeff = bl.spectral_coefficients(op, fvals)
+    blocks = [bl.spectral_synthesis(op, op.dyadic_weights(dsys, "phi", j), coeff) for j in js]
+    bnorms = np.array([lp_columns(b[:, None], meas, p)[0] for b in blocks])
+    top = bnorms.max(initial=0.0)
+    if top == 0.0:
+        return None
+
+    def dual(b):
+        return np.sign(b) if p == 1.0 else np.sign(b) * np.abs(b) ** (p - 1.0)
+
+    kept = [i for i, nj in enumerate(bnorms) if not nj <= 1e-14 * top]
+    duals = np.column_stack([dual(blocks[i]) for i in kept])
+    dual_coeff = bl.spectral_coefficients(op, duals)
+    G = np.zeros_like(fvals)
+    for col, i in enumerate(kept):
+        j, nj = js[i], bnorms[i]
+        a_j = 2.0 ** (s * j) * nj
+        w = 2.0 ** (s * j) * a_j ** (q - 1.0) / nj ** (p - 1.0)
+        fat = op.dyadic_weights(dsys, "fat", j)
+        G = G + w * bl.spectral_synthesis(op, fat, dual_coeff[:, col])
+    return G
+
+
+def per_function_pairs(op, dsys, fvals, s, p, q):
+    """_adversarial_pairs' result, built one column at a time by the oracle."""
+    pairs = [(i, adversarial_pair_oracle(op, dsys, f, s, p, q)) for i, f in enumerate(fvals.T)]
+    pairs = [(i, g) for i, g in pairs if g is not None]
+    return (np.array([i for i, _ in pairs], dtype=np.intp),
+            np.column_stack([g for _, g in pairs]) if pairs else fvals[:, :0])
+
+
+@pytest.mark.parametrize("where", ["disk", "interval"])
+@pytest.mark.parametrize("s,p,q", [(0.0, 2.0, 2.0), (0.5, 1.0, 2.0), (-0.5, 1.5, 3.0)])
+def test_adversarial_pairs_match_the_per_function_oracle(where, s, p, q):
+    # a zero column gets no pair; a column scaled far below the others has
+    # every block below 1e-14 times the family's top block, so it is kept
+    # only if the cut is taken per column
+    (st,) = disk_stages((16,)) if where == "disk" else line_stages((64,))
+    cols = np.column_stack([f.values for f in FAM.sample(st)])
+    fvals = np.column_stack([cols[:, :3], np.zeros(len(cols)), 1e-20 * cols[:, 3], cols[:, 4:]])
+    got, G = V._adversarial_pairs(st.op, st.sys, fvals, s, p, q)
+    want, ref = per_function_pairs(st.op, st.sys, fvals, s, p, q)
+    assert got.tolist() == want.tolist() == [0, 1, 2, 4, 5, 6]
+    for g, r in zip(G.T, ref.T):
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_duality_constants_match_per_function_pairs(p, monkeypatch):
+    stages = disk_stages((16,))
+    rep = V.check_duality(stages, DISK_FAM, p=p)
+    monkeypatch.setattr(V, "_adversarial_pairs", per_function_pairs)
+    oracle = V.check_duality(stages, DISK_FAM, p=p)
+    assert rep.passed == oracle.passed
+    for key in ("C", "attained"):
+        np.testing.assert_allclose(rep.constants[key], oracle.constants[key], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,37 +558,46 @@ def heat_oracle(st, ts, cstar=8.0, cols=None):
     return float(np.exp(max(log_scores))), defect, omega
 
 
+def w_blocks(st):
+    """(j, rows, ks, W) per row j of the cross-block tails, W formed as
+    _cross_block_tails forms it: U_V[:, rows]^T U_0[:, :end], with rows the
+    phi_j shell, ks the nonempty Phi_k shells at k <= j - 3 and end one past
+    the last column they read."""
+    opv, op0, dsys = st.op, st.op0, st.sys
+    for j in dsys.window:
+        rows = np.flatnonzero(opv.dyadic_weights(dsys, "phi", j))
+        ks = [k for k in dsys.window if k <= j - 3 and op0.dyadic_weights(dsys, "fat", k).any()]
+        if rows.size and ks:
+            end = max(np.flatnonzero(op0.dyadic_weights(dsys, "fat", k))[-1] for k in ks) + 1
+            yield j, rows, ks, opv.eigvecs[:, V._contiguous(rows)].T @ op0.eigvecs[:, :end]
+
+
 def tails_oracle(st, cheaper=True, nodes=None):
     """The unblocked cross-block tails: the full N x N kernel L M R^T per
     (j, k), formed in the cheaper order of _cross_block_tails, or with
     cheaper=False always as (L M) R^T; with ``nodes``, its columns at those
-    nodes only."""
+    nodes only.  W and the weights are taken as _cross_block_tails takes
+    them, so the L2 norms agree bitwise: row j's W entries come from its
+    block U_V[:, rows]^T U_0[:, :end], and M = phi_j W Phi_k holds both
+    shells' weights, with L = U_V[:, rows] unscaled."""
     opv, op0, dsys = st.op, st.op0, st.sys
     basis = op0.eigvecs if nodes is None else op0.eigvecs[nodes]
-    W = opv.eigvecs.T @ op0.eigvecs
     out = {}
-    for j in dsys.window:
-        gv = opv.dyadic_weights(dsys, "phi", j)
-        rows = np.flatnonzero(gv)
-        if rows.size == 0:
-            continue
-        left = opv.eigvecs[:, rows] * gv[rows]
+    for j, rows, ks, W in w_blocks(st):
+        gv, left = opv.dyadic_weights(dsys, "phi", j), opv.eigvecs[:, V._contiguous(rows)]
         pts = []
-        for k in dsys.window:
+        for k in ks:
             g0 = op0.dyadic_weights(dsys, "fat", k)
             cols = np.flatnonzero(g0)
-            if k > j - 3 or cols.size == 0:
-                continue
-            mid = W[np.ix_(rows, cols)] * g0[cols]
+            mid = gv[rows, None] * (W[:, cols] * g0[cols])
             right = basis[:, cols].T
             if cheaper and rows.size < cols.size:
                 tail = left @ (mid @ right)
             else:
                 tail = (left @ mid) @ right
             pts.append((j - k, float(np.abs(tail).sum(axis=0).max()),
-                        float(np.linalg.norm(gv[rows, None] * mid, 2))))
-        if pts:
-            out[j] = pts
+                        float(np.linalg.norm(mid, 2))))
+        out[j] = pts
     return out
 
 
@@ -726,6 +800,30 @@ def test_cross_block_tails_product_order_moves_only_round_off(denom, monkeypatch
                                    rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("denom", [16, 24])
+def test_cross_block_w_blocks_match_the_whole_product(denom):
+    # each row's block of W = U_V^T U_0 is its own product, so BLAS may
+    # round it apart from the same entries of the whole one; both are dot
+    # products of unit vectors, so they agree within N eps
+    (st,) = disk_stages((denom,), potential="0.25/r^2")
+    N = st.grid.num_nodes
+    whole = st.op.eigvecs.T @ st.op0.eigvecs
+    blocks = list(w_blocks(st))
+    assert blocks and all(W.shape[1] < N for _, _, _, W in blocks)
+    for _, rows, _, W in blocks:
+        assert np.abs(W - whole[rows, :W.shape[1]]).max() <= N * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("denom", [16, 24])
+def test_cross_block_tails_form_no_whole_kernel(denom):
+    # the W blocks and the kernel factors stay below 1.5 N^2 doubles, so no
+    # N x N array (W or a kernel) is formed
+    (st,) = disk_stages((denom,), potential="0.25/r^2")
+    st.op0
+    N = st.grid.num_nodes
+    assert transient_bytes(lambda: V._cross_block_tails(st)) < 1.5 * N * N * 8
+
+
 @pytest.mark.parametrize("name", ["heat_gaussian", "cross_block_tails"])
 def test_dense_checks_hold_at_most_four_transient_kernels(name):
     st = streamed_disk()
@@ -810,6 +908,13 @@ def test_duality_transform_budget(transforms):
     # one of its stacked duals, and one for the norms of all dual pairs
     V.check_duality(disk_stages((16,)), DISK_FAM)
     assert len(transforms) <= 2 + 2 * DISK_FAM.count + 1
+
+
+def test_duality_builds_every_pair_from_two_transforms(transforms):
+    # two Besov norms over the family, one transform of the family and one
+    # of all its kept duals, and one for the norms of all dual pairs
+    V.check_duality(disk_stages((16,)), DISK_FAM)
+    assert len(transforms) == 5
 
 
 def test_embeddings_transform_budget(transforms):
